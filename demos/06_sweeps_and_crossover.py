@@ -17,13 +17,13 @@ from fdsched import SweepSpec, run_sweep
 BASE = {"pu_dbm_scale": 0.95, "si_cancellation_db": 80.0, "k_u": 5, "k_d": 5}
 VALUES = tuple(float(v) for v in range(-20, 31, 5))
 
-curves = {}
-for sched in ("es-fd", "es-fdhd", "hd-tdd"):
-    spec = SweepSpec(
-        swept_parameter="p0_dbm", values=VALUES, scheduler=sched,
-        base_config=BASE, n_trials=50_000, seed=43,
-    )
-    curves[sched] = [pt.stats.mean_sum_rate for pt in run_sweep(spec)]
+spec = SweepSpec(
+    swept_parameter="p0_dbm", values=VALUES, schedulers=("es-fd", "es-fdhd", "hd-tdd"),
+    base_config=BASE, n_trials=50_000, seed=43,
+)
+curves = {sched.value: [] for sched in spec.schedulers}
+for pt in run_sweep(spec):  # one draw per sweep point, shared by all three
+    curves[pt.scheduler.value].append(pt.stats.mean_sum_rate)
 
 print("mean sum rate (bps/Hz) vs DL power, 80 dB SI cancellation, K=5")
 print(f"{'p0 dBm':>8} {'es-fd':>10} {'es-fdhd':>10} {'hd-tdd':>10}   note")

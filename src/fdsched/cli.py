@@ -176,6 +176,8 @@ def cmd_simulate(args):
         settings["schedulers"] = list(args.scheduler)
     if settings["schedulers"] is None:
         settings["schedulers"] = ["a2-opa"]
+    if not settings["schedulers"]:
+        raise FlagError("no schedulers to run")
     if settings["trials"] < 1:
         raise FlagError("--trials must be >= 1")
     if settings["kd"] < 1 or settings["ku"] < 1:
@@ -201,27 +203,24 @@ def cmd_simulate(args):
     }
     header = ["value", "scheduler", "mean_sum_rate", "mean_ul_rate",
               "mean_dl_rate", "std_error", "fd_fraction", "n_trials"]
-    rows = []
-    for sched in settings["schedulers"]:
-        spec = SweepSpec(
-            swept_parameter=settings["sweep_parameter"],
-            values=tuple(settings["sweep_values"]),
-            scheduler=sched,
-            base_config=base_config,
-            n_trials=int(settings["trials"]),
-            seed=int(settings["seed"]),
-        )
-        for point in run_sweep(spec, workers=int(settings["workers"])):
-            rows.append({
-                "value": float(point.value),
-                "scheduler": sched,
-                "mean_sum_rate": point.stats.mean_sum_rate,
-                "mean_ul_rate": point.stats.mean_ul_rate,
-                "mean_dl_rate": point.stats.mean_dl_rate,
-                "std_error": point.stats.std_error,
-                "fd_fraction": point.stats.fd_fraction,
-                "n_trials": point.stats.n_trials,
-            })
+    spec = SweepSpec(
+        swept_parameter=settings["sweep_parameter"],
+        values=tuple(settings["sweep_values"]),
+        schedulers=tuple(settings["schedulers"]),
+        base_config=base_config,
+        n_trials=int(settings["trials"]),
+        seed=int(settings["seed"]),
+    )
+    rows = [{
+        "value": float(point.value),
+        "scheduler": point.scheduler.value,
+        "mean_sum_rate": point.stats.mean_sum_rate,
+        "mean_ul_rate": point.stats.mean_ul_rate,
+        "mean_dl_rate": point.stats.mean_dl_rate,
+        "std_error": point.stats.std_error,
+        "fd_fraction": point.stats.fd_fraction,
+        "n_trials": point.stats.n_trials,
+    } for point in run_sweep(spec, workers=int(settings["workers"]))]
     out = args.out or f"simulate.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
     _write_manifest(out, "simulate", settings)

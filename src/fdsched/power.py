@@ -29,6 +29,13 @@ def eta(pu, g_dl_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
     return g_dl_star * sigma0_sq / (pu * g_x_star + sigmaD_sq) - si_gain
 
 
+def require_positive_powers(config):
+    """Power allocation needs both maximum powers positive; the scalar
+    :func:`opa` and the batched engine both reject other configs here."""
+    if config.p0_max <= 0.0 or config.pu_max <= 0.0:
+        raise ValueError("power allocation needs positive p0_max and pu_max")
+
+
 @dataclass(frozen=True)
 class OpaDecision:
     """Outcome of the binary power allocation for one scheduled pair."""
@@ -59,8 +66,7 @@ def opa(ch, ul, dl, config):
     corners (P0,PU), (0,PU), (P0,0).  Ties prefer FD, then HD-UL, then
     HD-DL.
     """
-    if config.p0_max <= 0.0 or config.pu_max <= 0.0:
-        raise ValueError("power allocation needs positive p0_max and pu_max")
+    require_positive_powers(config)
     if not 0 <= ul < ch.g_ul.shape[0]:
         raise IndexError(f"UL index {ul} out of range")
     if not 0 <= dl < ch.g_dl.shape[0]:

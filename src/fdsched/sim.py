@@ -5,8 +5,12 @@ from its own child stream ``SeedSequence(entropy=seed, spawn_key=(j,))`` in
 a pinned order, so the channel snapshot of trial i is a pure function of
 (seed, i) -- independent of the total trial count, of the worker count, and
 of which other schedulers run.  That gives bit-identical results under any
-degree of parallelism and common random numbers across schedulers for free
-(same seed, same draws).
+degree of parallelism.
+
+The engine takes a list of schedulers: each block is drawn once (once per
+sweep point in a sweep) and every scheduler is evaluated on it, so the
+schedulers of one run see common random numbers by construction and the
+draws are never repeated.
 
 All per-block evaluation is vectorized numpy; the scalar pipeline in
 :mod:`fdsched.model` / :mod:`fdsched.scheduling` / :mod:`fdsched.power`
@@ -15,6 +19,7 @@ cross-checks the two paths trial by trial).
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LN2, config_from_db
+from .power import require_positive_powers
 
 BLOCK_SIZE = 4096
 
@@ -74,11 +80,15 @@ class TrialStats:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter, one scheduler, shared base configuration."""
+    """One swept parameter, one or more schedulers, shared base configuration.
+
+    ``schedulers`` is a tuple of scheduler names; a single name is taken as
+    a one-element tuple.
+    """
 
     swept_parameter: str
     values: tuple
-    scheduler: "Scheduler | str"
+    schedulers: tuple
     base_config: dict
     n_trials: int
     seed: int
@@ -98,7 +108,11 @@ class SweepSpec:
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "scheduler", Scheduler(self.scheduler))
+        schedulers = (self.schedulers,) if isinstance(self.schedulers, str) else self.schedulers
+        schedulers = tuple(Scheduler(s) for s in schedulers)
+        if not schedulers:
+            raise ValueError("schedulers must be non-empty")
+        object.__setattr__(self, "schedulers", schedulers)
         unknown = set(self.base_config) - set(BASE_CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
@@ -107,6 +121,7 @@ class SweepSpec:
 class SweepPoint(NamedTuple):
     value: float
     stats: TrialStats
+    scheduler: Scheduler
 
 
 def resolve_config(base_config, swept_parameter=None, value=None):
@@ -164,16 +179,17 @@ def _base_selection(base, config, g_ul, g_dl, g_x):
         dl = np.argmax(g_dl, axis=1)
     elif base == "a2":
         ul = np.argmax(g_ul, axis=1)
-        col = np.take_along_axis(g_x, ul[:, None, None], axis=2)[:, :, 0]
-        dl = np.argmax(
-            config.p0_max * g_dl / (config.pu_max * col + config.sigmaD_sq), axis=1
-        )
+        # SINR metric built in place in the gathered column (a fresh copy).
+        den = np.take_along_axis(g_x, ul[:, None, None], axis=2)[:, :, 0]
+        den *= config.pu_max
+        den += config.sigmaD_sq
+        dl = np.argmax(np.divide(config.p0_max * g_dl, den, out=den), axis=1)
     elif base == "a3":
         dl = np.argmax(g_dl, axis=1)
-        row = np.take_along_axis(g_x, dl[:, None, None], axis=1)[:, 0, :]
-        ul = np.argmax(
-            config.pu_max * g_ul / (config.pu_max * row + config.sigma0_sq), axis=1
-        )
+        den = np.take_along_axis(g_x, dl[:, None, None], axis=1)[:, 0, :]
+        den *= config.pu_max
+        den += config.sigma0_sq
+        ul = np.argmax(np.divide(config.pu_max * g_ul, den, out=den), axis=1)
     else:  # pragma: no cover
         raise ValueError(f"unknown base selector {base!r}")
     return ul, dl
@@ -208,15 +224,21 @@ def _evaluate_block(scheduler, config, g_ul, g_dl, g_x):
         }
 
     if scheduler in (Scheduler.ES_FD, Scheduler.ES_FDHD):
+        k_u, k_d = g_ul.shape[1], g_dl.shape[1]
         r0 = np.log1p(pu * g_ul / (p0 * si + s0)) / LN2                      # (n, ku)
-        rd = np.log1p(p0 * g_dl[:, :, None] / (pu * g_x + sd)) / LN2         # (n, kd, ku)
-        pair = (r0[:, None, :] + rd).transpose(0, 2, 1)                      # (n, ku, kd)
-        k_d = g_dl.shape[1]
-        best = np.argmax(pair.reshape(n, -1), axis=1)  # first max = lexicographic (u, d)
+        # Pair sum rates, built in place in (n, ku, kd) layout: one tensor
+        # the size of g_x, and its first flat max is the lexicographic (u, d).
+        pair = np.multiply(pu, g_x.transpose(0, 2, 1), out=np.empty((n, k_u, k_d)))
+        pair += sd
+        np.divide((p0 * g_dl)[:, None, :], pair, out=pair)
+        np.log1p(pair, out=pair)
+        pair /= LN2
+        pair += r0[:, :, None]
+        best = np.argmax(pair.reshape(n, -1), axis=1)
         u = best // k_d
         d = best % k_d
         r_fd_ul = r0[idx, u]
-        r_fd_dl = rd[idx, d, u]
+        r_fd_dl = np.log1p(p0 * g_dl[idx, d] / (pu * g_x[idx, d, u] + sd)) / LN2
         if scheduler is Scheduler.ES_FD:
             return {"r_ul": r_fd_ul, "r_dl": r_fd_dl, "fd": np.ones(n, dtype=bool)}
         r_fd = r_fd_ul + r_fd_dl
@@ -260,27 +282,48 @@ def _evaluate_block(scheduler, config, g_ul, g_dl, g_x):
     }
 
 
-def _run_arrays(config, scheduler, n_trials, seed, workers=1):
-    """Per-trial arrays for one scheduler, assembled in block order."""
-    scheduler = Scheduler(scheduler)
+def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
+    """Per-trial arrays of every scheduler, ``{scheduler: {name: array}}``
+    in the order given (repeats collapse); ``keys`` limits the arrays kept.
+
+    Each block is drawn once and evaluated by every scheduler; its rows go
+    straight into per-scheduler output arrays at the block's offset, so the
+    result is the same for any worker count.
+    """
+    schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
+    if not schedulers:
+        raise ValueError("at least one scheduler is required")
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if any(s in _OPA_BASE for s in schedulers):
+        require_positive_powers(config)
     n_blocks = -(-n_trials // BLOCK_SIZE)
+    out = {}
+    lock = threading.Lock()
 
     def one(j):
-        rng = _block_rng(seed, j)
-        g_ul, g_dl, g_x = _draw_block(config, rng)
-        out = _evaluate_block(scheduler, config, g_ul, g_dl, g_x)
-        take = min(BLOCK_SIZE, n_trials - j * BLOCK_SIZE)
-        return {k: v[:take] for k, v in out.items()}
+        g_ul, g_dl, g_x = _draw_block(config, _block_rng(seed, j))
+        lo = j * BLOCK_SIZE
+        take = min(BLOCK_SIZE, n_trials - lo)
+        for s in schedulers:
+            block = _evaluate_block(s, config, g_ul, g_dl, g_x)
+            if keys is not None:
+                block = {k: block[k] for k in keys}
+            with lock:  # the first block to finish allocates the outputs
+                dest = out.get(s)
+                if dest is None:
+                    dest = out[s] = {k: np.empty(n_trials, v.dtype) for k, v in block.items()}
+            for k, v in block.items():
+                dest[k][lo:lo + take] = v[:take]
 
     if workers and workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            pieces = list(pool.map(one, range(n_blocks)))
+            list(pool.map(one, range(n_blocks)))
     else:
-        pieces = [one(j) for j in range(n_blocks)]
-    return {k: np.concatenate([p[k] for p in pieces]) for k in pieces[0]}
+        for j in range(n_blocks):
+            one(j)
+    return {s: out[s] for s in schedulers}
 
 
 def _aggregate(arrays, n_trials):
@@ -300,15 +343,25 @@ def _aggregate(arrays, n_trials):
     )
 
 
+_STATS_KEYS = ("r_ul", "r_dl", "fd")
+
+
+def _run_stats(config, schedulers, n_trials, seed, workers=1):
+    """``{scheduler: TrialStats}`` on shared draws, keeping only the
+    per-trial arrays the aggregates read."""
+    arrays = _run_arrays(config, schedulers, n_trials, seed, workers, keys=_STATS_KEYS)
+    return {s: _aggregate(a, int(n_trials)) for s, a in arrays.items()}
+
+
 def run_trials(config, scheduler, n_trials, seed, workers=1):
     """Monte Carlo aggregate of one scheduler over n_trials snapshots.
 
     Bit-identical output for identical (config, scheduler, n_trials, seed)
-    no matter how many workers run the blocks, because the per-trial arrays
-    are assembled in block order before the (fixed-order) reduction.
+    no matter how many workers run the blocks, because every block's rows
+    land at the block's offset before the (fixed-order) reduction.
     """
-    arrays = _run_arrays(config, scheduler, n_trials, seed, workers)
-    return _aggregate(arrays, int(n_trials))
+    scheduler = Scheduler(scheduler)
+    return _run_stats(config, [scheduler], n_trials, seed, workers)[scheduler]
 
 
 def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
@@ -317,7 +370,7 @@ def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
     scheduler = Scheduler(scheduler)
     if scheduler not in (Scheduler.A1, Scheduler.A2, Scheduler.A3):
         raise ValueError("SINR sampling applies to the fixed-power selectors only")
-    arrays = _run_arrays(config, scheduler, n_trials, seed, workers)
+    arrays = _run_arrays(config, [scheduler], n_trials, seed, workers)[scheduler]
     return arrays["gamma_ul"], arrays["gamma_dl"]
 
 
@@ -327,15 +380,14 @@ _DOMINANCE_TOL = 1e-9
 def run_coupled(config, schedulers, n_trials, seed, workers=1, check_dominance=True):
     """Run several schedulers against the same channel draws.
 
-    The same seed reproduces the same snapshots for every scheduler, so the
+    Each block is drawn once and evaluated by every scheduler, so the
     comparison is coupled by construction.  With ``check_dominance`` the
     per-realization chain is asserted: ES-FDHD dominates ES-FD and every
     OPA-enhanced selector, and each OPA-enhanced selector dominates both
     single-link HD corner rates of its scheduled pair.  Returns
     ({scheduler: TrialStats}, {scheduler: per-trial arrays}).
     """
-    schedulers = [Scheduler(s) for s in schedulers]
-    arrays = {s: _run_arrays(config, s, n_trials, seed, workers) for s in schedulers}
+    arrays = _run_arrays(config, schedulers, n_trials, seed, workers)
     if check_dominance:
         violations = dominance_violations(arrays)
         if violations:
@@ -372,13 +424,18 @@ def dominance_violations(arrays, tol=_DOMINANCE_TOL):
 
 
 def run_sweep(spec, workers=1):
-    """One :func:`run_trials` per sweep value, each with a seed derived
-    from (spec.seed, value index); rows are emitted in sweep order."""
-    rows = []
+    """Every scheduler of ``spec`` at every sweep value.
+
+    Sweep value i is simulated once for all schedulers, with the seed
+    derived from (spec.seed, i): each block is drawn once and evaluated by
+    every scheduler, and the point's per-trial arrays are freed before the
+    next point is drawn.  Rows come back scheduler-major: every value of
+    ``spec.schedulers[0]`` in sweep order, then the next scheduler.
+    """
+    points = []
     for i, value in enumerate(spec.values):
         config = resolve_config(spec.base_config, spec.swept_parameter, value)
-        stats = run_trials(
-            config, spec.scheduler, spec.n_trials, derived_trial_seed(spec.seed, i), workers
-        )
-        rows.append(SweepPoint(value=value, stats=stats))
-    return rows
+        seed = derived_trial_seed(spec.seed, i)
+        points.append(_run_stats(config, spec.schedulers, spec.n_trials, seed, workers))
+    return [SweepPoint(value, stats[s], s)
+            for s in spec.schedulers for value, stats in zip(spec.values, points)]

@@ -21,7 +21,7 @@ from scipy import integrate
 from . import analysis, power, scheduling, sim, specfun
 from .analysis import AnalyticalParams, avg_rate_integral
 from .model import SystemConfig, draw_realization
-from .sim import Scheduler, derived_trial_seed
+from .sim import Scheduler
 
 LN2 = math.log(2.0)
 
@@ -233,6 +233,14 @@ def crit_cdf_laws(quick=False):
     return True, "; ".join(f"{name} {d:.4f}" for name, d in checks) + f" (tol {tol})"
 
 
+def _sweep_means(spec):
+    """``{scheduler: [mean sum rate per sweep value]}`` of one sweep."""
+    means = {s: [] for s in spec.schedulers}
+    for pt in sim.run_sweep(spec):
+        means[pt.scheduler].append(pt.stats.mean_sum_rate)
+    return means
+
+
 def crit_trend_reproductions(quick=False):
     """Monotone-trend substitutes for the published absolute numbers:
     (a) FD-mode fraction grows with K and with SI cancellation,
@@ -241,13 +249,15 @@ def crit_trend_reproductions(quick=False):
     n = 20_000 if quick else 100_000
 
     # (a) FD fraction trends, all three OPA selectors.
+    opa = (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA)
     fractions = {}
     for si_db, si in ((80, 1e-8), (90, 1e-9)):
         for k in (5, 15):
             config = SystemConfig(1.0, 1.0, 1e-9, 0.03, si, k, k)
-            for s in (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA):
-                fractions[(s, si_db, k)] = sim.run_trials(config, s, n, seed=41).fd_fraction
-    for s in (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA):
+            stats = sim._run_stats(config, opa, n, seed=41)
+            for s in opa:
+                fractions[(s, si_db, k)] = stats[s].fd_fraction
+    for s in opa:
         for si_db in (80, 90):
             if not fractions[(s, si_db, 5)] < fractions[(s, si_db, 15)]:
                 return False, f"(a) {s.value}: fd fraction not increasing in K at {si_db} dB"
@@ -258,13 +268,12 @@ def crit_trend_reproductions(quick=False):
     # (b) crossover sweep at 80 dB cancellation, pu = 0.95 * p0 (dBm rule).
     base = {"pu_dbm_scale": 0.95, "si_cancellation_db": 80.0, "k_u": 5, "k_d": 5}
     p0_values = list(range(-20, 31, 5))
-    means = {}
-    for s in (Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD):
-        spec = sim.SweepSpec(
-            swept_parameter="p0_dbm", values=tuple(float(v) for v in p0_values),
-            scheduler=s, base_config=base, n_trials=n, seed=43,
-        )
-        means[s] = [pt.stats.mean_sum_rate for pt in sim.run_sweep(spec)]
+    spec = sim.SweepSpec(
+        swept_parameter="p0_dbm", values=tuple(float(v) for v in p0_values),
+        schedulers=(Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD),
+        base_config=base, n_trials=n, seed=43,
+    )
+    means = _sweep_means(spec)
     crossed = [v for v, fd_m, hd_m in zip(p0_values, means[Scheduler.ES_FD], means[Scheduler.HD_TDD])
                if fd_m < hd_m]
     if not crossed:
@@ -274,15 +283,17 @@ def crit_trend_reproductions(quick=False):
             return False, f"(b) es-fdhd below hd-tdd at p0 = {v} dBm"
 
     # (c) A2 >= A1 and a widening gap as K grows (fixed 24/23 dBm, 80 dB).
+    spec = sim.SweepSpec(
+        swept_parameter="k_users", values=(2, 5, 10, 15),
+        schedulers=(Scheduler.A1, Scheduler.A2),
+        base_config={"si_cancellation_db": 80.0}, n_trials=n, seed=45,
+    )
+    means = _sweep_means(spec)
     gaps = []
-    for i, k in enumerate((2, 5, 10, 15)):
-        config = sim.resolve_config({"si_cancellation_db": 80.0}, "k_users", k)
-        seed = derived_trial_seed(45, i)
-        a1 = sim.run_trials(config, Scheduler.A1, n, seed)
-        a2 = sim.run_trials(config, Scheduler.A2, n, seed)
-        if a2.mean_sum_rate < a1.mean_sum_rate:
+    for k, a1, a2 in zip(spec.values, means[Scheduler.A1], means[Scheduler.A2]):
+        if a2 < a1:
             return False, f"(c) mean A2 < mean A1 at K={k}"
-        gaps.append(a2.mean_sum_rate - a1.mean_sum_rate)
+        gaps.append(a2 - a1)
     if not all(g2 > g1 for g1, g2 in zip(gaps, gaps[1:])):
         return False, f"(c) A2-A1 gap not widening: {['%.3f' % g for g in gaps]}"
 

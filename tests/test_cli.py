@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from fdsched import cli, specfun, validate
+from fdsched.sim import derived_trial_seed, resolve_config, run_trials
 
 
 def run_cli(argv):
@@ -109,6 +110,32 @@ class TestSimulate:
         assert manifest["resolved"]["si_db"] == 20.0
         assert manifest["resolved"]["sweep_parameter"] == "k_users"
         assert {r["scheduler"] for r in read_csv(out)} == {"a2-opa"}
+
+    def test_preset_fig4_equals_per_scheduler_runs(self, tmp_path):
+        # One shared-draw sweep writes the same bytes as running every
+        # scheduler on its own, scheduler-major.
+        out = tmp_path / "fig4.csv"
+        rc = run_cli(["simulate", "--preset", "fig4", "--trials", "5000", "--seed", "3",
+                      "--workers", "2", "--out", str(out)])
+        assert rc == 0
+        preset = cli._PRESETS["fig4"]
+        lines = [",".join(["value", "scheduler", "mean_sum_rate", "mean_ul_rate",
+                           "mean_dl_rate", "std_error", "fd_fraction", "n_trials"])]
+        for sched in preset["schedulers"]:
+            for i, k in enumerate(preset["sweep_values"]):
+                config = resolve_config({"si_cancellation_db": 20.0}, "k_users", k)
+                s = run_trials(config, sched, 5000, derived_trial_seed(3, i))
+                lines.append(",".join(cli._fmt(v) for v in (
+                    float(k), sched, s.mean_sum_rate, s.mean_ul_rate, s.mean_dl_rate,
+                    s.std_error, s.fd_fraction, s.n_trials)))
+        assert out.read_bytes().decode() == "".join(line + "\r\n" for line in lines)
+
+    def test_empty_scheduler_list_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"schedulers": []}))
+        rc = run_cli(["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "no schedulers" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"

@@ -2,12 +2,13 @@
 with the scalar per-realization pipeline."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from fdsched import power, scheduling, sim
-from fdsched.model import ChannelRealization, SystemConfig, rates
+from fdsched.model import ChannelRealization, SystemConfig, draw_realization, rates
 from fdsched.sim import (
     BLOCK_SIZE,
     Scheduler,
@@ -34,8 +35,8 @@ class TestDeterminism:
     def test_trials_are_a_prefix_function_of_seed(self):
         # Trial i's draws depend only on (seed, i): growing n_trials keeps
         # the earlier trials' per-trial rates bit-identical.
-        short = sim._run_arrays(CFG, Scheduler.A2_OPA, BLOCK_SIZE + 7, seed=12)
-        long = sim._run_arrays(CFG, Scheduler.A2_OPA, 3 * BLOCK_SIZE, seed=12)
+        short = sim._run_arrays(CFG, [Scheduler.A2_OPA], BLOCK_SIZE + 7, seed=12)[Scheduler.A2_OPA]
+        long = sim._run_arrays(CFG, [Scheduler.A2_OPA], 3 * BLOCK_SIZE, seed=12)[Scheduler.A2_OPA]
         for key in short:
             assert np.array_equal(short[key], long[key][: BLOCK_SIZE + 7])
 
@@ -114,7 +115,7 @@ class TestAgainstScalarPipeline:
     def test_selector_rates_match(self, sched):
         config = SystemConfig(1.4, 0.9, 0.2, 0.1, 0.3, 4, 3)
         n = 200
-        arrays = sim._run_arrays(config, sched, n, seed=21)
+        arrays = sim._run_arrays(config, [sched], n, seed=21)[sched]
         for i, ch in enumerate(self._replay_channels(config, 21, n)):
             out = rates(ch, self.SELECTORS[sched](ch, config), config)
             assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13, abs=1e-15)
@@ -123,7 +124,7 @@ class TestAgainstScalarPipeline:
     def test_hd_tdd_matches(self):
         config = SystemConfig(1.4, 0.9, 0.2, 0.1, 0.3, 4, 3)
         n = 200
-        arrays = sim._run_arrays(config, Scheduler.HD_TDD, n, seed=22)
+        arrays = sim._run_arrays(config, [Scheduler.HD_TDD], n, seed=22)[Scheduler.HD_TDD]
         for i, ch in enumerate(self._replay_channels(config, 22, n)):
             out = scheduling.select_hd_tdd(ch, config)
             assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13)
@@ -140,7 +141,7 @@ class TestAgainstScalarPipeline:
     def test_opa_schedulers_match(self, sched, base):
         config = SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 4, 4)
         n = 300
-        arrays = sim._run_arrays(config, sched, n, seed=23)
+        arrays = sim._run_arrays(config, [sched], n, seed=23)[sched]
         n_fd = 0
         for i, ch in enumerate(self._replay_channels(config, 23, n)):
             final = power.opa_enhanced_schedule(ch, config, base)
@@ -150,6 +151,109 @@ class TestAgainstScalarPipeline:
             assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13, abs=1e-15)
             assert arrays["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13, abs=1e-15)
         assert 0 < n_fd < n  # the operating point actually mixes modes
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_scheduler_run_matches_single_runs(self, workers):
+        n = 2 * BLOCK_SIZE + 7
+        shared = sim._run_arrays(CFG, list(Scheduler), n, seed=61, workers=workers)
+        assert list(shared) == list(Scheduler)
+        for sched in Scheduler:
+            alone = sim._run_arrays(CFG, [sched], n, seed=61, workers=workers)[sched]
+            assert shared[sched].keys() == alone.keys()
+            for key, values in alone.items():
+                assert shared[sched][key].dtype == values.dtype
+                assert shared[sched][key].tobytes() == values.tobytes()
+
+    def test_shared_outputs_survive_thread_contention(self):
+        # More workers than cores and a tiny switch interval: a lost
+        # allocation or write of a shared output array would show here.
+        n = 6 * BLOCK_SIZE + 3
+        serial = sim._run_arrays(CFG, list(Scheduler), n, seed=63, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sim._run_arrays(CFG, list(Scheduler), n, seed=63, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for sched in Scheduler:
+            for key, values in serial[sched].items():
+                assert threaded[sched][key].tobytes() == values.tobytes()
+
+    def test_each_block_is_drawn_once_per_sweep_point(self, monkeypatch):
+        draws = []
+        real_draw = sim._draw_block
+
+        def counting_draw(cfg, rng):
+            draws.append(cfg.k_u)
+            return real_draw(cfg, rng)
+
+        monkeypatch.setattr(sim, "_draw_block", counting_draw)
+        spec = SweepSpec("k_users", (2, 3, 4), ("a2-opa", "es-fdhd", "hd-tdd"),
+                         {"si_cancellation_db": 80.0}, BLOCK_SIZE + 1, seed=62)
+        rows = run_sweep(spec)
+        assert draws == [2, 2, 3, 3, 4, 4]
+        # Scheduler-major rows, each equal to a run of that scheduler alone.
+        assert [(pt.scheduler, pt.value) for pt in rows] == [
+            (s, k) for s in spec.schedulers for k in spec.values]
+        for pt in rows:
+            config = resolve_config(spec.base_config, "k_users", pt.value)
+            seed = derived_trial_seed(62, spec.values.index(pt.value))
+            assert pt.stats == run_trials(config, pt.scheduler, spec.n_trials, seed)
+
+    def test_es_tie_order_matches_scalar_search(self, monkeypatch):
+        # With p0 = pu = s0 = sd = 1 and no SI, a zero cross gain makes the
+        # UL rate of gain a and the DL rate of gain b the same function, so
+        # pairs (u, d) and (u', d') whose gains swap tie exactly on the sum
+        # rate but split it differently between UL and DL.  Gains from
+        # {1, 2, 3} make such ties common; a cross gain of 50 takes a pair
+        # out of contention.
+        config = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
+
+        def tied_draw(cfg, rng):
+            g_ul = rng.integers(1, 4, (BLOCK_SIZE, cfg.k_u)).astype(float)
+            g_dl = rng.integers(1, 4, (BLOCK_SIZE, cfg.k_d)).astype(float)
+            g_x = rng.choice([0.0, 50.0], (BLOCK_SIZE, cfg.k_d, cfg.k_u))
+            return g_ul, g_dl, g_x
+
+        monkeypatch.setattr(sim, "_draw_block", tied_draw)
+        n = 400
+        arrays = sim._run_arrays(config, [Scheduler.ES_FD, Scheduler.ES_FDHD], n, seed=71)
+        g_ul, g_dl, g_x = tied_draw(config, sim._block_rng(71, 0))
+        split_ties = 0
+        for i in range(n):
+            ch = ChannelRealization(g_ul[i], g_dl[i], g_x[i], config.si_gain)
+            for sched, select in ((Scheduler.ES_FD, scheduling.select_es_fd),
+                                  (Scheduler.ES_FDHD, scheduling.select_es_fdhd)):
+                out = rates(ch, select(ch, config), config)
+                assert arrays[sched]["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13)
+                assert arrays[sched]["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13)
+            fd_pairs = [rates(ch, scheduling.Schedule(u, d, 1.0, 1.0, scheduling.DuplexMode.FD),
+                              config) for u in range(3) for d in range(3)]
+            best = max(r.r_sum for r in fd_pairs)
+            split_ties += len({r.r_ul for r in fd_pairs if r.r_sum == best}) > 1
+        assert split_ties > 10  # the tie order decided these trials
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("p0,pu", [(0.0, 1.0), (1.0, 0.0)])
+    def test_zero_power_rejected_on_both_paths(self, p0, pu):
+        config = SystemConfig(p0, pu, 1.0, 1.0, 1e-3, 2, 2)
+        ch = draw_realization(config, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+            power.opa(ch, 0, 0, config)
+        for sched in (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA):
+            with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+                run_trials(config, sched, 100, seed=1)
+        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+            run_coupled(config, [Scheduler.HD_TDD, Scheduler.A2_OPA], 100, seed=1)
+
+    def test_scheduler_list_must_be_non_empty(self):
+        with pytest.raises(ValueError):
+            sim._run_arrays(CFG, [], 100, seed=1)
+        with pytest.raises(ValueError):
+            SweepSpec("p0_dbm", (1.0,), (), {}, 100, 0)
 
 
 class TestCoupling:
@@ -188,7 +292,7 @@ class TestSweeps:
         spec = SweepSpec(
             swept_parameter="si_cancellation_db",
             values=(80.0,),
-            scheduler=Scheduler.A2_OPA,
+            schedulers=(Scheduler.A2_OPA,),
             base_config={"k_u": 5, "k_d": 5},
             n_trials=5_000,
             seed=51,
@@ -223,7 +327,7 @@ class TestSweeps:
         spec = SweepSpec(
             swept_parameter="si_cancellation_db",
             values=tuple(float(v) for v in range(60, 111, 10)),
-            scheduler=Scheduler.A2_OPA,
+            schedulers=(Scheduler.A2_OPA,),
             base_config={"p0_dbm": 0.0, "pu_dbm": 0.0, "k_u": 5, "k_d": 5,
                          "bandwidth_hz": 1e7},
             n_trials=20_000,
