@@ -30,14 +30,12 @@ import numpy as np
 from scipy import integrate
 from scipy.special import roots_laguerre
 
-from .specfun import xi_n
-
-LN2 = math.log(2.0)
+from .model import LN2
+from .specfun import _EPS4, xi_n
 
 _POLE_EPS = 1e-9          # relative pole distance that triggers the guard
 _PERTURB_REL = 1e-6       # relative nudge applied to pu at a pole
 _CANCEL_LIMIT = 1e-9      # estimated cancellation beyond this -> quadrature
-_EPS4 = 4.0 * float(np.finfo(float).eps)
 _BINOM_DIRECT_MAX = 20    # alternating binomial CDF sums: direct up to here
 _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
 _LAGUERRE_NODES = 200

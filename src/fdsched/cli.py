@@ -15,7 +15,6 @@ error, 3 internal numerical failure.
 import argparse
 import csv
 import json
-import math
 import os
 import subprocess
 import sys
@@ -24,8 +23,7 @@ from pathlib import Path
 
 from . import __version__, analysis, validate
 from .analysis import AnalyticalParams
-from .model import THERMAL_NOISE_DBM_PER_HZ
-from .sim import BASE_CONFIG_DEFAULTS, Scheduler, SweepSpec, run_sweep
+from .sim import Scheduler, SweepSpec, resolve_config, run_sweep
 
 
 class FlagError(Exception):
@@ -167,6 +165,21 @@ def _resolve(args, defaults, flag_keys):
     return settings
 
 
+def _base_config(settings):
+    """The radio settings under the engine's names (``sim.resolve_config``)."""
+    return {
+        "p0_dbm": settings["p0_dbm"],
+        "pu_dbm": settings["pu_dbm"],
+        "pu_dbm_scale": settings.get("pu_dbm_scale"),
+        "si_cancellation_db": settings["si_db"],
+        "nf_bs_db": settings["nf_bs_db"],
+        "nf_mt_db": settings["nf_mt_db"],
+        "bandwidth_hz": settings["bandwidth_hz"],
+        "k_u": settings["ku"],
+        "k_d": settings["kd"],
+    }
+
+
 def cmd_simulate(args):
     settings = _resolve(args, _SIM_DEFAULTS, [
         "p0_dbm", "pu_dbm", "pu_dbm_scale", "si_db", "nf_bs_db", "nf_mt_db",
@@ -180,8 +193,6 @@ def cmd_simulate(args):
         raise FlagError("no schedulers to run")
     if settings["trials"] < 1:
         raise FlagError("--trials must be >= 1")
-    if settings["kd"] < 1 or settings["ku"] < 1:
-        raise FlagError("--kd and --ku must be >= 1")
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
     if settings["workers"] < 1:
@@ -190,27 +201,19 @@ def cmd_simulate(args):
         settings["sweep_parameter"] = "p0_dbm"
         settings["sweep_values"] = [settings["p0_dbm"]]
 
-    base_config = {
-        "p0_dbm": settings["p0_dbm"],
-        "pu_dbm": settings["pu_dbm"],
-        "pu_dbm_scale": settings["pu_dbm_scale"],
-        "si_cancellation_db": settings["si_db"],
-        "nf_bs_db": settings["nf_bs_db"],
-        "nf_mt_db": settings["nf_mt_db"],
-        "bandwidth_hz": settings["bandwidth_hz"],
-        "k_u": settings["ku"],
-        "k_d": settings["kd"],
-    }
     header = ["value", "scheduler", "mean_sum_rate", "mean_ul_rate",
               "mean_dl_rate", "std_error", "fd_fraction", "n_trials"]
-    spec = SweepSpec(
-        swept_parameter=settings["sweep_parameter"],
-        values=tuple(settings["sweep_values"]),
-        schedulers=tuple(settings["schedulers"]),
-        base_config=base_config,
-        n_trials=int(settings["trials"]),
-        seed=int(settings["seed"]),
-    )
+    try:  # SweepSpec checks every sweep point's config
+        spec = SweepSpec(
+            swept_parameter=settings["sweep_parameter"],
+            values=tuple(settings["sweep_values"]),
+            schedulers=tuple(settings["schedulers"]),
+            base_config=_base_config(settings),
+            n_trials=int(settings["trials"]),
+            seed=int(settings["seed"]),
+        )
+    except ValueError as exc:
+        raise FlagError(str(exc)) from exc
     rows = [{
         "value": float(point.value),
         "scheduler": point.scheduler.value,
@@ -228,40 +231,13 @@ def cmd_simulate(args):
     return 0
 
 
-_ANALYZE_DEFAULTS = {
-    "p0_dbm": 24.0,
-    "pu_dbm": 23.0,
-    "si_db": 80.0,
-    "nf_bs_db": 13.0,
-    "nf_mt_db": 9.0,
-    "bandwidth_hz": 1e7,
-    "kd": 5,
-    "ku": 5,
-    "format": "csv",
-}
-
-
-def _params_from_settings(settings):
-    def noise_mw(nf_db):
-        return 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ
-                         + 10.0 * math.log10(settings["bandwidth_hz"]) + nf_db) / 10.0)
-
-    return AnalyticalParams(
-        p0=10.0 ** (settings["p0_dbm"] / 10.0),
-        pu=10.0 ** (settings["pu_dbm"] / 10.0),
-        sigma0_sq=noise_mw(settings["nf_bs_db"]),
-        sigmaD_sq=noise_mw(settings["nf_mt_db"]),
-        si_gain=10.0 ** (-settings["si_db"] / 10.0),
-        k_u=int(settings["ku"]),
-        k_d=int(settings["kd"]),
-    )
+_ANALYZE_KEYS = ("p0_dbm", "pu_dbm", "si_db", "nf_bs_db", "nf_mt_db", "bandwidth_hz",
+                 "kd", "ku", "format")
+_ANALYZE_DEFAULTS = {key: _SIM_DEFAULTS[key] for key in _ANALYZE_KEYS}
 
 
 def cmd_analyze(args):
-    settings = _resolve(args, _ANALYZE_DEFAULTS, [
-        "p0_dbm", "pu_dbm", "si_db", "nf_bs_db", "nf_mt_db",
-        "bandwidth_hz", "kd", "ku", "format",
-    ])
+    settings = _resolve(args, _ANALYZE_DEFAULTS, _ANALYZE_KEYS)
     algs = list(args.alg or [])
     if not algs and not args.asymptotic:
         raise FlagError("nothing to analyze: pass --alg a1 / --alg a2 and/or --asymptotic")
@@ -269,7 +245,10 @@ def cmd_analyze(args):
         if args.k < 2:
             raise FlagError("--k must be >= 2")
         settings["kd"] = settings["ku"] = args.k
-    params = _params_from_settings(settings)
+    try:
+        params = AnalyticalParams.from_config(resolve_config(_base_config(settings)))
+    except ValueError as exc:
+        raise FlagError(str(exc)) from exc
 
     header = ["quantity", "value_bits", "value_nats", "oracle_bits", "abs_diff", "flagged"]
     rows = []

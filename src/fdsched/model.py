@@ -8,13 +8,10 @@ milliwatts; conversion from dBm / noise-figure inputs lives in
 """
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .scheduling import Schedule
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 LN2 = math.log(2.0)
@@ -41,6 +38,13 @@ class SystemConfig:
             raise ValueError("at least one of p0_max, pu_max must be positive")
         if self.sigma0_sq <= 0.0 or self.sigmaD_sq <= 0.0:
             raise ValueError("noise powers must be positive")
+        for name in ("k_u", "k_d"):
+            k = getattr(self, name)
+            if isinstance(k, float) and k.is_integer():
+                k = int(k)
+            if not isinstance(k, numbers.Integral):
+                raise ValueError(f"{name} must be a whole number, got {k!r}")
+            object.__setattr__(self, name, int(k))
         if self.k_u < 1 or self.k_d < 1:
             raise ValueError("k_u and k_d must be >= 1")
 
@@ -76,8 +80,8 @@ def config_from_db(
         sigma0_sq=noise_mw(noise_figure_bs_db),
         sigmaD_sq=noise_mw(noise_figure_mt_db),
         si_gain=10.0 ** (-si_cancellation_db / 10.0),
-        k_u=int(k_u),
-        k_d=int(k_d),
+        k_u=k_u,
+        k_d=k_d,
     )
 
 
@@ -129,11 +133,39 @@ def draw_realization(config, rng):
     return ChannelRealization(g_ul=g_ul, g_dl=g_dl, g_x=g_x, si_gain=config.si_gain)
 
 
+def sinr(p, g, p_i, g_i, noise, out=None):
+    """Signal-to-interference-plus-noise ratio p g / (p_i g_i + noise), the
+    one SINR formula of the package, for arrays and 0-d scalars alike.  A
+    link whose power ``p`` is 0 gets exactly 0.
+
+    ``out`` (an array shaped like the result) takes the same operations in
+    place, for arrays the size of a block's cross gains; without it the
+    plain arithmetic stays cheap on scalars.
+    """
+    if out is None:
+        return p * g / (p_i * g_i + noise)
+    np.multiply(p_i, g_i, out=out)
+    out += noise
+    return np.divide(p * g, out, out=out)
+
+
+def log2_1p(x, out=None):
+    """Spectral efficiency log2(1 + x) in bps/Hz of an SINR ``x``; ``out``
+    as in :func:`sinr`."""
+    if out is None:
+        return np.log1p(x) / LN2
+    return np.divide(np.log1p(x, out=out), LN2, out=out)
+
+
+def _check_index(link, i, n_users):
+    if not 0 <= i < n_users:
+        raise IndexError(f"{link} index {i} out of range for {n_users} users")
+
+
 def sinr_ul(ch, u, p0, pu, sigma0_sq):
     """UL SINR: desired UL power over residual self-interference plus noise."""
-    if not 0 <= u < ch.g_ul.shape[0]:
-        raise IndexError(f"UL index {u} out of range for {ch.g_ul.shape[0]} users")
-    return pu * float(ch.g_ul[u]) / (p0 * ch.si_gain + sigma0_sq)
+    _check_index("UL", u, ch.g_ul.shape[0])
+    return float(sinr(pu, ch.g_ul[u], p0, ch.si_gain, sigma0_sq))
 
 
 def sinr_dl(ch, d, u, p0, pu, sigmaD_sq):
@@ -142,17 +174,15 @@ def sinr_dl(ch, d, u, p0, pu, sigmaD_sq):
     ``u is None`` means no UL transmitter is active; ``pu`` must then be 0
     and the interference term vanishes.
     """
-    if not 0 <= d < ch.g_dl.shape[0]:
-        raise IndexError(f"DL index {d} out of range for {ch.g_dl.shape[0]} users")
+    _check_index("DL", d, ch.g_dl.shape[0])
     if u is None:
         if pu > 0.0:
             raise ValueError("pu must be 0 when no UL user is scheduled")
-        interference = 0.0
+        g_x = 0.0
     else:
-        if not 0 <= u < ch.g_ul.shape[0]:
-            raise IndexError(f"UL index {u} out of range for {ch.g_ul.shape[0]} users")
-        interference = pu * float(ch.g_x[d, u])
-    return p0 * float(ch.g_dl[d]) / (interference + sigmaD_sq)
+        _check_index("UL", u, ch.g_ul.shape[0])
+        g_x = ch.g_x[d, u]
+    return float(sinr(p0, ch.g_dl[d], pu, g_x, sigmaD_sq))
 
 
 @dataclass(frozen=True)
@@ -171,17 +201,10 @@ def rates(ch, schedule, config):
     positive transmit power; an absent link contributes exactly 0 (the
     half-duplex corner of the sum-rate objective).
     """
-    r_ul = 0.0
-    r_dl = 0.0
-    ul_active = schedule.ul is not None and schedule.pu > 0.0
-    if ul_active:
-        r_ul = math.log1p(
-            sinr_ul(ch, schedule.ul, schedule.p0, schedule.pu, config.sigma0_sq)
-        ) / LN2
-    if schedule.dl is not None and schedule.p0 > 0.0:
-        u = schedule.ul if ul_active else None
-        pu = schedule.pu if ul_active else 0.0
-        r_dl = math.log1p(
-            sinr_dl(ch, schedule.dl, u, schedule.p0, pu, config.sigmaD_sq)
-        ) / LN2
+    # A link without a user has zero power in a valid Schedule, so any
+    # index stands in for the missing user.
+    ul = 0 if schedule.ul is None else schedule.ul
+    dl = 0 if schedule.dl is None else schedule.dl
+    r_ul = float(log2_1p(sinr_ul(ch, ul, schedule.p0, schedule.pu, config.sigma0_sq)))
+    r_dl = float(log2_1p(sinr_dl(ch, dl, ul, schedule.p0, schedule.pu, config.sigmaD_sq)))
     return RateBreakdown(r_ul=r_ul, r_dl=r_dl, r_sum=r_ul + r_dl)

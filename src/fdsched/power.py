@@ -6,34 +6,25 @@ indicator below is nonnegative and convex otherwise -- so its maximum
 always sits at a power corner.  That makes the optimal allocation binary:
 each power is either zero or its maximum, and only three corners can win
 (both powers zero is always dominated).
+
+The indicators, the corner comparison and the rescheduling live in the
+batched kernel of :mod:`fdsched.scheduling`; the functions here are its
+views for one snapshot and one pair.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LN2
-from .scheduling import DuplexMode, Schedule
-
-
-def zeta(p0, g_ul_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
-    """Indicator evaluated at the DL power: its sign governs whether the
-    pair sum rate keeps growing with the UL power (>= 0) or turns convex."""
-    return g_ul_star * sigmaD_sq / (p0 * si_gain + sigma0_sq) - g_x_star
-
-
-def eta(pu, g_dl_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
-    """Indicator evaluated at the UL power: its sign governs monotonicity of
-    the pair sum rate in the DL power."""
-    return g_dl_star * sigma0_sq / (pu * g_x_star + sigmaD_sq) - si_gain
-
-
-def require_positive_powers(config):
-    """Power allocation needs both maximum powers positive; the scalar
-    :func:`opa` and the batched engine both reject other configs here."""
-    if config.p0_max <= 0.0 or config.pu_max <= 0.0:
-        raise ValueError("power allocation needs positive p0_max and pu_max")
+from .model import _check_index
+from .scheduling import (  # zeta and eta are re-exported
+    DuplexMode,
+    _schedule_of,
+    allocate,
+    eta,
+    require_positive_powers,
+    zeta,
+)
 
 
 @dataclass(frozen=True)
@@ -67,29 +58,11 @@ def opa(ch, ul, dl, config):
     HD-DL.
     """
     require_positive_powers(config)
-    if not 0 <= ul < ch.g_ul.shape[0]:
-        raise IndexError(f"UL index {ul} out of range")
-    if not 0 <= dl < ch.g_dl.shape[0]:
-        raise IndexError(f"DL index {dl} out of range")
-    g0 = float(ch.g_ul[ul])
-    gd = float(ch.g_dl[dl])
-    gx = float(ch.g_x[dl, ul])
-    p0, pu = config.p0_max, config.pu_max
-    s0, sd, si = config.sigma0_sq, config.sigmaD_sq, ch.si_gain
-
-    if (zeta(p0, g0, gx, s0, sd, si) >= 0.0
-            and eta(pu, gd, gx, s0, sd, si) >= 0.0):
-        return OpaDecision(p0_star=p0, pu_star=pu, mode=DuplexMode.FD, fast_path=True)
-
-    r_fd = (math.log1p(pu * g0 / (p0 * si + s0))
-            + math.log1p(p0 * gd / (pu * gx + sd))) / LN2
-    r_hd_ul = math.log1p(pu * g0 / s0) / LN2
-    r_hd_dl = math.log1p(p0 * gd / sd) / LN2
-    if r_fd >= r_hd_ul and r_fd >= r_hd_dl:
-        return OpaDecision(p0_star=p0, pu_star=pu, mode=DuplexMode.FD, fast_path=False)
-    if r_hd_ul >= r_hd_dl:
-        return OpaDecision(p0_star=0.0, pu_star=pu, mode=DuplexMode.HD_UL, fast_path=False)
-    return OpaDecision(p0_star=p0, pu_star=0.0, mode=DuplexMode.HD_DL, fast_path=False)
+    _check_index("UL", ul, ch.g_ul.shape[0])
+    _check_index("DL", dl, ch.g_dl.shape[0])
+    fast, p0, pu, _, _ = allocate(config, ch.si_gain, ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul])
+    s = _schedule_of(ul, dl, float(p0), float(pu))
+    return OpaDecision(p0_star=s.p0, pu_star=s.pu, mode=s.mode, fast_path=bool(fast))
 
 
 def opa_enhanced_schedule(ch, config, base):
@@ -107,12 +80,5 @@ def opa_enhanced_schedule(ch, config, base):
     decision = opa(ch, pair.ul, pair.dl, config)
     if decision.mode is DuplexMode.FD:
         return pair
-    if decision.mode is DuplexMode.HD_UL:
-        return Schedule(
-            ul=int(np.argmax(ch.g_ul)), dl=None,
-            p0=0.0, pu=config.pu_max, mode=DuplexMode.HD_UL,
-        )
-    return Schedule(
-        ul=None, dl=int(np.argmax(ch.g_dl)),
-        p0=config.p0_max, pu=0.0, mode=DuplexMode.HD_DL,
-    )
+    return _schedule_of(int(np.argmax(ch.g_ul)), int(np.argmax(ch.g_dl)),
+                        decision.p0_star, decision.pu_star)

@@ -12,23 +12,24 @@ sweep point in a sweep) and every scheduler is evaluated on it, so the
 schedulers of one run see common random numbers by construction and the
 draws are never repeated.
 
-All per-block evaluation is vectorized numpy; the scalar pipeline in
-:mod:`fdsched.model` / :mod:`fdsched.scheduling` / :mod:`fdsched.power`
-computes identical numbers one realization at a time (the test suite
-cross-checks the two paths trial by trial).
+Per-block evaluation is the batched scheduling kernel of
+:mod:`fdsched.scheduling`; the scalar functions of :mod:`fdsched.model`,
+:mod:`fdsched.scheduling` and :mod:`fdsched.power` are batch-of-one views
+of the same code, so there is no second implementation to agree with.  The
+test suite checks the engine against a plain-Python brute-force
+enumeration of every pair and power corner instead.
 """
 
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import LN2, config_from_db
-from .power import require_positive_powers
+from .model import config_from_db
+from .scheduling import OPA_BASE, Scheduler, evaluate
 
 BLOCK_SIZE = 4096
 
@@ -44,25 +45,6 @@ BASE_CONFIG_DEFAULTS = {
     "bandwidth_hz": 1e7,
     "k_u": 5,
     "k_d": 5,
-}
-
-
-class Scheduler(str, Enum):
-    A1 = "a1"
-    A2 = "a2"
-    A3 = "a3"
-    A1_OPA = "a1-opa"
-    A2_OPA = "a2-opa"
-    A3_OPA = "a3-opa"
-    ES_FD = "es-fd"
-    ES_FDHD = "es-fdhd"
-    HD_TDD = "hd-tdd"
-
-
-_OPA_BASE = {
-    Scheduler.A1_OPA: "a1",
-    Scheduler.A2_OPA: "a2",
-    Scheduler.A3_OPA: "a3",
 }
 
 
@@ -116,6 +98,8 @@ class SweepSpec:
         unknown = set(self.base_config) - set(BASE_CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
+        for value in values:  # every sweep point must make a valid config
+            resolve_config(self.base_config, self.swept_parameter, value)
 
 
 class SweepPoint(NamedTuple):
@@ -135,7 +119,7 @@ def resolve_config(base_config, swept_parameter=None, value=None):
     settings.update(base_config)
     if swept_parameter is not None:
         if swept_parameter == "k_users":
-            settings["k_u"] = settings["k_d"] = int(value)
+            settings["k_u"] = settings["k_d"] = value
         else:
             settings[swept_parameter] = float(value)
     p0_dbm = settings["p0_dbm"]
@@ -172,114 +156,7 @@ def _draw_block(config, rng):
     return g_ul, g_dl, g_x
 
 
-def _base_selection(base, config, g_ul, g_dl, g_x):
-    """Vectorized decoupled pair selection at maximum powers."""
-    if base == "a1":
-        ul = np.argmax(g_ul, axis=1)
-        dl = np.argmax(g_dl, axis=1)
-    elif base == "a2":
-        ul = np.argmax(g_ul, axis=1)
-        # SINR metric built in place in the gathered column (a fresh copy).
-        den = np.take_along_axis(g_x, ul[:, None, None], axis=2)[:, :, 0]
-        den *= config.pu_max
-        den += config.sigmaD_sq
-        dl = np.argmax(np.divide(config.p0_max * g_dl, den, out=den), axis=1)
-    elif base == "a3":
-        dl = np.argmax(g_dl, axis=1)
-        den = np.take_along_axis(g_x, dl[:, None, None], axis=1)[:, 0, :]
-        den *= config.pu_max
-        den += config.sigma0_sq
-        ul = np.argmax(np.divide(config.pu_max * g_ul, den, out=den), axis=1)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown base selector {base!r}")
-    return ul, dl
-
-
-def _evaluate_block(scheduler, config, g_ul, g_dl, g_x):
-    """Per-trial UL/DL rates, final-mode flags, and scheduler-specific
-    extras for one block of snapshots."""
-    p0, pu = config.p0_max, config.pu_max
-    s0, sd, si = config.sigma0_sq, config.sigmaD_sq, config.si_gain
-    n = g_ul.shape[0]
-    idx = np.arange(n)
-
-    if scheduler is Scheduler.HD_TDD:
-        r_ul = 0.5 * np.log1p(pu * g_ul.max(axis=1) / s0) / LN2
-        r_dl = 0.5 * np.log1p(p0 * g_dl.max(axis=1) / sd) / LN2
-        return {"r_ul": r_ul, "r_dl": r_dl, "fd": np.zeros(n, dtype=bool)}
-
-    if scheduler in (Scheduler.A1, Scheduler.A2, Scheduler.A3):
-        ul, dl = _base_selection(scheduler.value, config, g_ul, g_dl, g_x)
-        g0 = g_ul[idx, ul]
-        gd = g_dl[idx, dl]
-        gx = g_x[idx, dl, ul]
-        gamma_ul = pu * g0 / (p0 * si + s0)
-        gamma_dl = p0 * gd / (pu * gx + sd)
-        return {
-            "r_ul": np.log1p(gamma_ul) / LN2,
-            "r_dl": np.log1p(gamma_dl) / LN2,
-            "fd": np.ones(n, dtype=bool),
-            "gamma_ul": gamma_ul,
-            "gamma_dl": gamma_dl,
-        }
-
-    if scheduler in (Scheduler.ES_FD, Scheduler.ES_FDHD):
-        k_u, k_d = g_ul.shape[1], g_dl.shape[1]
-        r0 = np.log1p(pu * g_ul / (p0 * si + s0)) / LN2                      # (n, ku)
-        # Pair sum rates, built in place in (n, ku, kd) layout: one tensor
-        # the size of g_x, and its first flat max is the lexicographic (u, d).
-        pair = np.multiply(pu, g_x.transpose(0, 2, 1), out=np.empty((n, k_u, k_d)))
-        pair += sd
-        np.divide((p0 * g_dl)[:, None, :], pair, out=pair)
-        np.log1p(pair, out=pair)
-        pair /= LN2
-        pair += r0[:, :, None]
-        best = np.argmax(pair.reshape(n, -1), axis=1)
-        u = best // k_d
-        d = best % k_d
-        r_fd_ul = r0[idx, u]
-        r_fd_dl = np.log1p(p0 * g_dl[idx, d] / (pu * g_x[idx, d, u] + sd)) / LN2
-        if scheduler is Scheduler.ES_FD:
-            return {"r_ul": r_fd_ul, "r_dl": r_fd_dl, "fd": np.ones(n, dtype=bool)}
-        r_fd = r_fd_ul + r_fd_dl
-        hd_ul = np.log1p(pu * g_ul.max(axis=1) / s0) / LN2
-        hd_dl = np.log1p(p0 * g_dl.max(axis=1) / sd) / LN2
-        fd = r_fd >= np.maximum(hd_ul, hd_dl)
-        ul_mode = ~fd & (hd_ul >= hd_dl)
-        dl_mode = ~(fd | ul_mode)
-        return {
-            "r_ul": np.where(fd, r_fd_ul, np.where(ul_mode, hd_ul, 0.0)),
-            "r_dl": np.where(fd, r_fd_dl, np.where(dl_mode, hd_dl, 0.0)),
-            "fd": fd,
-        }
-
-    base = _OPA_BASE[scheduler]
-    ul, dl = _base_selection(base, config, g_ul, g_dl, g_x)
-    g0 = g_ul[idx, ul]
-    gd = g_dl[idx, dl]
-    gx = g_x[idx, dl, ul]
-    zeta = g0 * sd / (p0 * si + s0) - gx
-    eta = gd * s0 / (pu * gx + sd) - si
-    r_fd_ul = np.log1p(pu * g0 / (p0 * si + s0)) / LN2
-    r_fd_dl = np.log1p(p0 * gd / (pu * gx + sd)) / LN2
-    r_fd = r_fd_ul + r_fd_dl
-    pair_hd_ul = np.log1p(pu * g0 / s0) / LN2   # HD corner rates of the base pair
-    pair_hd_dl = np.log1p(p0 * gd / sd) / LN2
-    fast = (zeta >= 0.0) & (eta >= 0.0)
-    fd = fast | (r_fd >= np.maximum(pair_hd_ul, pair_hd_dl))
-    ul_mode = ~fd & (pair_hd_ul >= pair_hd_dl)
-    dl_mode = ~(fd | ul_mode)
-    # HD outcome reschedules the surviving link to the gain-max user.
-    best_hd_ul = np.log1p(pu * g_ul.max(axis=1) / s0) / LN2
-    best_hd_dl = np.log1p(p0 * g_dl.max(axis=1) / sd) / LN2
-    return {
-        "r_ul": np.where(fd, r_fd_ul, np.where(ul_mode, best_hd_ul, 0.0)),
-        "r_dl": np.where(fd, r_fd_dl, np.where(dl_mode, best_hd_dl, 0.0)),
-        "fd": fd,
-        "fast": fast,
-        "pair_hd_ul": pair_hd_ul,
-        "pair_hd_dl": pair_hd_dl,
-    }
+_evaluate_block = evaluate  # per-trial arrays of one scheduler on one block; a seam for tracing
 
 
 def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
@@ -296,8 +173,6 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     n_trials = int(n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if any(s in _OPA_BASE for s in schedulers):
-        require_positive_powers(config)
     n_blocks = -(-n_trials // BLOCK_SIZE)
     out = {}
     lock = threading.Lock()
@@ -413,7 +288,7 @@ def dominance_violations(arrays, tol=_DOMINANCE_TOL):
             if bad:
                 out.append(f"es-fdhd < {s.value} on {bad} trials")
     for s, arr in arrays.items():
-        if s not in _OPA_BASE:
+        if s not in OPA_BASE:
             continue
         r = r_sum(s)
         for corner in ("pair_hd_ul", "pair_hd_dl"):

@@ -190,16 +190,3 @@ def _xi_quadrature(n, x, y):
         )
     return val
 
-
-def harmonic_number(k):
-    """K-th harmonic number sum_{j=1}^{K} 1/j by direct summation.
-
-    Supported up to K = 1e7; larger arguments are refused rather than
-    silently switching to an asymptotic shortcut.
-    """
-    k = operator.index(k)
-    if k < 1:
-        raise ValueError(f"harmonic_number requires K >= 1, got {k}")
-    if k > 10_000_000:
-        raise ValueError("direct summation is supported up to K = 1e7")
-    return fsum(1.0 / j for j in range(1, k + 1))

@@ -20,10 +20,8 @@ from scipy import integrate
 
 from . import analysis, power, scheduling, sim, specfun
 from .analysis import AnalyticalParams, avg_rate_integral
-from .model import SystemConfig, draw_realization
+from .model import LN2, SystemConfig, draw_realization
 from .sim import Scheduler
-
-LN2 = math.log(2.0)
 
 
 @dataclass

@@ -137,6 +137,29 @@ class TestSimulate:
         assert rc == 2
         assert "no schedulers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("settings", [
+        {"sweep_parameter": "k_users", "sweep_values": [2.5, 3.7]},
+        {"kd": 4.9},
+    ])
+    def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "x.csv"
+        rc = run_cli(["simulate", "--config", str(config), "--trials", "10", "--out", str(out)])
+        assert rc == 2
+        assert "whole number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_float_user_counts_still_load(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"kd": 3.0, "ku": 2.0, "sweep_parameter": "k_users",
+                                      "sweep_values": [2.0, 3.0]}))
+        out = tmp_path / "x.csv"
+        rc = run_cli(["simulate", "--config", str(config), "--scheduler", "a1",
+                      "--trials", "10", "--out", str(out)])
+        assert rc == 0
+        assert [r["value"] for r in read_csv(out)] == ["2", "3"]
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         run_cli(["simulate", "--scheduler", "a1", "--trials", "300",
@@ -186,6 +209,24 @@ class TestAnalyze:
         nats = float(row["value_nats"])
         bits = float(row["value_bits"])
         assert bits == pytest.approx(nats / math.log(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--si-db", "-5"], "si_cancellation_db"),
+        (["--bandwidth-hz", "0"], "bandwidth_hz"),
+    ])
+    def test_rejects_what_simulate_rejects(self, tmp_path, capsys, flags, message):
+        for command in (["analyze", "--alg", "a1"], ["simulate", "--trials", "10"]):
+            rc = run_cli(command + flags + ["--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+
+    def test_fractional_user_count_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"kd": 4.9}))
+        rc = run_cli(["analyze", "--alg", "a1", "--config", str(config),
+                      "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "whole number" in capsys.readouterr().err
 
     def test_nothing_requested_exits_2(self, capsys):
         assert run_cli(["analyze"]) == 2

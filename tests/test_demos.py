@@ -1,0 +1,25 @@
+"""The demos built on the scalar API run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("name", [
+    "02_channels_and_rates",
+    "03_scheduling_rules",
+    "04_duplex_mode_switching",
+])
+def test_demo_runs(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, coupling, aggregation, and agreement
-with the scalar per-realization pipeline."""
+with a plain-Python reference that enumerates every pair and power corner
+one realization at a time."""
 
 import math
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from fdsched import power, scheduling, sim
-from fdsched.model import ChannelRealization, SystemConfig, draw_realization, rates
+from fdsched.model import SystemConfig, config_from_db, draw_realization
 from fdsched.sim import (
     BLOCK_SIZE,
     Scheduler,
@@ -94,63 +95,134 @@ class TestModeBookkeeping:
             assert run_trials(config, sched, 2_000, seed=7).fd_fraction == 1.0
 
 
+LN2 = math.log(2.0)
+
+# A plain-Python reference pipeline: one realization at a time, every
+# candidate pair and power corner enumerated with scalar math.log1p.  Ties go
+# to the lowest index, pairs lexicographically in (u, d), corners
+# FD > HD-UL > HD-DL.  Each selector returns (u, d, lead), where lead is the
+# smallest margin by which a rate comparison was won: a trial with a tiny
+# lead may round the other way in a different implementation.
+
+
+def _first_max(values):
+    """Index of the first maximum and its lead over the best other value."""
+    best = 0
+    for i, v in enumerate(values):
+        if v > values[best]:
+            best = i
+    others = [v for i, v in enumerate(values) if i != best]
+    return best, (values[best] - max(others) if others else math.inf)
+
+
+def _fd_rates(cfg, g_ul, g_dl, g_x, u, d):
+    return (math.log1p(cfg.pu_max * g_ul[u] / (cfg.p0_max * cfg.si_gain + cfg.sigma0_sq)) / LN2,
+            math.log1p(cfg.p0_max * g_dl[d] / (cfg.pu_max * g_x[d][u] + cfg.sigmaD_sq)) / LN2)
+
+
+def _hd_rates(cfg, g_ul, g_dl, u, d):
+    """Single-link rates of UL user u and DL user d at full power."""
+    return (math.log1p(cfg.pu_max * g_ul[u] / cfg.sigma0_sq) / LN2,
+            math.log1p(cfg.p0_max * g_dl[d] / cfg.sigmaD_sq) / LN2)
+
+
+def select_a1(cfg, g_ul, g_dl, g_x):
+    return _first_max(g_ul)[0], _first_max(g_dl)[0], math.inf
+
+
+def select_a2(cfg, g_ul, g_dl, g_x):
+    u = _first_max(g_ul)[0]
+    sinr = [cfg.p0_max * g_dl[d] / (cfg.pu_max * g_x[d][u] + cfg.sigmaD_sq)
+            for d in range(len(g_dl))]
+    return u, _first_max(sinr)[0], math.inf
+
+
+def select_a3(cfg, g_ul, g_dl, g_x):
+    d = _first_max(g_dl)[0]
+    slr = [cfg.pu_max * g_ul[u] / (cfg.pu_max * g_x[d][u] + cfg.sigma0_sq)
+           for u in range(len(g_ul))]
+    return _first_max(slr)[0], d, math.inf
+
+
+def select_es(cfg, g_ul, g_dl, g_x):
+    pairs = [(u, d) for u in range(len(g_ul)) for d in range(len(g_dl))]
+    k, lead = _first_max([sum(_fd_rates(cfg, g_ul, g_dl, g_x, u, d)) for u, d in pairs])
+    return pairs[k] + (lead,)
+
+
+def reference(sched, select, cfg, g_ul, g_dl, g_x):
+    """``(r_ul, r_dl, mode, lead)`` of one realization under ``sched``,
+    whose (base) pair comes from ``select``."""
+    best_ul, best_dl = _hd_rates(cfg, g_ul, g_dl, *select_a1(cfg, g_ul, g_dl, g_x)[:2])
+    if sched is Scheduler.HD_TDD:
+        return 0.5 * best_ul, 0.5 * best_dl, "tdd", math.inf
+    u, d, lead = select(cfg, g_ul, g_dl, g_x)
+    r_ul, r_dl = _fd_rates(cfg, g_ul, g_dl, g_x, u, d)
+    if sched is Scheduler.ES_FDHD:
+        corners = [r_ul + r_dl, best_ul, best_dl]
+    elif sched in scheduling.OPA_BASE:
+        corners = [r_ul + r_dl, *_hd_rates(cfg, g_ul, g_dl, u, d)]
+    else:
+        return r_ul, r_dl, "fd", lead
+    k, corner_lead = _first_max(corners)
+    # A half-duplex outcome hands the surviving link to its gain-max user.
+    r_ul, r_dl = [(r_ul, r_dl), (best_ul, 0.0), (0.0, best_dl)][k]
+    return r_ul, r_dl, ("fd", "hd-ul", "hd-dl")[k], min(lead, corner_lead)
+
+
+REFERENCE_CONFIGS = [
+    SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 1, 1),   # K = 1
+    SystemConfig(1.4, 0.9, 0.2, 0.1, 0.3, 4, 3),      # k_u > k_d, all three modes
+    SystemConfig(2.0, 1.5, 0.4, 0.6, 0.3, 2, 5),      # k_u < k_d, all three modes
+    SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 4, 4),   # FD and HD-UL
+]
+
+
 class TestAgainstScalarPipeline:
-    SELECTORS = {
-        Scheduler.A1: scheduling.select_a1,
-        Scheduler.A2: scheduling.select_a2,
-        Scheduler.A3: scheduling.select_a3,
-        Scheduler.ES_FD: scheduling.select_es_fd,
-        Scheduler.ES_FDHD: scheduling.select_es_fdhd,
-    }
+    """The engine trial by trial against the plain-Python reference."""
 
-    def _replay_channels(self, config, seed, n):
-        rng = sim._block_rng(seed, 0)
-        g_ul, g_dl, g_x = sim._draw_block(config, rng)
-        return [
-            ChannelRealization(g_ul[i], g_dl[i], g_x[i], config.si_gain)
-            for i in range(n)
-        ]
+    N = 400
 
-    @pytest.mark.parametrize("sched", list(SELECTORS))
+    def _check(self, sched, select):
+        close_calls = 0
+        modes = set()
+        for c, config in enumerate(REFERENCE_CONFIGS):
+            arrays = sim._run_arrays(config, [sched], self.N, seed=20 + c)[sched]
+            g_ul, g_dl, g_x = sim._draw_block(config, sim._block_rng(20 + c, 0))
+            for i in range(self.N):
+                r_ul, r_dl, mode, lead = reference(sched, select, config, g_ul[i].tolist(),
+                                                   g_dl[i].tolist(), g_x[i].tolist())
+                modes.add(mode)
+                if lead <= 1e-12:
+                    close_calls += 1
+                    continue
+                assert arrays["fd"][i] == (mode == "fd")
+                assert arrays["r_ul"][i] == pytest.approx(r_ul, rel=1e-13, abs=1e-15)
+                assert arrays["r_dl"][i] == pytest.approx(r_dl, rel=1e-13, abs=1e-15)
+        assert close_calls <= 2
+        return modes
+
+    @pytest.mark.parametrize("sched", [Scheduler.A1, Scheduler.A2, Scheduler.A3,
+                                       Scheduler.ES_FD, Scheduler.ES_FDHD])
     def test_selector_rates_match(self, sched):
-        config = SystemConfig(1.4, 0.9, 0.2, 0.1, 0.3, 4, 3)
-        n = 200
-        arrays = sim._run_arrays(config, [sched], n, seed=21)[sched]
-        for i, ch in enumerate(self._replay_channels(config, 21, n)):
-            out = rates(ch, self.SELECTORS[sched](ch, config), config)
-            assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13, abs=1e-15)
-            assert arrays["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13, abs=1e-15)
+        select = {Scheduler.A1: select_a1, Scheduler.A2: select_a2,
+                  Scheduler.A3: select_a3}.get(sched, select_es)
+        modes = self._check(sched, select)
+        assert modes == ({"fd", "hd-ul", "hd-dl"} if sched is Scheduler.ES_FDHD else {"fd"})
 
     def test_hd_tdd_matches(self):
-        config = SystemConfig(1.4, 0.9, 0.2, 0.1, 0.3, 4, 3)
-        n = 200
-        arrays = sim._run_arrays(config, [Scheduler.HD_TDD], n, seed=22)[Scheduler.HD_TDD]
-        for i, ch in enumerate(self._replay_channels(config, 22, n)):
-            out = scheduling.select_hd_tdd(ch, config)
-            assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13)
-            assert arrays["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13)
+        assert self._check(Scheduler.HD_TDD, None) == {"tdd"}
 
     @pytest.mark.parametrize(
         "sched,base",
         [
-            (Scheduler.A1_OPA, scheduling.select_a1),
-            (Scheduler.A2_OPA, scheduling.select_a2),
-            (Scheduler.A3_OPA, scheduling.select_a3),
+            (Scheduler.A1_OPA, select_a1),
+            (Scheduler.A2_OPA, select_a2),
+            (Scheduler.A3_OPA, select_a3),
         ],
     )
     def test_opa_schedulers_match(self, sched, base):
-        config = SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 4, 4)
-        n = 300
-        arrays = sim._run_arrays(config, [sched], n, seed=23)[sched]
-        n_fd = 0
-        for i, ch in enumerate(self._replay_channels(config, 23, n)):
-            final = power.opa_enhanced_schedule(ch, config, base)
-            out = rates(ch, final, config)
-            n_fd += final.mode is scheduling.DuplexMode.FD
-            assert arrays["fd"][i] == (final.mode is scheduling.DuplexMode.FD)
-            assert arrays["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13, abs=1e-15)
-            assert arrays["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13, abs=1e-15)
-        assert 0 < n_fd < n  # the operating point actually mixes modes
+        assert self._check(sched, base) == {"fd", "hd-ul", "hd-dl"}
 
 
 class TestSharedDraws:
@@ -208,7 +280,7 @@ class TestSharedDraws:
         # pairs (u, d) and (u', d') whose gains swap tie exactly on the sum
         # rate but split it differently between UL and DL.  Gains from
         # {1, 2, 3} make such ties common; a cross gain of 50 takes a pair
-        # out of contention.
+        # out of contention.  The reference is the plain-Python pair search.
         config = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
 
         def tied_draw(cfg, rng):
@@ -223,31 +295,58 @@ class TestSharedDraws:
         g_ul, g_dl, g_x = tied_draw(config, sim._block_rng(71, 0))
         split_ties = 0
         for i in range(n):
-            ch = ChannelRealization(g_ul[i], g_dl[i], g_x[i], config.si_gain)
-            for sched, select in ((Scheduler.ES_FD, scheduling.select_es_fd),
-                                  (Scheduler.ES_FDHD, scheduling.select_es_fdhd)):
-                out = rates(ch, select(ch, config), config)
-                assert arrays[sched]["r_ul"][i] == pytest.approx(out.r_ul, rel=1e-13)
-                assert arrays[sched]["r_dl"][i] == pytest.approx(out.r_dl, rel=1e-13)
-            fd_pairs = [rates(ch, scheduling.Schedule(u, d, 1.0, 1.0, scheduling.DuplexMode.FD),
-                              config) for u in range(3) for d in range(3)]
-            best = max(r.r_sum for r in fd_pairs)
-            split_ties += len({r.r_ul for r in fd_pairs if r.r_sum == best}) > 1
+            for sched in (Scheduler.ES_FD, Scheduler.ES_FDHD):
+                r_ul, r_dl, _, _ = reference(sched, select_es, config, g_ul[i].tolist(),
+                                             g_dl[i].tolist(), g_x[i].tolist())
+                assert arrays[sched]["r_ul"][i] == pytest.approx(r_ul, rel=1e-13)
+                assert arrays[sched]["r_dl"][i] == pytest.approx(r_dl, rel=1e-13)
+            fd_pairs = [(math.log1p(g_ul[i, u]) / LN2,
+                         math.log1p(g_dl[i, d] / (g_x[i, d, u] + 1.0)) / LN2)
+                        for u in range(3) for d in range(3)]
+            best = max(r_ul + r_dl for r_ul, r_dl in fd_pairs)
+            split_ties += len({r_ul for r_ul, r_dl in fd_pairs if r_ul + r_dl == best}) > 1
         assert split_ties > 10  # the tie order decided these trials
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("p0,pu", [(0.0, 1.0), (1.0, 0.0)])
     def test_zero_power_rejected_on_both_paths(self, p0, pu):
+        # Every scheduler but HD-TDD, as a scalar view and in the engine.
         config = SystemConfig(p0, pu, 1.0, 1.0, 1e-3, 2, 2)
         ch = draw_realization(config, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
-            power.opa(ch, 0, 0, config)
-        for sched in (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA):
+        scalar = [scheduling.select_a1, scheduling.select_a2, scheduling.select_a3,
+                  scheduling.select_es_fd, scheduling.select_es_fdhd,
+                  lambda ch, config: power.opa(ch, 0, 0, config)]
+        for view in scalar:
+            with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+                view(ch, config)
+        for sched in Scheduler:
+            if sched is Scheduler.HD_TDD:
+                assert run_trials(config, sched, 100, seed=1).n_trials == 100
+                continue
             with pytest.raises(ValueError, match="positive p0_max and pu_max"):
                 run_trials(config, sched, 100, seed=1)
         with pytest.raises(ValueError, match="positive p0_max and pu_max"):
             run_coupled(config, [Scheduler.HD_TDD, Scheduler.A2_OPA], 100, seed=1)
+        scheduling.select_hd_tdd(ch, config)
+
+    def test_system_config_needs_whole_user_counts(self):
+        assert SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 5.0, 3).k_u == 5
+        with pytest.raises(ValueError, match="whole number"):
+            SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 2.5, 3)
+
+    def test_config_from_db_needs_whole_user_counts(self):
+        assert config_from_db(24.0, 23.0, 80.0, k_u=5.0, k_d=4).k_u == 5
+        with pytest.raises(ValueError, match="whole number"):
+            config_from_db(24.0, 23.0, 80.0, k_u=4, k_d=5.5)
+
+    def test_resolve_config_needs_whole_user_counts(self):
+        assert resolve_config({"k_u": 5.0}).k_u == 5
+        assert resolve_config({}, "k_users", 3.0).k_d == 3
+        with pytest.raises(ValueError, match="whole number"):
+            resolve_config({}, "k_users", 2.5)
+        with pytest.raises(ValueError, match="whole number"):
+            SweepSpec("k_users", (2.5, 3.7), Scheduler.A1, {}, 100, 0)
 
     def test_scheduler_list_must_be_non_empty(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdsched.specfun import EULER_GAMMA, exp_integral_ei, harmonic_number, xi_n
+from fdsched.specfun import exp_integral_ei, xi_n
 
 mp.mp.dps = 30
 
@@ -111,23 +111,3 @@ class TestXiN:
         with pytest.raises(TypeError):
             xi_n(1.5, 1.0, 1.0)
 
-
-class TestHarmonicNumber:
-    def test_small_values(self):
-        assert harmonic_number(1) == 1.0
-        assert harmonic_number(4) == pytest.approx(2.0833333333333333, rel=1e-15)
-
-    def test_approaches_log_plus_gamma_from_above(self):
-        ks = [16 * 2 ** i for i in range(9)]  # 16 .. 4096
-        gaps = [harmonic_number(k) - (math.log(k) + EULER_GAMMA) for k in ks]
-        assert all(g > 0 for g in gaps)
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 1.3e-4  # ~ 1/(2*4096)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            harmonic_number(0)
-        with pytest.raises(ValueError):
-            harmonic_number(-3)
-        with pytest.raises(ValueError):
-            harmonic_number(10_000_001)
