@@ -4,9 +4,13 @@ the self-check suite.
 Every run writes a machine-readable table (RFC-4180 CSV or JSON) plus a
 ``<out>.manifest.json`` sidecar holding the fully resolved settings, the
 seed, tool version, timestamp, and git describe string.  Feeding a manifest
-back through ``--config`` reproduces the output byte for byte; the CSV
-itself contains no timestamps, so reruns with any ``--workers`` value
-compare equal.
+back through ``--config`` reproduces the output byte for byte, for
+``simulate`` and ``analyze`` alike; the CSV itself contains no timestamps,
+so reruns with any ``--workers`` value compare equal.
+
+Settings files and manifests use the flags' ``dest`` names, the keys of
+:data:`model.RADIO_DEFAULTS` for the radio; manifests written under the
+earlier short names (``si_db``, ``kd``, ...) still load.
 
 Exit codes: 0 success, 1 failed validation criteria, 2 flag validation
 error, 3 internal numerical failure.
@@ -23,7 +27,8 @@ from pathlib import Path
 
 from . import __version__, analysis, validate
 from .analysis import AnalyticalParams
-from .sim import Scheduler, SweepSpec, resolve_config, run_sweep
+from .model import RADIO_DEFAULTS, whole_number
+from .sim import BASE_CONFIG_DEFAULTS, Scheduler, SweepSpec, resolve_config, run_sweep
 
 
 class FlagError(Exception):
@@ -33,24 +38,25 @@ class FlagError(Exception):
 _SCHEDULER_CHOICES = [s.value for s in Scheduler]
 
 _SIM_DEFAULTS = {
-    "p0_dbm": 24.0,
-    "pu_dbm": 23.0,
-    "pu_dbm_scale": None,
-    "si_db": 80.0,
-    "nf_bs_db": 13.0,
-    "nf_mt_db": 9.0,
-    "bandwidth_hz": 1e7,
-    "kd": 5,
-    "ku": 5,
+    **BASE_CONFIG_DEFAULTS,
     "trials": 100_000,
     "seed": 0,
     "workers": None,  # resolved to the core count
     "format": "csv",
     "sweep_parameter": None,
     "sweep_values": None,
-    "schedulers": None,
+    "schedulers": ["a2-opa"],
 }
 
+_ALGS = ("a1", "a2")
+
+_ANALYZE_DEFAULTS = {**RADIO_DEFAULTS, "format": "csv", "algs": [], "asymptotic": False}
+
+# Keys of the settings files of earlier versions, by their names today.
+_OLD_NAMES = {"si_db": "si_cancellation_db", "kd": "k_d", "ku": "k_u",
+              "nf_bs_db": "noise_figure_bs_db", "nf_mt_db": "noise_figure_mt_db"}
+
+# Each preset sets only what differs from the defaults above.
 _PRESETS = {
     # DL-power sweep with the pu = 0.95*p0 dBm rule; fixed-power selectors
     # and baselines side by side.
@@ -58,28 +64,19 @@ _PRESETS = {
         "sweep_parameter": "p0_dbm",
         "sweep_values": [float(v) for v in range(-20, 31, 5)],
         "pu_dbm_scale": 0.95,
-        "si_db": 80.0,
-        "kd": 5,
-        "ku": 5,
         "schedulers": ["a1", "a2", "a3", "es-fd", "es-fdhd", "hd-tdd"],
     },
     # SI-cancellation sweep for the OPA-enhanced selectors and baselines.
     "fig3": {
         "sweep_parameter": "si_cancellation_db",
         "sweep_values": [float(v) for v in range(40, 121, 10)],
-        "p0_dbm": 24.0,
-        "pu_dbm": 23.0,
-        "kd": 5,
-        "ku": 5,
         "schedulers": ["a1-opa", "a2-opa", "a3-opa", "hd-tdd", "es-fdhd"],
     },
     # User-count sweep at weak SI cancellation.
     "fig4": {
         "sweep_parameter": "k_users",
         "sweep_values": [2, 4, 6, 8, 10, 12, 15],
-        "si_db": 20.0,
-        "p0_dbm": 24.0,
-        "pu_dbm": 23.0,
+        "si_cancellation_db": 20.0,
         "schedulers": ["a1", "a2", "a3", "a1-opa", "a2-opa", "a3-opa", "es-fdhd", "hd-tdd"],
     },
 }
@@ -143,74 +140,58 @@ def _load_config_file(path):
         data = data["resolved"]
     if not isinstance(data, dict):
         raise FlagError(f"--config: {path} does not hold a settings object")
-    return data
+    settings = {}
+    for key, value in data.items():
+        key = _OLD_NAMES.get(key, key)
+        if key in settings:
+            raise FlagError(f"--config: {key} is set twice (under its old and its new name)")
+        settings[key] = value
+    return settings
 
 
-def _resolve(args, defaults, flag_keys):
-    """Layer the settings: defaults < preset < config file < explicit flags."""
+def _resolve(args, defaults):
+    """Layer the settings: defaults < preset < config file < explicit flags.
+    Every flag that sets a key of ``defaults`` has that key as its ``dest``."""
     settings = dict(defaults)
     preset = getattr(args, "preset", None)
     if preset:
         settings.update(_PRESETS[preset])
-    if getattr(args, "config", None):
+    if args.config:
         file_settings = _load_config_file(args.config)
         unknown = set(file_settings) - set(defaults)
         if unknown:
             raise FlagError(f"--config: unknown keys {sorted(unknown)}")
         settings.update(file_settings)
-    for key in flag_keys:
+    for key in defaults:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
     return settings
 
 
-def _base_config(settings):
-    """The radio settings under the engine's names (``sim.resolve_config``)."""
-    return {
-        "p0_dbm": settings["p0_dbm"],
-        "pu_dbm": settings["pu_dbm"],
-        "pu_dbm_scale": settings.get("pu_dbm_scale"),
-        "si_cancellation_db": settings["si_db"],
-        "nf_bs_db": settings["nf_bs_db"],
-        "nf_mt_db": settings["nf_mt_db"],
-        "bandwidth_hz": settings["bandwidth_hz"],
-        "k_u": settings["ku"],
-        "k_d": settings["kd"],
-    }
-
-
 def cmd_simulate(args):
-    settings = _resolve(args, _SIM_DEFAULTS, [
-        "p0_dbm", "pu_dbm", "pu_dbm_scale", "si_db", "nf_bs_db", "nf_mt_db",
-        "bandwidth_hz", "kd", "ku", "trials", "seed", "workers", "format",
-    ])
-    if args.scheduler:
-        settings["schedulers"] = list(args.scheduler)
-    if settings["schedulers"] is None:
-        settings["schedulers"] = ["a2-opa"]
+    settings = _resolve(args, _SIM_DEFAULTS)
     if not settings["schedulers"]:
         raise FlagError("no schedulers to run")
-    if settings["trials"] < 1:
-        raise FlagError("--trials must be >= 1")
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
-    if settings["workers"] < 1:
-        raise FlagError("--workers must be >= 1")
     if settings["sweep_parameter"] is None:
         settings["sweep_parameter"] = "p0_dbm"
         settings["sweep_values"] = [settings["p0_dbm"]]
 
     header = ["value", "scheduler", "mean_sum_rate", "mean_ul_rate",
               "mean_dl_rate", "std_error", "fd_fraction", "n_trials"]
-    try:  # SweepSpec checks every sweep point's config
+    try:  # SweepSpec checks the seed and every sweep point's config
+        for key in ("trials", "workers"):
+            if whole_number(key, settings[key]) < 1:
+                raise FlagError(f"--{key} must be >= 1")
         spec = SweepSpec(
             swept_parameter=settings["sweep_parameter"],
-            values=tuple(settings["sweep_values"]),
+            values=tuple(settings["sweep_values"] or ()),
             schedulers=tuple(settings["schedulers"]),
-            base_config=_base_config(settings),
-            n_trials=int(settings["trials"]),
-            seed=int(settings["seed"]),
+            base_config={key: settings[key] for key in BASE_CONFIG_DEFAULTS},
+            n_trials=settings["trials"],
+            seed=settings["seed"],
         )
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
@@ -223,7 +204,7 @@ def cmd_simulate(args):
         "std_error": point.stats.std_error,
         "fd_fraction": point.stats.fd_fraction,
         "n_trials": point.stats.n_trials,
-    } for point in run_sweep(spec, workers=int(settings["workers"]))]
+    } for point in run_sweep(spec, workers=whole_number("workers", settings["workers"]))]
     out = args.out or f"simulate.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
     _write_manifest(out, "simulate", settings)
@@ -231,22 +212,20 @@ def cmd_simulate(args):
     return 0
 
 
-_ANALYZE_KEYS = ("p0_dbm", "pu_dbm", "si_db", "nf_bs_db", "nf_mt_db", "bandwidth_hz",
-                 "kd", "ku", "format")
-_ANALYZE_DEFAULTS = {key: _SIM_DEFAULTS[key] for key in _ANALYZE_KEYS}
-
-
 def cmd_analyze(args):
-    settings = _resolve(args, _ANALYZE_DEFAULTS, _ANALYZE_KEYS)
-    algs = list(args.alg or [])
-    if not algs and not args.asymptotic:
+    settings = _resolve(args, _ANALYZE_DEFAULTS)
+    algs = settings["algs"]
+    if not algs and not settings["asymptotic"]:
         raise FlagError("nothing to analyze: pass --alg a1 / --alg a2 and/or --asymptotic")
+    if not set(algs) <= set(_ALGS):
+        raise FlagError(f"algs must be taken from {list(_ALGS)}, got {algs!r}")
     if args.k is not None:
         if args.k < 2:
             raise FlagError("--k must be >= 2")
-        settings["kd"] = settings["ku"] = args.k
+        settings["k_d"] = settings["k_u"] = args.k
+    radio = {key: settings[key] for key in RADIO_DEFAULTS}
     try:
-        params = AnalyticalParams.from_config(resolve_config(_base_config(settings)))
+        params = AnalyticalParams.from_config(resolve_config(radio))
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
 
@@ -272,14 +251,12 @@ def cmd_analyze(args):
         oracle = analysis.avg_rate_integral(
             lambda x: analysis.cdf_sinr_ul(x, params), lambda x: cdf(x, params))
         row(f"avg_rate_{alg}", result.value, oracle=oracle, flagged=result.flagged)
-    if args.asymptotic:
+    if settings["asymptotic"]:
         asym = analysis.asymptotic_rate_a1(params)
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)
 
     out = args.out or f"analyze.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
-    settings["algs"] = algs
-    settings["asymptotic"] = bool(args.asymptotic)
     _write_manifest(out, "analyze", settings)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -296,12 +273,15 @@ def _add_common_radio_flags(p, with_scale):
     if with_scale:
         p.add_argument("--pu-dbm-scale", dest="pu_dbm_scale", type=float,
                        help="set pu_dbm = SCALE * p0_dbm (dBm-domain rule)")
-    p.add_argument("--si-db", dest="si_db", type=float, help="SI cancellation capability in dB")
-    p.add_argument("--nf-bs-db", dest="nf_bs_db", type=float, help="BS noise figure in dB (default 13)")
-    p.add_argument("--nf-mt-db", dest="nf_mt_db", type=float, help="DL terminal noise figure in dB (default 9)")
-    p.add_argument("--bandwidth-hz", dest="bandwidth_hz", type=float, help="noise bandwidth in Hz (default 1e7)")
-    p.add_argument("--kd", type=int, help="number of DL candidate terminals")
-    p.add_argument("--ku", type=int, help="number of UL candidate terminals")
+    p.add_argument("--si-db", dest="si_cancellation_db", type=float, help="SI cancellation capability in dB")
+    p.add_argument("--nf-bs-db", dest="noise_figure_bs_db", type=float,
+                   help=f"BS noise figure in dB (default {RADIO_DEFAULTS['noise_figure_bs_db']:g})")
+    p.add_argument("--nf-mt-db", dest="noise_figure_mt_db", type=float,
+                   help=f"DL terminal noise figure in dB (default {RADIO_DEFAULTS['noise_figure_mt_db']:g})")
+    p.add_argument("--bandwidth-hz", dest="bandwidth_hz", type=float,
+                   help=f"noise bandwidth in Hz (default {RADIO_DEFAULTS['bandwidth_hz']:g})")
+    p.add_argument("--kd", dest="k_d", type=int, help="number of DL candidate terminals")
+    p.add_argument("--ku", dest="k_u", type=int, help="number of UL candidate terminals")
     p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
     p.add_argument("--out", help="output path (manifest written alongside)")
     p.add_argument("--config", help="JSON settings file (or a previous manifest); flags override it")
@@ -318,7 +298,7 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="Monte Carlo runs and parameter sweeps")
     p_sim.add_argument("--preset", choices=sorted(_PRESETS),
                        help="named sweep: fig2 (DL power), fig3 (SI cancellation), fig4 (user count)")
-    p_sim.add_argument("--scheduler", action="append", choices=_SCHEDULER_CHOICES,
+    p_sim.add_argument("--scheduler", dest="schedulers", action="append", choices=_SCHEDULER_CHOICES,
                        help="scheduler to run (repeatable); presets define their own set")
     p_sim.add_argument("--trials", type=int, help="Monte Carlo trials per sweep point (default 100000)")
     p_sim.add_argument("--seed", type=int, help="master seed (default 0)")
@@ -327,9 +307,9 @@ def build_parser():
     p_sim.set_defaults(func=cmd_simulate)
 
     p_an = sub.add_parser("analyze", help="closed-form rates with quadrature oracles")
-    p_an.add_argument("--alg", action="append", choices=("a1", "a2"),
+    p_an.add_argument("--alg", dest="algs", action="append", choices=_ALGS,
                       help="closed form to evaluate (repeatable)")
-    p_an.add_argument("--asymptotic", action="store_true",
+    p_an.add_argument("--asymptotic", action="store_true", default=None,
                       help="also emit the large-system approximation (nats and bits)")
     p_an.add_argument("--k", type=int, help="set kd = ku = K (mostly for --asymptotic)")
     _add_common_radio_flags(p_an, with_scale=False)

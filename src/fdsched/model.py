@@ -16,6 +16,29 @@ import numpy as np
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 LN2 = math.log(2.0)
 
+# The radio settings under the names of config_from_db's parameters: the one
+# defaults table behind the engine's sweeps, the command line and its manifests.
+RADIO_DEFAULTS = {
+    "p0_dbm": 24.0,
+    "pu_dbm": 23.0,
+    "si_cancellation_db": 80.0,
+    "noise_figure_bs_db": 13.0,
+    "noise_figure_mt_db": 9.0,
+    "bandwidth_hz": 1e7,
+    "k_u": 5,
+    "k_d": 5,
+}
+
+
+def whole_number(name, value):
+    """``value`` as an int: whole floats such as ``5.0`` are taken, anything
+    else that is not an integer raises a ValueError naming ``name``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -39,12 +62,7 @@ class SystemConfig:
         if self.sigma0_sq <= 0.0 or self.sigmaD_sq <= 0.0:
             raise ValueError("noise powers must be positive")
         for name in ("k_u", "k_d"):
-            k = getattr(self, name)
-            if isinstance(k, float) and k.is_integer():
-                k = int(k)
-            if not isinstance(k, numbers.Integral):
-                raise ValueError(f"{name} must be a whole number, got {k!r}")
-            object.__setattr__(self, name, int(k))
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.k_u < 1 or self.k_d < 1:
             raise ValueError("k_u and k_d must be >= 1")
 
@@ -53,11 +71,11 @@ def config_from_db(
     p0_dbm,
     pu_dbm,
     si_cancellation_db,
-    noise_figure_bs_db=13.0,
-    noise_figure_mt_db=9.0,
-    bandwidth_hz=1e7,
-    k_u=5,
-    k_d=5,
+    noise_figure_bs_db=RADIO_DEFAULTS["noise_figure_bs_db"],
+    noise_figure_mt_db=RADIO_DEFAULTS["noise_figure_mt_db"],
+    bandwidth_hz=RADIO_DEFAULTS["bandwidth_hz"],
+    k_u=RADIO_DEFAULTS["k_u"],
+    k_d=RADIO_DEFAULTS["k_d"],
 ):
     """Build a :class:`SystemConfig` from dB-domain quantities.
 

@@ -28,24 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import config_from_db
+from .model import RADIO_DEFAULTS, config_from_db, whole_number
 from .scheduling import OPA_BASE, Scheduler, evaluate
 
 BLOCK_SIZE = 4096
 
 SWEEPABLE_PARAMETERS = ("p0_dbm", "si_cancellation_db", "k_users")
 
-BASE_CONFIG_DEFAULTS = {
-    "p0_dbm": 24.0,
-    "pu_dbm": 23.0,
-    "pu_dbm_scale": None,
-    "si_cancellation_db": 80.0,
-    "nf_bs_db": 13.0,
-    "nf_mt_db": 9.0,
-    "bandwidth_hz": 1e7,
-    "k_u": 5,
-    "k_d": 5,
-}
+BASE_CONFIG_DEFAULTS = {**RADIO_DEFAULTS, "pu_dbm_scale": None}
 
 
 @dataclass(frozen=True)
@@ -87,6 +77,8 @@ class SweepSpec:
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValueError("values must be strictly monotone")
+        for name in ("n_trials", "seed"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         object.__setattr__(self, "values", values)
@@ -95,9 +87,6 @@ class SweepSpec:
         if not schedulers:
             raise ValueError("schedulers must be non-empty")
         object.__setattr__(self, "schedulers", schedulers)
-        unknown = set(self.base_config) - set(BASE_CONFIG_DEFAULTS)
-        if unknown:
-            raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
         for value in values:  # every sweep point must make a valid config
             resolve_config(self.base_config, self.swept_parameter, value)
 
@@ -109,32 +98,26 @@ class SweepPoint(NamedTuple):
 
 
 def resolve_config(base_config, swept_parameter=None, value=None):
-    """Build a SystemConfig from dB-domain settings.
+    """Build a SystemConfig from dB-domain settings, keyed as in
+    :data:`BASE_CONFIG_DEFAULTS` (unknown keys raise a ValueError).
 
     ``k_users`` sets k_u = k_d together.  When ``pu_dbm_scale`` is set, the
     UL power follows pu_dbm = pu_dbm_scale * p0_dbm (a dBm-domain rule) and
     any explicit pu_dbm is ignored.
     """
-    settings = dict(BASE_CONFIG_DEFAULTS)
-    settings.update(base_config)
+    unknown = set(base_config) - set(BASE_CONFIG_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
+    settings = {**BASE_CONFIG_DEFAULTS, **base_config}
     if swept_parameter is not None:
         if swept_parameter == "k_users":
             settings["k_u"] = settings["k_d"] = value
         else:
             settings[swept_parameter] = float(value)
-    p0_dbm = settings["p0_dbm"]
-    scale = settings.get("pu_dbm_scale")
-    pu_dbm = scale * p0_dbm if scale is not None else settings["pu_dbm"]
-    return config_from_db(
-        p0_dbm=p0_dbm,
-        pu_dbm=pu_dbm,
-        si_cancellation_db=settings["si_cancellation_db"],
-        noise_figure_bs_db=settings["nf_bs_db"],
-        noise_figure_mt_db=settings["nf_mt_db"],
-        bandwidth_hz=settings["bandwidth_hz"],
-        k_u=settings["k_u"],
-        k_d=settings["k_d"],
-    )
+    scale = settings.pop("pu_dbm_scale")
+    if scale is not None:
+        settings["pu_dbm"] = scale * settings["p0_dbm"]
+    return config_from_db(**settings)
 
 
 def derived_trial_seed(seed, index):

@@ -107,7 +107,7 @@ class TestSimulate:
                       "--scheduler", "a2-opa", "--out", str(out)])
         assert rc == 0
         manifest = json.loads((tmp_path / "fig4.csv.manifest.json").read_text())
-        assert manifest["resolved"]["si_db"] == 20.0
+        assert manifest["resolved"]["si_cancellation_db"] == 20.0
         assert manifest["resolved"]["sweep_parameter"] == "k_users"
         assert {r["scheduler"] for r in read_csv(out)} == {"a2-opa"}
 
@@ -137,17 +137,25 @@ class TestSimulate:
         assert rc == 2
         assert "no schedulers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("settings", [
-        {"sweep_parameter": "k_users", "sweep_values": [2.5, 3.7]},
-        {"kd": 4.9},
-    ])
-    def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings):
+    @pytest.mark.parametrize("settings, message", [
+        ({"sweep_parameter": "k_users", "sweep_values": [2.5, 3.7]}, "whole number"),
+        ({"kd": 4.9}, "whole number"),
+        ({"trials": 2.5}, "trials must be a whole number"),
+        ({"seed": 1.7}, "seed must be a whole number"),
+        ({"workers": 1.5}, "workers must be a whole number"),
+        ({"trials": "100"}, "trials must be a whole number"),
+        ({"sweep_parameter": "si_cancellation_db"}, "values must be non-empty"),
+    ], ids=[f"settings{i}" for i in range(7)])
+    def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))
         out = tmp_path / "x.csv"
-        rc = run_cli(["simulate", "--config", str(config), "--trials", "10", "--out", str(out)])
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        if "trials" not in settings:
+            argv += ["--trials", "10"]
+        rc = run_cli(argv)
         assert rc == 2
-        assert "whole number" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_whole_float_user_counts_still_load(self, tmp_path):
@@ -159,6 +167,37 @@ class TestSimulate:
                       "--trials", "10", "--out", str(out)])
         assert rc == 0
         assert [r["value"] for r in read_csv(out)] == ["2", "3"]
+
+    def test_whole_float_run_settings_load(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"trials": 10.0, "seed": 3.0, "workers": 1.0}))
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert run_cli(["simulate", "--config", str(config), "--out", str(a)]) == 0
+        assert run_cli(["simulate", "--trials", "10", "--seed", "3", "--workers", "1",
+                        "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_old_setting_names_load(self, tmp_path):
+        old = {"si_db": 60.0, "kd": 3, "ku": 4, "nf_bs_db": 10.0, "nf_mt_db": 7.0}
+        new = {"si_cancellation_db": 60.0, "k_d": 3, "k_u": 4, "noise_figure_bs_db": 10.0,
+               "noise_figure_mt_db": 7.0}
+        outs = []
+        for name, settings in (("old", old), ("new", new)):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps(dict(settings, trials=500, seed=2)))
+            outs.append(tmp_path / f"{name}.csv")
+            assert run_cli(["simulate", "--config", str(config), "--scheduler", "es-fdhd",
+                            "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_setting_under_old_and_new_name_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"kd": 3, "k_d": 3}))
+        rc = run_cli(["simulate", "--config", str(config), "--trials", "10",
+                      "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "k_d is set twice" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
@@ -227,6 +266,23 @@ class TestAnalyze:
                       "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "whole number" in capsys.readouterr().err
+
+    def test_manifest_reload_reproduces(self, tmp_path):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--asymptotic", "--kd", "3", "--ku", "3",
+                        "--out", str(a)]) == 0
+        rc = run_cli(["analyze", "--config", str(a) + ".manifest.json", "--out", str(b)])
+        assert rc == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert len(read_csv(b)) == 3
+
+    def test_unknown_alg_in_settings_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"algs": ["a3"]}))
+        rc = run_cli(["analyze", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "algs must be taken from" in capsys.readouterr().err
 
     def test_nothing_requested_exits_2(self, capsys):
         assert run_cli(["analyze"]) == 2

@@ -1,4 +1,4 @@
-"""The demos built on the scalar API run to completion."""
+"""Every demo runs to completion."""
 
 import os
 import subprocess
@@ -11,9 +11,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("name", [
+    "01_special_functions",
     "02_channels_and_rates",
     "03_scheduling_rules",
     "04_duplex_mode_switching",
+    "05_closed_forms_vs_simulation",
+    "06_sweeps_and_crossover",
 ])
 def test_demo_runs(name):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
