@@ -6,17 +6,20 @@ rate integral
 
     Rbar = (1/ln 2) * integral_0^inf (2 - F_ul(x) - F_dl(x)) / (x + 1) dx,
 
-and Monte Carlo simulation (:mod:`fdsched.sim`).  The closed forms are the
-product; the quadrature path doubles as their in-package oracle and as the
-stable route where the closed forms are numerically unusable:
+taken over t = ln(1 + x) up to where its integrand is exactly 0 (no error
+for monotone CDFs at most 1; see :func:`avg_rate_integral`), and Monte
+Carlo simulation (:mod:`fdsched.sim`).  The closed forms are the product;
+the quadrature path doubles as their in-package oracle and as the stable
+route where the closed forms are numerically unusable:
 
 * removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form has
   (1 - p0/pu)^{-n}.  At a pole the parameters are nudged (pu up by 1e-6
   relative) and the result is flagged.
 * cancellation: the alternating binomial sums lose ~2^K digits; whenever
   the compensated-summation error estimate exceeds 1e-9 of the result (in
-  practice for K beyond ~20-30, and always near a pole), the value is
-  recomputed from the rate integral with numerically stable CDF forms.
+  practice for K beyond ~20-30, and always near a pole), or a user count
+  exceeds 40, the value is recomputed from the rate integral with
+  numerically stable CDF forms.
 """
 
 import math
@@ -68,15 +71,8 @@ class AnalyticalParams:
     @classmethod
     def from_config(cls, config):
         """Operating point at a config's maximum powers."""
-        return cls(
-            p0=config.p0_max,
-            pu=config.pu_max,
-            sigma0_sq=config.sigma0_sq,
-            sigmaD_sq=config.sigmaD_sq,
-            si_gain=config.si_gain,
-            k_u=config.k_u,
-            k_d=config.k_d,
-        )
+        return cls(config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq,
+                   config.si_gain, config.k_u, config.k_d)
 
 
 class ClosedFormRate(NamedTuple):
@@ -103,8 +99,7 @@ class QuadratureError(ArithmeticError):
 
 @lru_cache(maxsize=4)
 def _laguerre(n):
-    nodes, weights = roots_laguerre(n)
-    return nodes, weights
+    return roots_laguerre(n)
 
 
 def cdf_sinr_ul(x, params):
@@ -181,57 +176,46 @@ def _degenerate_cdf(x):
 
 
 def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
-    """Average sum rate from two SINR CDFs by semi-infinite quadrature.
+    """Average sum rate from two SINR CDFs, integrated over t = ln(1 + x).
 
-    ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf).  The integration
-    domain is truncated at an X where an exponential-decay bound puts the
-    remaining tail below tol/10, then [0, X] is integrated adaptively.
-    Raises :class:`QuadratureError` with the achieved error bound if the
-    requested absolute tolerance cannot be certified.
+    ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf).  With
+    x = expm1(t) the weight dx/(1 + x) becomes dt, so the integrand is
+    max(0, 2 - F_ul - F_dl), bounded by 2.  The domain is cut at the first
+    T in 8, 16, ..., 512 where that integrand is exactly 0; for CDFs that
+    are monotone and at most 1 the rest of the tail is then exactly 0, so
+    the cut adds no error.  [0, T] is integrated adaptively to the absolute
+    tolerance ``tol`` (bits).  Raises :class:`QuadratureError` with the
+    achieved error bound if that cannot be reached, or with an infinite
+    bound if the integrand is still positive at T = 512 (x ~ 1e222).
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     itol = tol * LN2  # tolerance on the raw (nats-scaled) integral
 
-    def numerator(x):
+    def integrand(t):
+        x = math.expm1(t)
         return max(0.0, 2.0 - cdf_ul(x) - cdf_dl(x))
 
-    def integrand(x):
-        return numerator(x) / (1.0 + x)
-
     cutoff = 8.0
-    tail = 0.0
-    while True:
-        n_here = numerator(cutoff)
-        if n_here <= 0.0:
-            tail = 0.0
-            break
-        n_far = numerator(1.5 * cutoff)
-        if 0.0 < n_far < n_here:
-            decay = log(n_here / n_far) / (0.5 * cutoff)
-            if decay > 0.0:
-                tail = n_here / (decay * (1.0 + cutoff))
-                if tail <= itol / 10.0:
-                    break
+    while integrand(cutoff) > 0.0:
+        if cutoff >= 512.0:
+            raise QuadratureError("integrand is still positive at ln(1+x) = 512",
+                                  achieved=math.inf)
         cutoff *= 2.0
-        if cutoff > 2.0 ** 40:
-            raise QuadratureError("integrand tail does not decay", achieved=math.inf)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(
-            integrand, 0.0, cutoff, epsabs=itol / 2.0, epsrel=1e-10, limit=500
-        )
-    achieved = err + tail
-    if achieved > itol:
-        raise QuadratureError("rate integral did not converge", achieved=achieved / LN2)
+        val, err = integrate.quad(integrand, 0.0, cutoff, epsabs=itol / 2.0, epsrel=0.0, limit=500)
+    if err > itol:
+        raise QuadratureError("rate integral did not converge", achieved=err / LN2)
     return val / LN2
 
 
-def _rate_by_quadrature(params, cdf_dl_fn):
+def _rate_by_quadrature(params, cdf_dl=None):
+    """The rate integral of the UL law plus ``cdf_dl`` (None: UL only); the
+    oracle of the closed forms and their route around cancellation."""
     return avg_rate_integral(
         lambda x: cdf_sinr_ul(x, params),
-        lambda x: cdf_dl_fn(x, params),
+        _degenerate_cdf if cdf_dl is None else lambda x: cdf_dl(x, params),
     )
 
 
@@ -246,24 +230,33 @@ def _ul_terms(params):
     return terms, [abs(t) for t in terms]
 
 
+def _closed_or_quadrature(params, dl_terms=None, cdf_dl=None):
+    """The closed UL rate plus ``dl_terms`` (None: UL only), or the rate
+    integral with ``cdf_dl`` when a user count is beyond the closed forms or
+    the compensated-summation error estimate exceeds 1e-9 of the sum."""
+    k = params.k_u if dl_terms is None else max(params.k_u, params.k_d)
+    if k <= _CLOSED_RATE_MAX_K:
+        terms, gross = _ul_terms(params)
+        if dl_terms is not None:
+            more, more_gross = dl_terms(params)
+            terms, gross = terms + more, gross + more_gross
+        total = fsum(terms)
+        if total > 0.0 and _EPS4 * fsum(gross) <= _CANCEL_LIMIT * total:
+            return total
+    return _rate_by_quadrature(params, cdf_dl)
+
+
 def avg_rate_ul_closed(params):
     """Closed-form average UL rate: an alternating binomial combination of
     xi_1 kernels.  Falls back to the rate integral when cancellation would
     eat the result (large k_u)."""
-    if params.k_u > _CLOSED_RATE_MAX_K:
-        return avg_rate_integral(lambda x: cdf_sinr_ul(x, params), _degenerate_cdf)
-    terms, gross = _ul_terms(params)
-    total = fsum(terms)
-    if total <= 0.0 or _EPS4 * fsum(gross) > _CANCEL_LIMIT * total:
-        return avg_rate_integral(lambda x: cdf_sinr_ul(x, params), _degenerate_cdf)
-    return total
+    return _closed_or_quadrature(params)
 
 
-def _guard_a1(params):
-    """Nudge pu off any removable pole p0 = k*pu of the A1 closed form."""
-    for k in range(1, params.k_d + 1):
-        if abs(params.p0 - k * params.pu) < _POLE_EPS * params.pu:
-            return replace(params, pu=params.pu * (1.0 + _PERTURB_REL)), True
+def _guard(params, on_pole):
+    """``(params, False)``, or with ``on_pole`` pu nudged up by 1e-6 relative and True."""
+    if on_pole:
+        return replace(params, pu=params.pu * (1.0 + _PERTURB_REL)), True
     return params, False
 
 
@@ -288,23 +281,9 @@ def avg_rate_a1(params) -> ClosedFormRate:
     relative; severe cancellation reroutes the evaluation to the rate
     integral.  Never raises on a pole.
     """
-    eff, flagged = _guard_a1(params)
-    if max(eff.k_u, eff.k_d) > _CLOSED_RATE_MAX_K:
-        return ClosedFormRate(_rate_by_quadrature(eff, cdf_sinr_dl_a1), flagged)
-    ul_terms, ul_gross = _ul_terms(eff)
-    dl_terms, dl_gross = _dl_a1_terms(eff)
-    total = fsum(ul_terms + dl_terms)
-    gross = fsum(ul_gross + dl_gross)
-    if total <= 0.0 or _EPS4 * gross > _CANCEL_LIMIT * total:
-        return ClosedFormRate(_rate_by_quadrature(eff, cdf_sinr_dl_a1), flagged)
-    return ClosedFormRate(total, flagged)
-
-
-def _guard_a2(params):
-    """Nudge pu off the removable pole p0 = pu of the A2 closed form."""
-    if abs(1.0 - params.p0 / params.pu) < _POLE_EPS:
-        return replace(params, pu=params.pu * (1.0 + _PERTURB_REL)), True
-    return params, False
+    eff, flagged = _guard(params, any(abs(params.p0 - k * params.pu) < _POLE_EPS * params.pu
+                                      for k in range(1, params.k_d + 1)))
+    return ClosedFormRate(_closed_or_quadrature(eff, _dl_a1_terms, cdf_sinr_dl_a1), flagged)
 
 
 def _dl_a2_terms(params):
@@ -313,17 +292,12 @@ def _dl_a2_terms(params):
     terms, gross = [], []
     for k in range(1, k_d + 1):
         a = k * params.sigmaD_sq / params.p0
-        inner, inner_abs = [], []
-        for ell in range(1, k + 1):
-            t = (-1.0) ** ell * (1.0 - ratio) ** (-ell) * xi_n(k - ell + 1, a, ratio)
-            inner.append(t)
-            inner_abs.append(abs(t))
-        t = (-1.0) ** (1 - k) * (1.0 - ratio) ** (-k) * xi_n(1, a, 1.0)
-        inner.append(t)
-        inner_abs.append(abs(t))
+        inner = [(-1.0) ** ell * (1.0 - ratio) ** (-ell) * xi_n(k - ell + 1, a, ratio)
+                 for ell in range(1, k + 1)]
+        inner.append((-1.0) ** (1 - k) * (1.0 - ratio) ** (-k) * xi_n(1, a, 1.0))
         coef = comb(k_d, k) * (-ratio) ** k / LN2
         terms.append(coef * fsum(inner))
-        gross.append(abs(coef) * fsum(inner_abs))
+        gross.append(abs(coef) * fsum(abs(t) for t in inner))
     return terms, gross
 
 
@@ -335,16 +309,8 @@ def avg_rate_a2(params) -> ClosedFormRate:
     the (1 - p0/pu)^{-n} weights blow up the cancellation near that pole,
     in which case the rate-integral route takes over.
     """
-    eff, flagged = _guard_a2(params)
-    if max(eff.k_u, eff.k_d) > _CLOSED_RATE_MAX_K:
-        return ClosedFormRate(_rate_by_quadrature(eff, cdf_sinr_dl_a2), flagged)
-    ul_terms, ul_gross = _ul_terms(eff)
-    dl_terms, dl_gross = _dl_a2_terms(eff)
-    total = fsum(ul_terms + dl_terms)
-    gross = fsum(ul_gross + dl_gross)
-    if total <= 0.0 or _EPS4 * gross > _CANCEL_LIMIT * total:
-        return ClosedFormRate(_rate_by_quadrature(eff, cdf_sinr_dl_a2), flagged)
-    return ClosedFormRate(total, flagged)
+    eff, flagged = _guard(params, abs(1.0 - params.p0 / params.pu) < _POLE_EPS)
+    return ClosedFormRate(_closed_or_quadrature(eff, _dl_a2_terms, cdf_sinr_dl_a2), flagged)
 
 
 def asymptotic_rate_a1(params) -> AsymptoticRate:

@@ -135,7 +135,10 @@ def _write_manifest(out_path, command, resolved):
 
 
 def _load_config_file(path):
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise FlagError(f"--config: cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and isinstance(data.get("resolved"), dict):
         data = data["resolved"]
     if not isinstance(data, dict):
@@ -240,17 +243,14 @@ def cmd_analyze(args):
         })
 
     if algs:
-        ul = analysis.avg_rate_ul_closed(params)
-        ul_oracle = analysis.avg_rate_integral(
-            lambda x: analysis.cdf_sinr_ul(x, params), analysis._degenerate_cdf)
-        row("avg_rate_ul_closed", ul, oracle=ul_oracle, flagged=False)
+        row("avg_rate_ul_closed", analysis.avg_rate_ul_closed(params),
+            oracle=analysis._rate_by_quadrature(params), flagged=False)
     for alg in algs:
         fn = analysis.avg_rate_a1 if alg == "a1" else analysis.avg_rate_a2
         cdf = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
         result = fn(params)
-        oracle = analysis.avg_rate_integral(
-            lambda x: analysis.cdf_sinr_ul(x, params), lambda x: cdf(x, params))
-        row(f"avg_rate_{alg}", result.value, oracle=oracle, flagged=result.flagged)
+        row(f"avg_rate_{alg}", result.value, oracle=analysis._rate_by_quadrature(params, cdf),
+            flagged=result.flagged)
     if settings["asymptotic"]:
         asym = analysis.asymptotic_rate_a1(params)
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)

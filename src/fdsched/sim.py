@@ -81,6 +81,8 @@ class SweepSpec:
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "values", values)
         schedulers = (self.schedulers,) if isinstance(self.schedulers, str) else self.schedulers
         schedulers = tuple(Scheduler(s) for s in schedulers)
@@ -235,21 +237,20 @@ def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
 _DOMINANCE_TOL = 1e-9
 
 
-def run_coupled(config, schedulers, n_trials, seed, workers=1, check_dominance=True):
+def run_coupled(config, schedulers, n_trials, seed, workers=1):
     """Run several schedulers against the same channel draws.
 
     Each block is drawn once and evaluated by every scheduler, so the
-    comparison is coupled by construction.  With ``check_dominance`` the
-    per-realization chain is asserted: ES-FDHD dominates ES-FD and every
-    OPA-enhanced selector, and each OPA-enhanced selector dominates both
-    single-link HD corner rates of its scheduled pair.  Returns
-    ({scheduler: TrialStats}, {scheduler: per-trial arrays}).
+    comparison is coupled by construction.  The per-realization chain is
+    asserted: ES-FDHD dominates ES-FD and every OPA-enhanced selector, and
+    each OPA-enhanced selector dominates both single-link HD corner rates
+    of its scheduled pair.  Returns ({scheduler: TrialStats},
+    {scheduler: per-trial arrays}).
     """
     arrays = _run_arrays(config, schedulers, n_trials, seed, workers)
-    if check_dominance:
-        violations = dominance_violations(arrays)
-        if violations:
-            raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
+    violations = dominance_violations(arrays)
+    if violations:
+        raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
     stats = {s: _aggregate(a, int(n_trials)) for s, a in arrays.items()}
     return stats, arrays
 

@@ -193,7 +193,7 @@ def crit_dominance_chain(quick=False):
         Scheduler.ES_FDHD, Scheduler.ES_FD,
         Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA,
     ]
-    _, arrays = sim.run_coupled(config, schedulers, n, seed=77, check_dominance=False)
+    arrays = sim._run_arrays(config, schedulers, n, seed=77)
     violations = sim.dominance_violations(arrays)
     if violations:
         return False, "; ".join(violations)

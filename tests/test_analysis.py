@@ -21,7 +21,7 @@ from fdsched.analysis import (
     cdf_sinr_dl_a2,
     cdf_sinr_ul,
 )
-from fdsched.model import SystemConfig
+from fdsched.model import SystemConfig, config_from_db
 from fdsched.sim import Scheduler, run_trials
 
 mp.mp.dps = 40
@@ -122,6 +122,23 @@ class TestRateIntegral:
         with pytest.raises(QuadratureError) as err:
             avg_rate_integral(lambda x: 0.0, lambda x: 0.0)
         assert err.value.achieved > 0.0
+
+    @pytest.mark.parametrize("snr", [1e6, 1e12])
+    def test_high_snr_link(self, snr):
+        # One Rayleigh link of mean SNR s: e^{1/s} E1(1/s) / ln 2.  At 1e12
+        # the integrand in x stays near 1/(1+x) out to x ~ 1e12.
+        c = 1.0 / snr
+        got = avg_rate_integral(lambda x: -math.expm1(-c * x), _degenerate_cdf)
+        ref = float(mp.e ** mp.mpf(c) * mp.e1(mp.mpf(c)) / mp.log(2))
+        assert got == pytest.approx(ref, abs=1e-9)
+
+    def test_a2_at_preset_radio_point(self):
+        # 24/23 dBm, 40 dB cancellation, K = 8: the A2 sum reroutes to the
+        # rate integral.  Reference: perfbench/reference.json (mpmath at 40
+        # digits, two independent methods per link rate).
+        params = AnalyticalParams.from_config(config_from_db(24, 23, 40, k_u=8, k_d=8))
+        value = avg_rate_a2(params).value
+        assert value == pytest.approx(18.476650174666982236941392603738, rel=1e-6)
 
 
 class TestUlClosed:

@@ -145,7 +145,8 @@ class TestSimulate:
         ({"workers": 1.5}, "workers must be a whole number"),
         ({"trials": "100"}, "trials must be a whole number"),
         ({"sweep_parameter": "si_cancellation_db"}, "values must be non-empty"),
-    ], ids=[f"settings{i}" for i in range(7)])
+        ({"seed": -1}, "seed must be >= 0"),
+    ], ids=[f"settings{i}" for i in range(8)])
     def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))
@@ -199,6 +200,18 @@ class TestSimulate:
         assert rc == 2
         assert "k_d is set twice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"{bad", b"\xff\xfe"],
+                             ids=["missing", "malformed", "not-utf8"])
+    def test_unreadable_settings_file_exits_2(self, tmp_path, capsys, content):
+        config = tmp_path / "settings.json"
+        if content is not None:
+            config.write_bytes(content)
+        for command in (["simulate", "--trials", "10"], ["analyze", "--alg", "a1"]):
+            rc = run_cli(command + ["--config", str(config), "--out", str(tmp_path / "x.csv")])
+            assert rc == 2
+            assert f"cannot read {config}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "run.json"
         run_cli(["simulate", "--scheduler", "a1", "--trials", "300",
@@ -229,6 +242,18 @@ class TestAnalyze:
         for row in rows.values():
             rel = float(row["abs_diff"]) / float(row["oracle_bits"])
             assert rel <= 1e-6
+
+    def test_low_power_point_converges(self, tmp_path):
+        # The rate integral once cut this point's tail too early and raised
+        # (exit 3); both oracles now agree with the closed forms.
+        out = tmp_path / "an.csv"
+        rc = run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--p0-dbm", "20", "--pu-dbm", "15",
+                      "--ku", "3", "--kd", "4", "--si-db", "70", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv(out)
+        assert [r["quantity"] for r in rows] == [
+            "avg_rate_ul_closed", "avg_rate_a1", "avg_rate_a2"]
+        assert all(float(r["abs_diff"]) <= 1e-9 for r in rows)
 
     def test_pole_point_flagged(self, tmp_path):
         out = tmp_path / "an.csv"
