@@ -5,7 +5,10 @@ from its own child stream ``SeedSequence(entropy=seed, spawn_key=(j,))`` in
 a pinned order, so the channel snapshot of trial i is a pure function of
 (seed, i) -- independent of the total trial count, of the worker count, and
 of which other schedulers run.  That gives bit-identical results under any
-degree of parallelism.
+degree of parallelism.  A block's cross gains come last in its stream and
+are drawn and evaluated in row chunks of about ``CHUNK_BYTES``: the chunks
+continue the same stream, so the numbers are those of a whole-block draw,
+while memory stays bounded at any user count.
 
 The engine takes a list of schedulers: each block is drawn once (once per
 sweep point in a sweep) and every scheduler is evaluated on it, so the
@@ -32,6 +35,7 @@ from .model import RADIO_DEFAULTS, config_from_db, whole_number
 from .scheduling import OPA_BASE, Scheduler, evaluate
 
 BLOCK_SIZE = 4096
+CHUNK_BYTES = 8 << 20  # cross gains drawn and evaluated at a time, per worker
 
 SWEEPABLE_PARAMETERS = ("p0_dbm", "si_cancellation_db", "k_users")
 
@@ -132,12 +136,18 @@ def _block_rng(seed, block):
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(block),)))
 
 
+def _chunk_rows(config):
+    """Rows per cross-gain chunk: about CHUNK_BYTES of float64, 1 to BLOCK_SIZE."""
+    return min(max(CHUNK_BYTES // (8 * config.k_u * config.k_d), 1), BLOCK_SIZE)
+
+
 def _draw_block(config, rng):
-    """Draw one full block of channel snapshots (always BLOCK_SIZE rows;
-    callers slice).  Single seam for tests that need doctored channels."""
+    """Draw one block's UL and DL gains (always BLOCK_SIZE rows) and the
+    cross gains of its first chunk of rows; the engine draws the rest from
+    ``rng`` in chunks of that size.  Single seam for doctored channels."""
     g_ul = rng.standard_exponential((BLOCK_SIZE, config.k_u))
     g_dl = rng.standard_exponential((BLOCK_SIZE, config.k_d))
-    g_x = rng.standard_exponential((BLOCK_SIZE, config.k_d, config.k_u))
+    g_x = rng.standard_exponential((_chunk_rows(config), config.k_d, config.k_u))
     return g_ul, g_dl, g_x
 
 
@@ -148,9 +158,10 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     """Per-trial arrays of every scheduler, ``{scheduler: {name: array}}``
     in the order given (repeats collapse); ``keys`` limits the arrays kept.
 
-    Each block is drawn once and evaluated by every scheduler; its rows go
-    straight into per-scheduler output arrays at the block's offset, so the
-    result is the same for any worker count.
+    Each block is drawn once and evaluated by every scheduler, a chunk of
+    cross-gain rows at a time; the rows go straight into per-scheduler
+    output arrays at their offset, so the result is the same for any
+    worker count.
     """
     schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
     if not schedulers:
@@ -163,19 +174,25 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     lock = threading.Lock()
 
     def one(j):
-        g_ul, g_dl, g_x = _draw_block(config, _block_rng(seed, j))
-        lo = j * BLOCK_SIZE
+        rng = _block_rng(seed, j)
+        g_ul, g_dl, g_x = _draw_block(config, rng)
+        lo, rows = j * BLOCK_SIZE, len(g_x)
         take = min(BLOCK_SIZE, n_trials - lo)
-        for s in schedulers:
-            block = _evaluate_block(s, config, g_ul, g_dl, g_x)
-            if keys is not None:
-                block = {k: block[k] for k in keys}
-            with lock:  # the first block to finish allocates the outputs
-                dest = out.get(s)
-                if dest is None:
-                    dest = out[s] = {k: np.empty(n_trials, v.dtype) for k, v in block.items()}
-            for k, v in block.items():
-                dest[k][lo:lo + take] = v[:take]
+        for start in range(0, take, rows):
+            n = min(rows, take - start)
+            if start:  # g_x is last in the stream: refill in place, stop at the last row used
+                g_x = rng.standard_exponential(out=g_x[:n])
+            for s in schedulers:
+                block = _evaluate_block(s, config, g_ul[start:start + n],
+                                        g_dl[start:start + n], g_x[:n])
+                if keys is not None:
+                    block = {k: block[k] for k in keys}
+                with lock:  # the first chunk to finish allocates the outputs
+                    dest = out.get(s)
+                    if dest is None:
+                        dest = out[s] = {k: np.empty(n_trials, v.dtype) for k, v in block.items()}
+                for k, v in block.items():
+                    dest[k][lo + start:lo + start + n] = v
 
     if workers and workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=int(workers)) as pool:

@@ -4,6 +4,7 @@ one realization at a time."""
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,69 @@ class TestSharedDraws:
             best = max(r_ul + r_dl for r_ul, r_dl in fd_pairs)
             split_ties += len({r_ul for r_ul, r_dl in fd_pairs if r_ul + r_dl == best}) > 1
         assert split_ties > 10  # the tie order decided these trials
+
+
+class TestChunkedDraws:
+    """Cross gains are drawn and evaluated a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("k_u,k_d", [(40, 40), (7, 40)])
+    def test_chunks_match_whole_block_draws(self, monkeypatch, k_u, k_d):
+        # The reference draws every block whole, g_ul, g_dl and then all
+        # BLOCK_SIZE rows of g_x, and evaluates it in one kernel call.
+        config = config_from_db(24.0, 23.0, 60.0, k_u=k_u, k_d=k_d)
+        n, seed = 2 * BLOCK_SIZE + 7, 64
+        reference = {s: {} for s in Scheduler}
+        for j in range(3):
+            rng = sim._block_rng(seed, j)
+            g_ul = rng.standard_exponential((BLOCK_SIZE, k_u))
+            g_dl = rng.standard_exponential((BLOCK_SIZE, k_d))
+            g_x = rng.standard_exponential((BLOCK_SIZE, k_d, k_u))
+            for s in Scheduler:
+                for key, v in scheduling.evaluate(s, config, g_ul, g_dl, g_x).items():
+                    reference[s].setdefault(key, []).append(v)
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 13 * 8 * k_u * k_d)  # 13 rows, 4096 % 13 = 1
+        assert sim._chunk_rows(config) == 13
+        for workers in (1, 2):
+            arrays = sim._run_arrays(config, list(Scheduler), n, seed, workers=workers)
+            for s in Scheduler:
+                assert arrays[s].keys() == reference[s].keys()
+                for key, parts in reference[s].items():
+                    expected = np.concatenate(parts)[:n]
+                    assert arrays[s][key].dtype == expected.dtype
+                    assert arrays[s][key].tobytes() == expected.tobytes(), (s, key, workers)
+
+    def test_chunk_rows_bound_the_cross_gains(self):
+        assert sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=15, k_d=15)) == BLOCK_SIZE
+        for k_u, k_d in [(64, 64), (7, 300), (100, 100)]:
+            rows = sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=k_u, k_d=k_d))
+            assert 1 <= rows < BLOCK_SIZE and 8 * rows * k_u * k_d <= sim.CHUNK_BYTES
+        assert sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=2000, k_d=2000)) == 1
+
+    @pytest.mark.parametrize("n_trials", [100, BLOCK_SIZE + 7])
+    def test_short_runs_evaluate_only_the_rows_they_use(self, monkeypatch, n_trials):
+        rows = []
+        real_evaluate = sim._evaluate_block
+
+        def counting_evaluate(scheduler, config, g_ul, g_dl, g_x):
+            rows.append(len(g_ul))
+            return real_evaluate(scheduler, config, g_ul, g_dl, g_x)
+
+        monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 1000 * 8 * 6 * 6)
+        run_trials(SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 6, 6), "es-fdhd", n_trials, seed=65)
+        assert sum(rows) == n_trials and max(rows) <= 1000
+
+    def test_large_k_run_memory_is_bounded(self):
+        # tracemalloc sees numpy's buffers.  Drawing a whole block of cross
+        # gains at K = 100 would take 4096 * 100**2 * 8 bytes = 328 MB.
+        config = config_from_db(24.0, 23.0, 80.0, k_u=100, k_d=100)
+        tracemalloc.start()
+        try:
+            run_trials(config, "es-fdhd", 100, seed=66)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestInputChecks:
