@@ -1,37 +1,48 @@
 """Closed-form average sum rates over Rayleigh fading and their oracles.
 
-Three independent computation paths cover every analytical quantity: the
-closed forms built from the xi_n kernel, adaptive quadrature of the generic
-rate integral
+Three independent paths cover every analytical quantity: the closed forms
+built from the xi_n kernel, quadrature of the rate integral
 
-    Rbar = (1/ln 2) * integral_0^inf (2 - F_ul(x) - F_dl(x)) / (x + 1) dx,
+    Rbar = (1/ln 2) * integral_0^inf (S_ul(x) + S_dl(x)) / (x + 1) dx
 
-taken over t = ln(1 + x) up to where its integrand is exactly 0 (no error
-for monotone CDFs at most 1; see :func:`avg_rate_integral`), and Monte
-Carlo simulation (:mod:`fdsched.sim`).  The closed forms are the product;
-the quadrature path doubles as their in-package oracle and as the stable
-route where the closed forms are numerically unusable:
+over the survival functions S = 1 - F of the two links' SINRs, and Monte
+Carlo simulation (:mod:`fdsched.sim`).  The quadrature doubles as the
+closed forms' oracle and as their route (``ClosedFormRate.route``) around
 
-* removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form has
-  (1 - p0/pu)^{-n}.  At a pole the parameters are nudged (pu up by 1e-6
-  relative) and the result is flagged.
-* cancellation: the alternating binomial sums lose ~2^K digits; whenever
-  the compensated-summation error estimate exceeds 1e-9 of the result (in
-  practice for K beyond ~20-30, and always near a pole), or a user count
-  exceeds 40, the value is recomputed from the rate integral with
-  numerically stable CDF forms.
+* removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form
+  (1 - p0/pu)^{-n}; at a pole pu is nudged up by 1e-6 relative and the
+  result is flagged;
+* cancellation: the alternating binomial sums lose ~2^K digits, so a sum
+  whose compensated-summation error estimate exceeds 1e-9 of it, or a user
+  count above 40, goes to the rate integral.
+
+The survival functions take numpy arrays and never subtract from 1, so
+their tails keep full relative precision.  UL and A2 DL: the best of K
+candidates, each above x with probability y, is above x with probability
+-expm1(K log1p(-y)).  A1 DL, with h the largest of K unit exponentials, g
+the interferer's gain, c = sigmaD^2 x / p0, q = e^{-c} and r = pu x / p0:
+expanding (1 - q e^{-r g})^K binomially and averaging over g gives a finite
+sum of non-negative terms,
+
+    S = sum_k C(K,k) q^k (1 - q)^{K-k} (1 - prod_{j<=k} j r / (1 + j r)).
+
+The rate integral is taken over t = ln(1 + x) on [0, T], T the first of 8,
+16, ..., 512 where the integrand is exactly 0, by 16-point Gauss-Legendre
+panels, halved until successive estimates agree to 1e-9 bits.
+:func:`avg_rate_integral` is the public, generic path over any two scalar
+CDFs (adaptive quadrature) and validate's independent check.
 """
 
 import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, exp, fsum, log
+from itertools import chain
+from math import comb, fsum, log
 from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate
-from scipy.special import roots_laguerre
 
 from .model import LN2
 from .specfun import _EPS4, xi_n
@@ -39,9 +50,11 @@ from .specfun import _EPS4, xi_n
 _POLE_EPS = 1e-9          # relative pole distance that triggers the guard
 _PERTURB_REL = 1e-6       # relative nudge applied to pu at a pole
 _CANCEL_LIMIT = 1e-9      # estimated cancellation beyond this -> quadrature
-_BINOM_DIRECT_MAX = 20    # alternating binomial CDF sums: direct up to here
 _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
-_LAGUERRE_NODES = 200
+_RATE_TOL = 1e-9          # bits: summed error estimate of the rate integral
+_MAX_PANELS = 4096        # narrowest Gauss-Legendre panel: T / 4096
+_TINY = np.finfo(float).tiny
+_LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
 
 
 @dataclass(frozen=True)
@@ -76,10 +89,13 @@ class AnalyticalParams:
 
 
 class ClosedFormRate(NamedTuple):
-    """Closed-form value plus whether a pole guard perturbed the inputs."""
+    """Closed-form value, whether a pole guard perturbed the inputs, and the
+    route that computed it: ``"closed"``, ``"quadrature:cancellation"`` or
+    ``"quadrature:large-k"``."""
 
     value: float
     flagged: bool
+    route: str = "closed"
 
 
 class AsymptoticRate(NamedTuple):
@@ -97,82 +113,111 @@ class QuadratureError(ArithmeticError):
         self.achieved = achieved
 
 
-@lru_cache(maxsize=4)
-def _laguerre(n):
-    return roots_laguerre(n)
+def _checked(x):
+    x = float(x)
+    if not x >= 0.0:
+        raise ValueError(f"CDF argument must be >= 0, got {x!r}")
+    return x
+
+
+def _ul_tail(x, params, m=np):
+    """e^{-a x}: the chance that one UL candidate's SINR exceeds x."""
+    return m.exp(-(params.p0 * params.si_gain + params.sigma0_sq) / params.pu * x)
+
+
+def _a2_tail(x, params, m=np):
+    """e^{-a x} / (1 + b x): the chance that one DL candidate's SINR, given
+    the chosen UL user's leakage, exceeds x."""
+    return m.exp(-params.sigmaD_sq / params.p0 * x) / (1.0 + params.pu / params.p0 * x)
+
+
+def _best_of_sf(y, k):
+    """1 - (1 - y)^k over arrays: the best of k i.i.d. candidates, each above
+    x with probability y, is above x."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(k * np.log1p(-y))
+
+
+def _best_of_cdf(y, k):
+    """(1 - y)^k for one scalar y in [0, 1], from the same logarithm."""
+    return math.exp(k * math.log1p(-y)) if y < 1.0 else 0.0
+
+
+def _sf_ul(x, params):
+    """Survival function of the UL SINR (gain-max over k_u, same under A1
+    and A2) on an array of x >= 0."""
+    return _best_of_sf(_ul_tail(x, params), params.k_u)
+
+
+def _sf_dl_a2(x, params):
+    """Survival function of the A2 DL SINR (SINR-max over k_d given the
+    chosen UL user's leakage) on an array of x >= 0."""
+    return _best_of_sf(_a2_tail(x, params), params.k_d)
+
+
+@lru_cache(maxsize=64)
+def _log_comb(k_d):
+    """log C(k_d, k) for k = 1..k_d, each the log of the exact integer."""
+    logs, binom = [], 1
+    for k in range(1, k_d + 1):
+        binom = binom * (k_d - k + 1) // k
+        logs.append(log(binom))
+    return tuple(logs)
+
+
+def _sf_dl_a1(x, params):
+    """Survival function of the A1 DL SINR (gain-max over k_d, blind to the
+    interference it will suffer) on an array of x >= 0: the finite sum of
+    non-negative terms in the module docstring, with each binomial weight
+    and each 1 - prod_{j<=k} j r / (1 + j r) taken from logarithms."""
+    k_d = params.k_d
+    k = np.arange(1.0, k_d + 1.0)
+    x = np.asarray(x, dtype=float)[..., None]
+    c = params.sigmaD_sq / params.p0 * x
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
+        neg_log_prod = np.cumsum(np.log1p(params.p0 / (params.pu * x) / k), axis=-1)
+    log_w = np.asarray(_log_comb(k_d)) - k * c + (k_d - k) * log_p
+    # Weights below e^-700 are dropped: exp is ~20x slower where its
+    # result is subnormal or 0.
+    w = np.exp(np.maximum(log_w, _LOG_FLOOR)) * (log_w > _LOG_FLOOR)
+    return np.minimum(-(w * np.expm1(-neg_log_prod)).sum(axis=-1), 1.0)
 
 
 def cdf_sinr_ul(x, params):
     """CDF of the UL SINR when the UL user is the gain-max over k_u
-    candidates (the same law under A1 and A2).
-
-    Alternating binomial form for small k_u; the mathematically identical
-    product form (1 - e^{-a x})^K beyond, where the alternating sum would
-    drown in cancellation.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"CDF argument must be >= 0, got {x!r}")
-    a = (params.p0 * params.si_gain + params.sigma0_sq) / params.pu
-    k_u = params.k_u
-    if k_u <= _BINOM_DIRECT_MAX:
-        v = fsum(comb(k_u, k) * (-1.0) ** k * exp(-k * a * x) for k in range(k_u + 1))
-    else:
-        v = (1.0 - exp(-min(a * x, 745.0))) ** k_u
-    return min(max(v, 0.0), 1.0)
+    candidates (the same law under A1 and A2): (1 - e^{-a x})^{k_u}."""
+    return _best_of_cdf(_ul_tail(_checked(x), params, math), params.k_u)
 
 
 def cdf_sinr_dl_a1(x, params):
     """CDF of the DL SINR when the DL user is the gain-max over k_d
     candidates (selection ignores the interference it will suffer).
 
-    Alternating binomial form for small k_d; for large k_d the conditioning
-    integral over the interferer's gain is evaluated by Gauss-Laguerre
-    quadrature instead.
+    1 minus the finite non-negative sum of the module docstring, summed
+    term by term in scalar arithmetic.
     """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"CDF argument must be >= 0, got {x!r}")
-    p0, pu, sd = params.p0, params.pu, params.sigmaD_sq
+    x = _checked(x)
+    if x == 0.0:
+        return 0.0
     k_d = params.k_d
-    if k_d <= _BINOM_DIRECT_MAX:
-        v = fsum(
-            comb(k_d, k) * (-1.0) ** k / (k * pu * x / p0 + 1.0) * exp(-k * sd * x / p0)
-            for k in range(k_d + 1)
-        )
-    else:
-        nodes, weights = _laguerre(_LAGUERRE_NODES)
-        inner = (1.0 - np.exp(-np.minimum((pu * nodes + sd) * x / p0, 745.0))) ** k_d
-        v = float(np.dot(weights, inner))
-    return min(max(v, 0.0), 1.0)
+    c = params.sigmaD_sq / params.p0 * x
+    log_p = math.log(max(-math.expm1(-c), _TINY))
+    rho = params.p0 / (params.pu * x)
+    sf = neg_log_prod = 0.0
+    for k, log_comb in enumerate(_log_comb(k_d), 1):
+        neg_log_prod += math.log1p(rho / k)
+        log_w = log_comb - k * c + (k_d - k) * log_p
+        if log_w > _LOG_FLOOR:
+            sf -= math.exp(log_w) * math.expm1(-neg_log_prod)
+    return max(0.0, 1.0 - sf)
 
 
 def cdf_sinr_dl_a2(x, params):
     """CDF of the DL SINR when the DL user maximizes SINR given the chosen
-    UL user's leakage.
-
-    The stated sum telescopes exactly into the product form
-    (1 - e^{-a x} / (1 + b x))^K, which is used for large k_d.
-    """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError(f"CDF argument must be >= 0, got {x!r}")
-    b = params.pu / params.p0
-    a = params.sigmaD_sq / params.p0
-    k_d = params.k_d
-    if k_d <= _BINOM_DIRECT_MAX:
-        v = fsum(
-            comb(k_d, k) * (-b * x - 1.0) ** (-k) * exp(-a * k * x)
-            for k in range(k_d + 1)
-        )
-    else:
-        v = (1.0 - exp(-min(a * x, 745.0)) / (1.0 + b * x)) ** k_d
-    return min(max(v, 0.0), 1.0)
-
-
-def _degenerate_cdf(x):
-    """CDF of an a.s.-zero SINR; plug in for a link that does not exist."""
-    return 1.0
+    UL user's leakage: the stated alternating sum telescopes exactly into
+    (1 - e^{-a x} / (1 + b x))^{k_d}."""
+    return _best_of_cdf(_a2_tail(_checked(x), params, math), params.k_d)
 
 
 def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
@@ -210,47 +255,111 @@ def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
     return val / LN2
 
 
-def _rate_by_quadrature(params, cdf_dl=None):
-    """The rate integral of the UL law plus ``cdf_dl`` (None: UL only); the
-    oracle of the closed forms and their route around cancellation."""
-    return avg_rate_integral(
-        lambda x: cdf_sinr_ul(x, params),
-        _degenerate_cdf if cdf_dl is None else lambda x: cdf_dl(x, params),
-    )
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """16-point Gauss-Legendre nodes and weights on [0, 1], made on first
+    use (the eigenvalue solve costs the simulator's processes ~1 MB)."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def _rate_by_quadrature(params, sf_dl=None):
+    """The rate integral of S_ul plus the survival function ``sf_dl`` (None:
+    UL only): the closed forms' oracle and route around cancellation.
+
+    Starting from 8 panels, every panel whose estimate and the sum over its
+    halves differ by more than its share (width / T) of 1e-9 bits is halved,
+    until the differences of all panels add up to at most 1e-9 bits.
+    Raises :class:`QuadratureError` if a panel gets narrower than T / 4096.
+    """
+    nodes, weights = _gauss_legendre()
+
+    def integrand(t):
+        x = np.expm1(t)
+        return _sf_ul(x, params) if sf_dl is None else _sf_ul(x, params) + sf_dl(x, params)
+
+    def panels(lo, width):
+        return integrand(lo[:, None] + nodes * width) @ weights * width
+
+    cutoffs = 2.0 ** np.arange(3, 10)   # 8, 16, ..., 512
+    alive = integrand(cutoffs) > 0.0
+    if alive[-1]:
+        raise QuadratureError("integrand is still positive at ln(1+x) = 512", achieved=math.inf)
+    cutoff = cutoffs[alive.argmin()]
+    width = cutoff / 8.0
+    lo = np.arange(8) * width
+    coarse = panels(lo, width)
+    total = spent = 0.0
+    while True:
+        width /= 2.0
+        halves = panels(np.concatenate([lo, lo + width]), width).reshape(2, -1)
+        fine = halves.sum(axis=0)
+        err = np.abs(fine - coarse)
+        if spent + err.sum() <= _RATE_TOL * LN2:
+            return float(total + fine.sum()) / LN2
+        done = err <= _RATE_TOL * LN2 * 2.0 * width / cutoff
+        total += fine[done].sum()
+        spent += err[done].sum()
+        if width <= cutoff / _MAX_PANELS:
+            raise QuadratureError("panel halving did not converge",
+                                  achieved=err[~done].sum() / LN2)
+        lo = np.concatenate([lo[~done], lo[~done] + width])
+        coarse = halves[:, ~done].ravel()
 
 
 def _ul_terms(params):
-    """Per-k terms of the closed UL rate and their gross magnitudes."""
+    """Per-k terms of the closed UL rate with their gross magnitudes."""
     k_u = params.k_u
     scale = (params.p0 * params.si_gain + params.sigma0_sq) / params.pu
-    terms = [
-        comb(k_u, k) * (-1.0) ** (k + 1) / LN2 * xi_n(1, k * scale, 1.0)
-        for k in range(1, k_u + 1)
-    ]
-    return terms, [abs(t) for t in terms]
+    for k in range(1, k_u + 1):
+        term = comb(k_u, k) * (-1.0) ** (k + 1) / LN2 * xi_n(1, k * scale, 1.0)
+        yield term, abs(term)
 
 
-def _closed_or_quadrature(params, dl_terms=None, cdf_dl=None):
+def _rate_bound(params, with_dl):
+    """An upper bound on the average rate in bits, UL only or UL plus DL:
+    Jensen's inequality, with E[max of K unit exponentials] = H_K <= 1 + ln K
+    and the DL SINR at most its interference-free SNR."""
+    bound = math.log2(1.0 + (1.0 + log(params.k_u)) * params.pu
+                      / (params.p0 * params.si_gain + params.sigma0_sq))
+    if with_dl:
+        bound += math.log2(1.0 + (1.0 + log(params.k_d)) * params.p0 / params.sigmaD_sq)
+    return bound
+
+
+def _closed_or_quadrature(params, dl_terms=None, sf_dl=None):
     """The closed UL rate plus ``dl_terms`` (None: UL only), or the rate
-    integral with ``cdf_dl`` when a user count is beyond the closed forms or
-    the compensated-summation error estimate exceeds 1e-9 of the sum."""
+    integral with ``sf_dl`` when a user count is beyond the closed forms or
+    the compensated-summation error estimate exceeds 1e-9 of the sum; the
+    one place that sets a :class:`ClosedFormRate`'s route.  The terms stop
+    once their gross magnitude fails the estimate against
+    :func:`_rate_bound`, which the full sum would then fail too.
+    """
     k = params.k_u if dl_terms is None else max(params.k_u, params.k_d)
-    if k <= _CLOSED_RATE_MAX_K:
-        terms, gross = _ul_terms(params)
-        if dl_terms is not None:
-            more, more_gross = dl_terms(params)
-            terms, gross = terms + more, gross + more_gross
-        total = fsum(terms)
-        if total > 0.0 and _EPS4 * fsum(gross) <= _CANCEL_LIMIT * total:
-            return total
-    return _rate_by_quadrature(params, cdf_dl)
+    if k > _CLOSED_RATE_MAX_K:
+        route = "quadrature:large-k"
+    else:
+        limit = _CANCEL_LIMIT / _EPS4 * _rate_bound(params, dl_terms is not None)
+        terms, gross, running = [], [], 0.0
+        for term, size in chain(_ul_terms(params), () if dl_terms is None else dl_terms(params)):
+            terms.append(term)
+            gross.append(size)
+            running += size
+            if running > limit:
+                break
+        else:
+            total = fsum(terms)
+            if total > 0.0 and _EPS4 * fsum(gross) <= _CANCEL_LIMIT * total:
+                return ClosedFormRate(total, False)
+        route = "quadrature:cancellation"
+    return ClosedFormRate(_rate_by_quadrature(params, sf_dl), False, route)
 
 
 def avg_rate_ul_closed(params):
     """Closed-form average UL rate: an alternating binomial combination of
     xi_1 kernels.  Falls back to the rate integral when cancellation would
     eat the result (large k_u)."""
-    return _closed_or_quadrature(params)
+    return _closed_or_quadrature(params).value
 
 
 def _guard(params, on_pole):
@@ -262,15 +371,12 @@ def _guard(params, on_pole):
 
 def _dl_a1_terms(params):
     k_d, p0, pu = params.k_d, params.p0, params.pu
-    terms, gross = [], []
     for k in range(1, k_d + 1):
         a = k * params.sigmaD_sq / p0
         xa = xi_n(1, a, 1.0)
         xb = xi_n(1, a, p0 / (k * pu))
         coef = comb(k_d, k) * (-1.0) ** (k + 1) / LN2 * (p0 / (p0 - k * pu))
-        terms.append(coef * (xa - xb))
-        gross.append(abs(coef) * (xa + xb))
-    return terms, gross
+        yield coef * (xa - xb), abs(coef) * (xa + xb)
 
 
 def avg_rate_a1(params) -> ClosedFormRate:
@@ -283,22 +389,19 @@ def avg_rate_a1(params) -> ClosedFormRate:
     """
     eff, flagged = _guard(params, any(abs(params.p0 - k * params.pu) < _POLE_EPS * params.pu
                                       for k in range(1, params.k_d + 1)))
-    return ClosedFormRate(_closed_or_quadrature(eff, _dl_a1_terms, cdf_sinr_dl_a1), flagged)
+    return _closed_or_quadrature(eff, _dl_a1_terms, _sf_dl_a1)._replace(flagged=flagged)
 
 
 def _dl_a2_terms(params):
     k_d = params.k_d
     ratio = params.p0 / params.pu
-    terms, gross = [], []
     for k in range(1, k_d + 1):
         a = k * params.sigmaD_sq / params.p0
         inner = [(-1.0) ** ell * (1.0 - ratio) ** (-ell) * xi_n(k - ell + 1, a, ratio)
                  for ell in range(1, k + 1)]
         inner.append((-1.0) ** (1 - k) * (1.0 - ratio) ** (-k) * xi_n(1, a, 1.0))
         coef = comb(k_d, k) * (-ratio) ** k / LN2
-        terms.append(coef * fsum(inner))
-        gross.append(abs(coef) * fsum(abs(t) for t in inner))
-    return terms, gross
+        yield coef * fsum(inner), abs(coef) * fsum(abs(t) for t in inner)
 
 
 def avg_rate_a2(params) -> ClosedFormRate:
@@ -310,7 +413,7 @@ def avg_rate_a2(params) -> ClosedFormRate:
     in which case the rate-integral route takes over.
     """
     eff, flagged = _guard(params, abs(1.0 - params.p0 / params.pu) < _POLE_EPS)
-    return ClosedFormRate(_closed_or_quadrature(eff, _dl_a2_terms, cdf_sinr_dl_a2), flagged)
+    return _closed_or_quadrature(eff, _dl_a2_terms, _sf_dl_a2)._replace(flagged=flagged)
 
 
 def asymptotic_rate_a1(params) -> AsymptoticRate:

@@ -247,9 +247,9 @@ def cmd_analyze(args):
             oracle=analysis._rate_by_quadrature(params), flagged=False)
     for alg in algs:
         fn = analysis.avg_rate_a1 if alg == "a1" else analysis.avg_rate_a2
-        cdf = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
+        sf = analysis._sf_dl_a1 if alg == "a1" else analysis._sf_dl_a2
         result = fn(params)
-        row(f"avg_rate_{alg}", result.value, oracle=analysis._rate_by_quadrature(params, cdf),
+        row(f"avg_rate_{alg}", result.value, oracle=analysis._rate_by_quadrature(params, sf),
             flagged=result.flagged)
     if settings["asymptotic"]:
         asym = analysis.asymptotic_rate_a1(params)

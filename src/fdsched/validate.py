@@ -203,10 +203,12 @@ def crit_dominance_chain(quick=False):
     return True, f"{n} coupled trials, zero violations (min es-fdhd - es-fd = {margin:.3e})"
 
 
-def _sup_distance(samples, cdf):
+def _sup_distance(samples, sf, params):
+    """Kolmogorov distance between the samples and the law with survival
+    function ``sf``, evaluated once on the sorted sample array."""
     xs = np.sort(samples)
     n = xs.size
-    theo = np.array([cdf(x) for x in xs])
+    theo = 1.0 - sf(xs, params)
     lo = np.arange(n) / n
     hi = np.arange(1, n + 1) / n
     return float(np.max(np.maximum(np.abs(theo - lo), np.abs(theo - hi))))
@@ -220,10 +222,10 @@ def crit_cdf_laws(quick=False):
     checks = []
     g_ul_1, g_dl_1 = sim.selected_sinr_samples(config, Scheduler.A1, n, seed=31)
     g_ul_2, g_dl_2 = sim.selected_sinr_samples(config, Scheduler.A2, n, seed=32)
-    checks.append(("ul sinr (a1 run)", _sup_distance(g_ul_1, lambda x: analysis.cdf_sinr_ul(x, params))))
-    checks.append(("ul sinr (a2 run)", _sup_distance(g_ul_2, lambda x: analysis.cdf_sinr_ul(x, params))))
-    checks.append(("dl sinr under a1", _sup_distance(g_dl_1, lambda x: analysis.cdf_sinr_dl_a1(x, params))))
-    checks.append(("dl sinr under a2", _sup_distance(g_dl_2, lambda x: analysis.cdf_sinr_dl_a2(x, params))))
+    checks.append(("ul sinr (a1 run)", _sup_distance(g_ul_1, analysis._sf_ul, params)))
+    checks.append(("ul sinr (a2 run)", _sup_distance(g_ul_2, analysis._sf_ul, params)))
+    checks.append(("dl sinr under a1", _sup_distance(g_dl_1, analysis._sf_dl_a1, params)))
+    checks.append(("dl sinr under a2", _sup_distance(g_dl_2, analysis._sf_dl_a2, params)))
     tol = 0.01 if not quick else 0.02
     bad = [f"{name} sup-distance {d:.4f}" for name, d in checks if d > tol]
     if bad:

@@ -1,17 +1,28 @@
 """Closed-form rates against quadrature, Monte Carlo, and high-precision
 re-evaluation; CDF laws; the large-system approximation."""
 
+import json
 import math
 from math import comb
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from fdsched import analysis
 from fdsched.analysis import (
     AnalyticalParams,
+    ClosedFormRate,
     QuadratureError,
-    _degenerate_cdf,
+    _dl_a1_terms,
+    _dl_a2_terms,
+    _rate_bound,
+    _rate_by_quadrature,
+    _sf_dl_a1,
+    _sf_dl_a2,
+    _sf_ul,
+    _ul_terms,
     asymptotic_rate_a1,
     avg_rate_a1,
     avg_rate_a2,
@@ -27,6 +38,24 @@ from fdsched.sim import Scheduler, run_trials
 mp.mp.dps = 40
 
 P_GENERIC = AnalyticalParams(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5, 5)
+
+
+def _degenerate_cdf(x):
+    """CDF of an a.s.-zero SINR: a link that does not exist."""
+    return 1.0
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
+def preset_params(k, si_db=80.0):
+    """The benchmark's radio point (24/23 dBm) with k_u = k_d = k."""
+    return AnalyticalParams.from_config(config_from_db(24, 23, si_db, k_u=k, k_d=k))
+
+
+LAWS = {"ul": (_sf_ul, cdf_sinr_ul), "a1": (_sf_dl_a1, cdf_sinr_dl_a1),
+        "a2": (_sf_dl_a2, cdf_sinr_dl_a2)}
 
 
 def quad_rate(params, cdf_dl):
@@ -101,6 +130,97 @@ class TestCdfs:
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
             cdf_sinr_ul(-0.1, P_GENERIC)
+        for cdf in (cdf_sinr_ul, cdf_sinr_dl_a1, cdf_sinr_dl_a2):
+            with pytest.raises(ValueError):
+                cdf(math.nan, P_GENERIC)
+
+
+class TestSurvivalLaws:
+    XS = [0.0, 1e-12, 1.0, 1e3, 1e9, 1e15]
+
+    def test_a1_tail_matches_high_precision(self):
+        # A1 at 24/23 dBm, 80 dB, K = 30: the survival function 1e9 out,
+        # against mpmath quadrature of the conditioning integral at 40 digits.
+        assert _sf_dl_a1(1e9, preset_params(30)) == pytest.approx(5.0278059117969e-9, rel=1e-9)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("k", [1, 5, 20, 21, 30, 48])
+    def test_array_survival_and_scalar_cdf_agree(self, law, k):
+        sf, cdf = LAWS[law]
+        params = preset_params(k)
+        xs = np.array(self.XS)
+        s = sf(xs, params)
+        f = np.array([cdf(x, params) for x in self.XS])
+        assert np.all(np.abs(s + f - 1.0) <= 1e-14)
+        assert np.all(np.diff(s) <= 0.0)
+        assert s[0] == 1.0 and f[0] == 0.0
+        assert [float(sf(x, params)) for x in self.XS] == s.tolist()
+
+    def test_a1_finite_sum_matches_high_precision_integral(self):
+        p = AnalyticalParams(1.0, 1.0, 0.3, 0.5, 0.0, 2, 64)
+
+        def ref(x):
+            f = lambda y: 1 - (1 - mp.e ** (-(p.pu * y + p.sigmaD_sq) * x / p.p0)) ** 64
+            return float(mp.quad(lambda y: f(y) * mp.e ** (-y), [0, 1, 10, mp.inf]))
+
+        for x in (0.5, 2.0, 8.0, 1e4):
+            assert _sf_dl_a1(x, p) == pytest.approx(ref(x), rel=1e-12)
+
+
+class TestRateRule:
+    @pytest.mark.parametrize("alg,k,si_db", [("a1", 5, 80.0), ("a2", 10, 80.0), ("a1", 30, 40.0)])
+    def test_matches_adaptive_integral(self, alg, k, si_db):
+        params = preset_params(k, si_db)
+        sf, cdf = LAWS[alg]
+        assert _rate_by_quadrature(params, sf) == pytest.approx(quad_rate(params, cdf), abs=1e-9)
+
+    def test_ul_only(self):
+        p = AnalyticalParams(1.7, 0.6, 0.3, 0.2, 0.02, 5, 2)
+        oracle = avg_rate_integral(lambda x: cdf_sinr_ul(x, p), _degenerate_cdf)
+        assert _rate_by_quadrature(p) == pytest.approx(oracle, abs=1e-9)
+
+    def test_reports_panels_that_do_not_converge(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_MAX_PANELS", 16)
+        with pytest.raises(QuadratureError) as err:
+            _rate_by_quadrature(preset_params(30), _sf_dl_a1)
+        assert 0.0 < err.value.achieved < math.inf
+
+    @pytest.mark.parametrize("si_db", [40, 60, 80, 100, 120])
+    @pytest.mark.parametrize("k", [30, 40, 48])
+    def test_a1_large_k_against_reference(self, k, si_db):
+        # perfbench/reference.json: mpmath at 40 digits.
+        radio = REFERENCE["settings"]["radio"]
+        assert (radio["p0_dbm"], radio["pu_dbm"], radio["nf_bs_db"], radio["nf_mt_db"],
+                radio["bandwidth_hz"]) == (24, 23, 13, 9, 1e7)
+        ref, = [float(p["rate_bits"]) for p in REFERENCE["points"]
+                if (p["set"], p["alg"], p["k"], p["si_db"]) == ("analysis-grid", "a1", k, si_db)]
+        assert avg_rate_a1(preset_params(k, si_db)).value == pytest.approx(ref, rel=1e-6)
+
+
+class TestRoutes:
+    def test_closed_form_rate_defaults_to_closed(self):
+        assert ClosedFormRate(1.0, False).route == "closed"
+
+    @pytest.mark.parametrize("k,route", [(5, "closed"), (10, "quadrature:cancellation"),
+                                         (48, "quadrature:large-k")])
+    def test_a2_route(self, k, route):
+        assert avg_rate_a2(preset_params(k)).route == route
+
+    @pytest.mark.parametrize("alg", ["a1", "a2"])
+    def test_early_stop_keeps_the_full_sum_decision(self, alg):
+        # The closed sums stop once their gross magnitude fails the estimate
+        # against _rate_bound; the route must be the one the full sums give.
+        fn, dl_terms = (avg_rate_a1, _dl_a1_terms) if alg == "a1" else (avg_rate_a2, _dl_a2_terms)
+        for si_db in (40.0, 80.0, 120.0):
+            for k in (1, 2, 5, 8, 10, 15, 20, 30, 40):
+                params = preset_params(k, si_db)
+                terms, gross = zip(*list(_ul_terms(params)) + list(dl_terms(params)))
+                total = math.fsum(terms)
+                estimate = analysis._EPS4 * math.fsum(gross)
+                closed = total > 0.0 and estimate <= analysis._CANCEL_LIMIT * total
+                result = fn(params)
+                assert (result.route == "closed") == closed, (si_db, k)
+                assert result.value < _rate_bound(params, True)
 
 
 class TestRateIntegral:
