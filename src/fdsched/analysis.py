@@ -30,7 +30,10 @@ The rate integral is taken over t = ln(1 + x) on [0, T], T the first of 8,
 16, ..., 512 where the integrand is exactly 0, by 16-point Gauss-Legendre
 panels, halved until successive estimates agree to 1e-9 bits.
 :func:`avg_rate_integral` is the public, generic path over any two scalar
-CDFs (adaptive quadrature) and validate's independent check.
+CDFs (adaptive ``scipy.integrate.quad``) and the independent check of
+validate and of ``fdsched analyze``'s oracle column.  It is the only code
+here that loads scipy, on its first call, so neither importing the package
+nor the Monte Carlo engine loads it.
 """
 
 import math
@@ -42,7 +45,6 @@ from math import comb, fsum, log
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .model import LN2
 from .specfun import _EPS4, xi_n
@@ -247,6 +249,8 @@ def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
             raise QuadratureError("integrand is still positive at ln(1+x) = 512",
                                   achieved=math.inf)
         cutoff *= 2.0
+    from scipy import integrate  # loaded on first use: simulate never needs it
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(integrand, 0.0, cutoff, epsabs=itol / 2.0, epsrel=0.0, limit=500)

@@ -242,15 +242,20 @@ def cmd_analyze(args):
             "oracle_bits": oracle, "abs_diff": diff, "flagged": flagged,
         })
 
+    # The oracle is the adaptive integral over the scalar CDFs, not the
+    # closed forms' own quadrature reroute, so it still checks rerouted rows.
+    def oracle(cdf_dl):
+        return analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
+                                          lambda x: cdf_dl(x, params))
+
     if algs:
         row("avg_rate_ul_closed", analysis.avg_rate_ul_closed(params),
-            oracle=analysis._rate_by_quadrature(params), flagged=False)
+            oracle=oracle(lambda x, p: 1.0), flagged=False)
     for alg in algs:
         fn = analysis.avg_rate_a1 if alg == "a1" else analysis.avg_rate_a2
-        sf = analysis._sf_dl_a1 if alg == "a1" else analysis._sf_dl_a2
+        cdf_dl = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
         result = fn(params)
-        row(f"avg_rate_{alg}", result.value, oracle=analysis._rate_by_quadrature(params, sf),
-            flagged=result.flagged)
+        row(f"avg_rate_{alg}", result.value, oracle=oracle(cdf_dl), flagged=result.flagged)
     if settings["asymptotic"]:
         asym = analysis.asymptotic_rate_a1(params)
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)

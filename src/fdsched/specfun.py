@@ -5,17 +5,19 @@ on the real axis and to the kernel family
 
     xi_n(x, y) = integral_0^inf e^{-x t} (t + y)^{-n} dt,
 
-whose closed form mixes Gamma factors with e^{x y} Ei(-x y).  All functions
+whose closed form mixes Gamma factors with e^{x y} Ei(-x y).  Where that
+form cancels, xi_n falls back to adaptive quadrature of the defining
+integral (``scipy.integrate.quad``, imported on first use).  All functions
 here are pure and stateless, so they are safe to call from any number of
 concurrent contexts.
 """
 
 import math
 import operator
+import warnings
 from math import exp, fsum, lgamma, log
 
 import numpy as np
-from scipy import integrate
 
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -183,7 +185,11 @@ def _xi_quadrature(n, x, y):
     def f(u):
         return exp(-u) * (u * inv_x + y) ** (-n) * inv_x
 
-    val, err = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=400)
+    from scipy import integrate  # loaded on first use: simulate never needs it
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(f, 0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=400)
     if not (val > 0.0) or err > 1e-9 * val:
         raise ArithmeticError(
             f"quadrature for xi_n(n={n}, x={x!r}, y={y!r}) achieved only {err!r}"

@@ -11,12 +11,12 @@ import filecmp
 import math
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from math import exp, log
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import analysis, power, scheduling, sim, specfun
 from .analysis import AnalyticalParams, avg_rate_integral
@@ -41,7 +41,7 @@ def _xi_reference(n, x, y):
     def f(t):
         return exp(-x * t) * (t + y) ** (-n)
 
-    import warnings
+    from scipy import integrate  # loaded on first use: simulate never needs it
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

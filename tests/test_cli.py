@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fdsched import cli, specfun, validate
+from fdsched import analysis, cli, specfun, validate
 from fdsched.sim import derived_trial_seed, resolve_config, run_trials
 
 
@@ -254,6 +254,25 @@ class TestAnalyze:
         assert [r["quantity"] for r in rows] == [
             "avg_rate_ul_closed", "avg_rate_a1", "avg_rate_a2"]
         assert all(float(r["abs_diff"]) <= 1e-9 for r in rows)
+
+    def test_oracle_is_the_adaptive_integral_at_rerouted_points(self, tmp_path):
+        # At K = 30 both closed forms reroute to the Gauss-Legendre rule, so
+        # an oracle computed by that same rule would read abs_diff = 0 and
+        # check nothing; the column must come from avg_rate_integral.
+        out = tmp_path / "an.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--k", "30",
+                        "--out", str(out)]) == 0
+        rows = {r["quantity"]: r for r in read_csv(out)}
+        params = analysis.AnalyticalParams.from_config(resolve_config({"k_u": 30, "k_d": 30}))
+        cdfs = {"avg_rate_ul_closed": lambda x, p: 1.0,
+                "avg_rate_a1": analysis.cdf_sinr_dl_a1,
+                "avg_rate_a2": analysis.cdf_sinr_dl_a2}
+        assert set(rows) == set(cdfs)
+        for quantity, cdf_dl in cdfs.items():
+            expected = analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
+                                                  lambda x: cdf_dl(x, params))
+            assert float(rows[quantity]["oracle_bits"]) == expected
+            assert float(rows[quantity]["abs_diff"]) <= 1e-9
 
     def test_pole_point_flagged(self, tmp_path):
         out = tmp_path / "an.csv"
