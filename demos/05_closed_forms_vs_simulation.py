@@ -4,7 +4,8 @@
 For the A1 and A2 selection rules the package carries closed-form average
 sum rates over Rayleigh fading.  This script pits them against the two
 oracles: adaptive quadrature of the rate integral built from the SINR
-CDFs, and a million-trial Monte Carlo run.  It also shows the pole guard
+CDFs, and a million-trial Monte Carlo run.  One ``AnalyticalParams``, which
+is a ``SystemConfig``, drives all three.  It also shows the pole guard
 (p0 = pu for A2) and the large-system scaling trend.
 """
 
@@ -12,7 +13,6 @@ import numpy as np
 
 from fdsched import (
     AnalyticalParams,
-    SystemConfig,
     asymptotic_rate_a1,
     avg_rate_a1,
     avg_rate_a2,
@@ -23,9 +23,8 @@ from fdsched import (
     run_trials,
 )
 
-p = AnalyticalParams(p0=1.0, pu=0.8, sigma0_sq=1e-2, sigmaD_sq=1e-2,
+p = AnalyticalParams(p0_max=1.0, pu_max=0.8, sigma0_sq=1e-2, sigmaD_sq=1e-2,
                      si_gain=1e-8, k_u=5, k_d=5)
-cfg = SystemConfig(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5, 5)
 
 print("=== triangle check, K = 5 ===")
 for name, closed_fn, cdf_dl, sched in [
@@ -34,7 +33,7 @@ for name, closed_fn, cdf_dl, sched in [
 ]:
     closed = closed_fn(p).value
     quad = avg_rate_integral(lambda x: cdf_sinr_ul(x, p), lambda x: cdf_dl(x, p))
-    mc = run_trials(cfg, sched, 1_000_000, seed=42)
+    mc = run_trials(p, sched, 1_000_000, seed=42)
     print(f"  {name}: closed = {closed:.6f}")
     print(f"      quadrature = {quad:.6f}   (|diff| = {abs(closed - quad):.2e})")
     print(f"      monte carlo = {mc.mean_sum_rate:.6f} +- {mc.std_error:.6f} "

@@ -6,8 +6,10 @@ built from the xi_n kernel, quadrature of the rate integral
     Rbar = (1/ln 2) * integral_0^inf (S_ul(x) + S_dl(x)) / (x + 1) dx
 
 over the survival functions S = 1 - F of the two links' SINRs, and Monte
-Carlo simulation (:mod:`fdsched.sim`).  The quadrature doubles as the
-closed forms' oracle and as their route (``ClosedFormRate.route``) around
+Carlo simulation (:mod:`fdsched.sim`).  The operating point is an
+:class:`AnalyticalParams`, a SystemConfig with positive maximum powers, so
+one object drives all three.  The quadrature doubles as the closed forms'
+oracle and as their route (``ClosedFormRate.route``) around
 
 * removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form
   (1 - p0/pu)^{-n}; at a pole pu is nudged up by 1e-6 relative and the
@@ -46,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import LN2
+from .model import LN2, SystemConfig
+from .scheduling import require_positive_powers
 from .specfun import _EPS4, xi_n
 
 _POLE_EPS = 1e-9          # relative pole distance that triggers the guard
@@ -60,34 +63,17 @@ _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
 
 
 @dataclass(frozen=True)
-class AnalyticalParams:
-    """Fixed-power operating point for the closed-form expressions."""
-
-    p0: float
-    pu: float
-    sigma0_sq: float
-    sigmaD_sq: float
-    si_gain: float
-    k_u: int
-    k_d: int
+class AnalyticalParams(SystemConfig):
+    """A SystemConfig with both maximum powers positive, as the closed forms need."""
 
     def __post_init__(self):
-        if not (math.isfinite(self.p0) and self.p0 > 0.0):
-            raise ValueError(f"p0 must be positive, got {self.p0!r}")
-        if not (math.isfinite(self.pu) and self.pu > 0.0):
-            raise ValueError(f"pu must be positive, got {self.pu!r}")
-        if self.sigma0_sq <= 0.0 or self.sigmaD_sq <= 0.0:
-            raise ValueError("noise powers must be positive")
-        if not (math.isfinite(self.si_gain) and self.si_gain >= 0.0):
-            raise ValueError(f"si_gain must be finite and >= 0, got {self.si_gain!r}")
-        if self.k_u < 1 or self.k_d < 1:
-            raise ValueError("k_u and k_d must be >= 1")
+        super().__post_init__()
+        require_positive_powers(self)
 
     @classmethod
     def from_config(cls, config):
         """Operating point at a config's maximum powers."""
-        return cls(config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq,
-                   config.si_gain, config.k_u, config.k_d)
+        return cls(**vars(config))
 
 
 class ClosedFormRate(NamedTuple):
@@ -124,13 +110,13 @@ def _checked(x):
 
 def _ul_tail(x, params, m=np):
     """e^{-a x}: the chance that one UL candidate's SINR exceeds x."""
-    return m.exp(-(params.p0 * params.si_gain + params.sigma0_sq) / params.pu * x)
+    return m.exp(-(params.p0_max * params.si_gain + params.sigma0_sq) / params.pu_max * x)
 
 
 def _a2_tail(x, params, m=np):
     """e^{-a x} / (1 + b x): the chance that one DL candidate's SINR, given
     the chosen UL user's leakage, exceeds x."""
-    return m.exp(-params.sigmaD_sq / params.p0 * x) / (1.0 + params.pu / params.p0 * x)
+    return m.exp(-params.sigmaD_sq / params.p0_max * x) / (1.0 + params.pu_max / params.p0_max * x)
 
 
 def _best_of_sf(y, k):
@@ -175,10 +161,10 @@ def _sf_dl_a1(x, params):
     k_d = params.k_d
     k = np.arange(1.0, k_d + 1.0)
     x = np.asarray(x, dtype=float)[..., None]
-    c = params.sigmaD_sq / params.p0 * x
+    c = params.sigmaD_sq / params.p0_max * x
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
-        neg_log_prod = np.cumsum(np.log1p(params.p0 / (params.pu * x) / k), axis=-1)
+        neg_log_prod = np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
     log_w = np.asarray(_log_comb(k_d)) - k * c + (k_d - k) * log_p
     # Weights below e^-700 are dropped: exp is ~20x slower where its
     # result is subnormal or 0.
@@ -203,9 +189,9 @@ def cdf_sinr_dl_a1(x, params):
     if x == 0.0:
         return 0.0
     k_d = params.k_d
-    c = params.sigmaD_sq / params.p0 * x
+    c = params.sigmaD_sq / params.p0_max * x
     log_p = math.log(max(-math.expm1(-c), _TINY))
-    rho = params.p0 / (params.pu * x)
+    rho = params.p0_max / (params.pu_max * x)
     sf = neg_log_prod = 0.0
     for k, log_comb in enumerate(_log_comb(k_d), 1):
         neg_log_prod += math.log1p(rho / k)
@@ -222,7 +208,7 @@ def cdf_sinr_dl_a2(x, params):
     return _best_of_cdf(_a2_tail(_checked(x), params, math), params.k_d)
 
 
-def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
+def avg_rate_integral(cdf_ul, cdf_dl):
     """Average sum rate from two SINR CDFs, integrated over t = ln(1 + x).
 
     ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf).  With
@@ -230,14 +216,12 @@ def avg_rate_integral(cdf_ul, cdf_dl, tol=1e-9):
     max(0, 2 - F_ul - F_dl), bounded by 2.  The domain is cut at the first
     T in 8, 16, ..., 512 where that integrand is exactly 0; for CDFs that
     are monotone and at most 1 the rest of the tail is then exactly 0, so
-    the cut adds no error.  [0, T] is integrated adaptively to the absolute
-    tolerance ``tol`` (bits).  Raises :class:`QuadratureError` with the
+    the cut adds no error.  [0, T] is integrated adaptively to an absolute
+    tolerance of 1e-9 bits.  Raises :class:`QuadratureError` with the
     achieved error bound if that cannot be reached, or with an infinite
     bound if the integrand is still positive at T = 512 (x ~ 1e222).
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    itol = tol * LN2  # tolerance on the raw (nats-scaled) integral
+    itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
 
     def integrand(t):
         x = math.expm1(t)
@@ -314,7 +298,7 @@ def _rate_by_quadrature(params, sf_dl=None):
 def _ul_terms(params):
     """Per-k terms of the closed UL rate with their gross magnitudes."""
     k_u = params.k_u
-    scale = (params.p0 * params.si_gain + params.sigma0_sq) / params.pu
+    scale = (params.p0_max * params.si_gain + params.sigma0_sq) / params.pu_max
     for k in range(1, k_u + 1):
         term = comb(k_u, k) * (-1.0) ** (k + 1) / LN2 * xi_n(1, k * scale, 1.0)
         yield term, abs(term)
@@ -324,10 +308,10 @@ def _rate_bound(params, with_dl):
     """An upper bound on the average rate in bits, UL only or UL plus DL:
     Jensen's inequality, with E[max of K unit exponentials] = H_K <= 1 + ln K
     and the DL SINR at most its interference-free SNR."""
-    bound = math.log2(1.0 + (1.0 + log(params.k_u)) * params.pu
-                      / (params.p0 * params.si_gain + params.sigma0_sq))
+    bound = math.log2(1.0 + (1.0 + log(params.k_u)) * params.pu_max
+                      / (params.p0_max * params.si_gain + params.sigma0_sq))
     if with_dl:
-        bound += math.log2(1.0 + (1.0 + log(params.k_d)) * params.p0 / params.sigmaD_sq)
+        bound += math.log2(1.0 + (1.0 + log(params.k_d)) * params.p0_max / params.sigmaD_sq)
     return bound
 
 
@@ -369,12 +353,12 @@ def avg_rate_ul_closed(params):
 def _guard(params, on_pole):
     """``(params, False)``, or with ``on_pole`` pu nudged up by 1e-6 relative and True."""
     if on_pole:
-        return replace(params, pu=params.pu * (1.0 + _PERTURB_REL)), True
+        return replace(params, pu_max=params.pu_max * (1.0 + _PERTURB_REL)), True
     return params, False
 
 
 def _dl_a1_terms(params):
-    k_d, p0, pu = params.k_d, params.p0, params.pu
+    k_d, p0, pu = params.k_d, params.p0_max, params.pu_max
     for k in range(1, k_d + 1):
         a = k * params.sigmaD_sq / p0
         xa = xi_n(1, a, 1.0)
@@ -391,16 +375,16 @@ def avg_rate_a1(params) -> ClosedFormRate:
     relative; severe cancellation reroutes the evaluation to the rate
     integral.  Never raises on a pole.
     """
-    eff, flagged = _guard(params, any(abs(params.p0 - k * params.pu) < _POLE_EPS * params.pu
-                                      for k in range(1, params.k_d + 1)))
+    eff, flagged = _guard(params, any(abs(params.p0_max - k * params.pu_max)
+                                      < _POLE_EPS * params.pu_max for k in range(1, params.k_d + 1)))
     return _closed_or_quadrature(eff, _dl_a1_terms, _sf_dl_a1)._replace(flagged=flagged)
 
 
 def _dl_a2_terms(params):
     k_d = params.k_d
-    ratio = params.p0 / params.pu
+    ratio = params.p0_max / params.pu_max
     for k in range(1, k_d + 1):
-        a = k * params.sigmaD_sq / params.p0
+        a = k * params.sigmaD_sq / params.p0_max
         inner = [(-1.0) ** ell * (1.0 - ratio) ** (-ell) * xi_n(k - ell + 1, a, ratio)
                  for ell in range(1, k + 1)]
         inner.append((-1.0) ** (1 - k) * (1.0 - ratio) ** (-k) * xi_n(1, a, 1.0))
@@ -416,7 +400,7 @@ def avg_rate_a2(params) -> ClosedFormRate:
     the (1 - p0/pu)^{-n} weights blow up the cancellation near that pole,
     in which case the rate-integral route takes over.
     """
-    eff, flagged = _guard(params, abs(1.0 - params.p0 / params.pu) < _POLE_EPS)
+    eff, flagged = _guard(params, abs(1.0 - params.p0_max / params.pu_max) < _POLE_EPS)
     return _closed_or_quadrature(eff, _dl_a2_terms, _sf_dl_a2)._replace(flagged=flagged)
 
 
@@ -431,6 +415,6 @@ def asymptotic_rate_a1(params) -> AsymptoticRate:
     if params.k_u < 2 or params.k_d < 2:
         raise ValueError("the scaling law needs k_u >= 2 and k_d >= 2")
     nats = log(log(params.k_d) * log(params.k_u)) + log(
-        params.pu / (params.p0 * params.si_gain + params.sigma0_sq)
+        params.pu_max / (params.p0_max * params.si_gain + params.sigma0_sq)
     )
     return AsymptoticRate(nats=nats, bits=nats / LN2)

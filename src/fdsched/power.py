@@ -14,17 +14,23 @@ views for one snapshot and one pair.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import _check_index
 from .scheduling import (  # zeta and eta are re-exported
     DuplexMode,
+    Scheduler,
     _schedule_of,
+    _select,
     allocate,
     eta,
     require_positive_powers,
+    select_a1,
+    select_a2,
+    select_a3,
     zeta,
 )
+
+# The OPA scheduler that starts from each fixed-power selector.
+_OPA_OF = {select_a1: Scheduler.A1_OPA, select_a2: Scheduler.A2_OPA, select_a3: Scheduler.A3_OPA}
 
 
 @dataclass(frozen=True)
@@ -69,16 +75,13 @@ def opa_enhanced_schedule(ch, config, base):
     """Run a fixed-power selector, then let the binary power allocation pick
     the duplex mode.
 
-    ``base`` is one of the fixed-power selectors (``select_a1`` /
-    ``select_a2`` / ``select_a3`` or any callable with that signature).  If
-    the allocation keeps FD, the base pair stands at maximum powers.  If it
-    collapses to a half-duplex mode, the surviving link's user is
-    rescheduled by raw channel gain, which is what maximizes a single-link
-    rate.
+    ``base`` is ``select_a1``, ``select_a2`` or ``select_a3``; this is the
+    matching OPA scheduler's decision.  If the allocation keeps FD, the base
+    pair stands at maximum powers.  If it collapses to a half-duplex mode,
+    the surviving link's user is rescheduled by raw channel gain, which is
+    what maximizes a single-link rate.
     """
-    pair = base(ch, config)
-    decision = opa(ch, pair.ul, pair.dl, config)
-    if decision.mode is DuplexMode.FD:
-        return pair
-    return _schedule_of(int(np.argmax(ch.g_ul)), int(np.argmax(ch.g_dl)),
-                        decision.p0_star, decision.pu_star)
+    rule = _OPA_OF.get(base)
+    if rule is None:
+        raise ValueError(f"base must be select_a1, select_a2 or select_a3, got {base!r}")
+    return _select(rule, ch, config)

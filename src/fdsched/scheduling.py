@@ -90,7 +90,7 @@ def _schedule_of(ul, dl, p0, pu):
 def require_positive_powers(config):
     """Every scheduler but HD-TDD pairs users in full duplex at maximum
     powers, so both maximum powers must be positive.  The one check for
-    the engine and the scalar views."""
+    the engine, the scalar views and the closed forms' operating point."""
     if config.p0_max <= 0.0 or config.pu_max <= 0.0:
         raise ValueError("full-duplex scheduling needs positive p0_max and pu_max")
 

@@ -166,7 +166,7 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
     if not schedulers:
         raise ValueError("at least one scheduler is required")
-    n_trials = int(n_trials)
+    n_trials = whole_number("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     n_blocks = -(-n_trials // BLOCK_SIZE)
@@ -203,9 +203,10 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     return {s: out[s] for s in schedulers}
 
 
-def _aggregate(arrays, n_trials):
+def _aggregate(arrays):
     r_ul = arrays["r_ul"]
     r_dl = arrays["r_dl"]
+    n_trials = len(r_ul)
     mean_ul = float(r_ul.sum() / n_trials)
     mean_dl = float(r_dl.sum() / n_trials)
     r_sum = r_ul + r_dl
@@ -215,7 +216,7 @@ def _aggregate(arrays, n_trials):
         mean_ul_rate=mean_ul,
         mean_dl_rate=mean_dl,
         std_error=std_error,
-        n_trials=int(n_trials),
+        n_trials=n_trials,
         fd_fraction=float(arrays["fd"].mean()),
     )
 
@@ -227,7 +228,7 @@ def _run_stats(config, schedulers, n_trials, seed, workers=1):
     """``{scheduler: TrialStats}`` on shared draws, keeping only the
     per-trial arrays the aggregates read."""
     arrays = _run_arrays(config, schedulers, n_trials, seed, workers, keys=_STATS_KEYS)
-    return {s: _aggregate(a, int(n_trials)) for s, a in arrays.items()}
+    return {s: _aggregate(a) for s, a in arrays.items()}
 
 
 def run_trials(config, scheduler, n_trials, seed, workers=1):
@@ -268,11 +269,11 @@ def run_coupled(config, schedulers, n_trials, seed, workers=1):
     violations = dominance_violations(arrays)
     if violations:
         raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
-    stats = {s: _aggregate(a, int(n_trials)) for s, a in arrays.items()}
+    stats = {s: _aggregate(a) for s, a in arrays.items()}
     return stats, arrays
 
 
-def dominance_violations(arrays, tol=_DOMINANCE_TOL):
+def dominance_violations(arrays):
     """Check the per-realization dominance chain on coupled per-trial
     arrays; returns a list of human-readable violation descriptions."""
     out = []
@@ -285,7 +286,7 @@ def dominance_violations(arrays, tol=_DOMINANCE_TOL):
         for s in arrays:
             if s is Scheduler.ES_FDHD or s is Scheduler.HD_TDD:
                 continue
-            bad = int(np.sum(r_sum(s) > top + tol))
+            bad = int(np.sum(r_sum(s) > top + _DOMINANCE_TOL))
             if bad:
                 out.append(f"es-fdhd < {s.value} on {bad} trials")
     for s, arr in arrays.items():
@@ -293,7 +294,7 @@ def dominance_violations(arrays, tol=_DOMINANCE_TOL):
             continue
         r = r_sum(s)
         for corner in ("pair_hd_ul", "pair_hd_dl"):
-            bad = int(np.sum(arr[corner] > r + tol))
+            bad = int(np.sum(arr[corner] > r + _DOMINANCE_TOL))
             if bad:
                 out.append(f"{s.value} < {corner} on {bad} trials")
     return out

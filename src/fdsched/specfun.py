@@ -1,7 +1,7 @@
 """Scalar special-function kernel used by the closed-form rate expressions.
 
 Everything in the analytical layer reduces to the exponential integral Ei
-on the real axis and to the kernel family
+on the negative real axis and to the kernel family
 
     xi_n(x, y) = integral_0^inf e^{-x t} (t + y)^{-n} dt,
 
@@ -21,10 +21,8 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015328606065
 
-# Positive axis: convergent power series below, asymptotic expansion above.
-_EI_SERIES_MAX = 40.0
-# Negative axis: the alternating series loses ~e^|t| to cancellation, so the
-# continued fraction takes over early.
+# The alternating series of E1 loses ~e^x to cancellation, so the continued
+# fraction takes over early.
 _E1_SERIES_MAX = 1.0
 _CF_MAX_ITER = 1000
 _TINY = 1e-300
@@ -81,52 +79,19 @@ def _e1_scaled(x):
 
 
 def exp_integral_ei(t):
-    """Exponential integral Ei(t) for real nonzero t.
+    """Exponential integral Ei(t) for real t < 0, the only side the kernel
+    needs: Ei(t) = -E1(-t).
 
-    Series / continued-fraction / asymptotic evaluation with relative error
-    below 1e-12 over the representable range.  Values overflow to +inf past
-    t ~ 709.7 (the IEEE double limit), and relative accuracy necessarily
-    degrades in the immediate vicinity of Ei's positive real zero near
-    t = 0.3725, where the value itself vanishes.
+    Series / continued-fraction evaluation with relative error below 1e-12
+    over the representable range.
     """
     t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"Ei requires a finite argument, got {t!r}")
-    if t == 0.0:
-        raise ValueError("Ei has a logarithmic singularity at t = 0")
-    if t < 0.0:
-        x = -t
-        if x <= _E1_SERIES_MAX:
-            return -_e1_series(x)
-        return -exp(-x) * _e1_cf_scaled(x)
-    if t <= _EI_SERIES_MAX:
-        acc = [EULER_GAMMA, log(t)]
-        rough = acc[0] + acc[1]
-        term = 1.0
-        for k in range(1, 250):
-            term *= t / k
-            contrib = term / k
-            acc.append(contrib)
-            rough += contrib
-            if contrib <= 1e-22 * max(1.0, abs(rough)):
-                break
-        return fsum(acc)
-    if t > 709.0:
-        return math.inf
-    # Asymptotic expansion e^t/t * sum_k k!/t^k, truncated at its smallest term.
-    s = 1.0
-    term = 1.0
-    k = 1
-    while True:
-        nxt = term * k / t
-        if nxt >= term:
-            break
-        term = nxt
-        s += term
-        k += 1
-        if term < 1e-17 * s:
-            break
-    return exp(t) / t * s
+    if not (math.isfinite(t) and t < 0.0):
+        raise ValueError(f"Ei is evaluated for finite t < 0 only, got {t!r}")
+    x = -t
+    if x <= _E1_SERIES_MAX:
+        return -_e1_series(x)
+    return -exp(-x) * _e1_cf_scaled(x)
 
 
 def xi_n(n, x, y):

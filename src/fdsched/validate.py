@@ -109,8 +109,7 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
                 )
             if expect_flag and i == pole_index and not closed.flagged:
                 return False, f"K={k_users} point {i}: pole not flagged"
-            config = SystemConfig(p0, pu, s0, sd, si, k_users, k_users)
-            stats = sim.run_trials(config, scheduler, n_mc, seed=1000 + 10 * k_users + i)
+            stats = sim.run_trials(params, scheduler, n_mc, seed=1000 + 10 * k_users + i)
             z = abs(closed.value - stats.mean_sum_rate) / stats.std_error
             worst_z = max(worst_z, z)
             if z > 3.0:
@@ -218,10 +217,9 @@ def crit_cdf_laws(quick=False):
     """Empirical SINR CDFs vs the three closed-form CDFs at K=5."""
     n = 30_000 if quick else 100_000
     params = AnalyticalParams(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
-    config = SystemConfig(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
     checks = []
-    g_ul_1, g_dl_1 = sim.selected_sinr_samples(config, Scheduler.A1, n, seed=31)
-    g_ul_2, g_dl_2 = sim.selected_sinr_samples(config, Scheduler.A2, n, seed=32)
+    g_ul_1, g_dl_1 = sim.selected_sinr_samples(params, Scheduler.A1, n, seed=31)
+    g_ul_2, g_dl_2 = sim.selected_sinr_samples(params, Scheduler.A2, n, seed=32)
     checks.append(("ul sinr (a1 run)", _sup_distance(g_ul_1, analysis._sf_ul, params)))
     checks.append(("ul sinr (a2 run)", _sup_distance(g_ul_2, analysis._sf_ul, params)))
     checks.append(("dl sinr under a1", _sup_distance(g_dl_1, analysis._sf_dl_a1, params)))

@@ -71,7 +71,7 @@ class TestCdfs:
 
     def test_ul_matches_max_of_exponentials(self):
         p = AnalyticalParams(1.3, 0.7, 0.2, 0.1, 0.05, 3, 4)
-        a = (p.p0 * p.si_gain + p.sigma0_sq) / p.pu
+        a = (p.p0_max * p.si_gain + p.sigma0_sq) / p.pu_max
         for x in np.linspace(0.0, 20.0, 41):
             direct = (1.0 - math.exp(-a * x)) ** 3
             assert cdf_sinr_ul(float(x), p) == pytest.approx(direct, abs=1e-12)
@@ -88,7 +88,7 @@ class TestCdfs:
         assert cdf_sinr_dl_a1(0.0, P_GENERIC) == 0.0
         p = AnalyticalParams(2.0, 0.5, 0.3, 0.4, 0.0, 1, 1)
         for x in np.linspace(0.0, 30.0, 31):
-            hand = 1.0 - math.exp(-p.sigmaD_sq * x / p.p0) / (p.pu * x / p.p0 + 1.0)
+            hand = 1.0 - math.exp(-p.sigmaD_sq * x / p.p0_max) / (p.pu_max * x / p.p0_max + 1.0)
             assert cdf_sinr_dl_a1(float(x), p) == pytest.approx(hand, abs=1e-12)
 
     def test_dl_a2_anchors_and_degeneracy(self):
@@ -101,7 +101,7 @@ class TestCdfs:
 
     def test_dl_a2_product_form(self):
         p = AnalyticalParams(1.1, 0.6, 0.2, 0.3, 0.01, 2, 7)
-        a, b = p.sigmaD_sq / p.p0, p.pu / p.p0
+        a, b = p.sigmaD_sq / p.p0_max, p.pu_max / p.p0_max
         for x in np.linspace(0.0, 25.0, 26):
             direct = (1.0 - math.exp(-a * x) / (1.0 + b * x)) ** 7
             assert cdf_sinr_dl_a2(float(x), p) == pytest.approx(direct, abs=1e-12)
@@ -121,7 +121,7 @@ class TestCdfs:
         p = AnalyticalParams(1.0, 1.0, 0.3, 0.5, 0.0, 2, 64)
 
         def ref(x):
-            f = lambda y: (1 - mp.e ** (-(p.pu * y + p.sigmaD_sq) * x / p.p0)) ** 64 * mp.e ** (-y)
+            f = lambda y: (1 - mp.e ** (-(p.pu_max * y + p.sigmaD_sq) * x / p.p0_max)) ** 64 * mp.e ** (-y)
             return float(mp.quad(f, [0, mp.inf]))
 
         for x in (0.5, 2.0, 8.0):
@@ -160,7 +160,7 @@ class TestSurvivalLaws:
         p = AnalyticalParams(1.0, 1.0, 0.3, 0.5, 0.0, 2, 64)
 
         def ref(x):
-            f = lambda y: 1 - (1 - mp.e ** (-(p.pu * y + p.sigmaD_sq) * x / p.p0)) ** 64
+            f = lambda y: 1 - (1 - mp.e ** (-(p.pu_max * y + p.sigmaD_sq) * x / p.p0_max)) ** 64
             return float(mp.quad(lambda y: f(y) * mp.e ** (-y), [0, 1, 10, mp.inf]))
 
         for x in (0.5, 2.0, 8.0, 1e4):
@@ -232,10 +232,6 @@ class TestRateIntegral:
         single = lambda x: 1.0 - math.exp(-x)
         got = avg_rate_integral(single, single)
         assert got == pytest.approx(1.7206947645417719, abs=1e-9)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            avg_rate_integral(_degenerate_cdf, _degenerate_cdf, tol=0.0)
 
     def test_nonconvergent_integrand_reports_bound(self):
         # A CDF stuck at 0 makes the integrand ~ 2/(1+x): divergent.
@@ -326,7 +322,7 @@ class TestAvgRateA1:
             return mp.e ** z * mp.e1(z)
 
         ln2 = mp.log(2)
-        p0, pu = mp.mpf(p.p0), mp.mpf(p.pu)
+        p0, pu = mp.mpf(p.p0_max), mp.mpf(p.pu_max)
         scale = (p0 * mp.mpf(p.si_gain) + mp.mpf(p.sigma0_sq)) / pu
         a_of = lambda k: k * mp.mpf(p.sigmaD_sq) / p0
         ul = mp.fsum(
@@ -427,4 +423,23 @@ class TestParamsValidation:
     def test_from_config(self):
         cfg = SystemConfig(2.0, 3.0, 0.1, 0.2, 0.5, 4, 6)
         p = AnalyticalParams.from_config(cfg)
-        assert (p.p0, p.pu, p.k_u, p.k_d) == (2.0, 3.0, 4, 6)
+        assert (p.p0_max, p.pu_max, p.k_u, p.k_d) == (2.0, 3.0, 4, 6)
+
+    def test_whole_float_user_counts_give_the_same_bits(self):
+        as_int = AnalyticalParams(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5, 5)
+        as_float = AnalyticalParams(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5.0, 5.0)
+        assert avg_rate_a1(as_float) == avg_rate_a1(as_int)
+        assert avg_rate_a2(as_float) == avg_rate_a2(as_int)
+
+    @pytest.mark.parametrize("s0, sd, k_u", [
+        (1e-2, 1e-2, 2.5), (math.nan, 1e-2, 5), (1e-2, math.inf, 5),
+    ], ids=["fractional-k_u", "nan-sigma0_sq", "inf-sigmaD_sq"])
+    def test_rejects_what_system_config_rejects(self, s0, sd, k_u):
+        with pytest.raises(ValueError):
+            AnalyticalParams(1.0, 0.8, s0, sd, 1e-8, k_u, 5)
+
+    def test_is_a_system_config_for_the_engine(self):
+        params = AnalyticalParams(1.0, 0.8, 1e-2, 1e-2, 1e-8, 3, 4)
+        assert isinstance(params, SystemConfig)
+        same = SystemConfig(1.0, 0.8, 1e-2, 1e-2, 1e-8, 3, 4)
+        assert run_trials(params, "a2", 5000, seed=3) == run_trials(same, "a2", 5000, seed=3)

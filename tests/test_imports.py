@@ -1,11 +1,16 @@
-"""scipy is loaded only where a quadrature runs.
+"""What importing the package gives, and what it costs.
 
-Importing scipy.integrate costs more than half a second, and the Monte
-Carlo path never integrates, so the package imports it inside the three
-functions that call ``quad``.  Each check runs in a fresh interpreter: in
-pytest's own process other tests have already imported scipy.
+``fdsched.__all__`` is exactly the public names ``fdsched/__init__.py``
+imports, and each resolves.
+
+scipy is loaded only where a quadrature runs.  Importing scipy.integrate
+costs more than half a second, and the Monte Carlo path never integrates,
+so the package imports it inside the three functions that call ``quad``.
+Each scipy check runs in a fresh interpreter: in pytest's own process
+other tests have already imported scipy.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -14,6 +19,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_all_is_the_public_imports():
+    import fdsched
+
+    tree = ast.parse((ROOT / "src" / "fdsched" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = {name for name in imported if not name.startswith("_")}
+    assert len(fdsched.__all__) == len(set(fdsched.__all__))
+    assert set(fdsched.__all__) == public
+    for name in fdsched.__all__:
+        assert getattr(fdsched, name) is not None, name
 
 
 def run_fresh(code, tmp_path):

@@ -14,6 +14,7 @@ from fdsched.scheduling import (
     select_a1,
     select_a2,
     select_a3,
+    select_es_fd,
 )
 
 
@@ -208,6 +209,12 @@ class TestOpaEnhancedSchedule:
         assert sched.mode is DuplexMode.HD_UL
         assert sched.ul == 0
         assert sched.dl is None and sched.p0 == 0.0
+
+    def test_base_must_be_a_fixed_power_selector(self):
+        cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
+        ch = draw_realization(cfg, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="select_a1, select_a2 or select_a3"):
+            opa_enhanced_schedule(ch, cfg, select_es_fd)
 
     def test_never_worse_than_base(self):
         rng = np.random.default_rng(89)

@@ -412,6 +412,16 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="whole number"):
             SweepSpec("k_users", (2.5, 3.7), Scheduler.A1, {}, 100, 0)
 
+    @pytest.mark.parametrize("n_trials", [2.5, "100"])
+    def test_engine_needs_whole_trial_counts(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials"):
+            run_trials(CFG, "a1", n_trials, seed=1)
+        with pytest.raises(ValueError, match="n_trials"):
+            run_coupled(CFG, [Scheduler.ES_FDHD, Scheduler.A1_OPA], n_trials, seed=1)
+
+    def test_engine_takes_whole_float_trial_counts(self):
+        assert run_trials(CFG, "a1", 100.0, seed=1) == run_trials(CFG, "a1", 100, seed=1)
+
     def test_scheduler_list_must_be_non_empty(self):
         with pytest.raises(ValueError):
             sim._run_arrays(CFG, [], 100, seed=1)
