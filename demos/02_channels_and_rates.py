@@ -10,7 +10,6 @@ user pair.
 import numpy as np
 
 from fdsched import (
-    DuplexMode,
     Schedule,
     config_from_db,
     draw_realization,
@@ -41,12 +40,13 @@ g_ul = sinr_ul(ch, u, cfg.p0_max, cfg.pu_max, cfg.sigma0_sq)
 g_dl = sinr_dl(ch, d, u, cfg.p0_max, cfg.pu_max, cfg.sigmaD_sq)
 print(f"\n=== pair (u={u}, d={d}) at full powers ===")
 print(f"  UL SINR = {g_ul:.3e}   DL SINR = {g_dl:.3e}")
-sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max, mode=DuplexMode.FD)
+sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max)
 out = rates(ch, sched, cfg)
 print(f"  rates: UL {out.r_ul:.3f} + DL {out.r_dl:.3f} = {out.r_sum:.3f} bps/Hz")
 
 print("\n=== the same pair with the uplink silenced (HD-DL corner) ===")
-hd = Schedule(ul=None, dl=d, p0=cfg.p0_max, pu=0.0, mode=DuplexMode.HD_DL)
+hd = Schedule(ul=None, dl=d, p0=cfg.p0_max, pu=0.0)
 out_hd = rates(ch, hd, cfg)
 print(f"  rates: UL {out_hd.r_ul:.3f} + DL {out_hd.r_dl:.3f} = {out_hd.r_sum:.3f} bps/Hz")
-print("  (no inter-terminal interference once pu = 0, so the DL rate jumps)")
+print(f"  (mode {hd.mode.value}, read off pu = 0: no inter-terminal interference, "
+      "so the DL rate jumps)")

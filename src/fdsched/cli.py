@@ -179,6 +179,8 @@ def cmd_simulate(args):
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
     if settings["sweep_parameter"] is None:
+        if settings["sweep_values"] is not None:
+            raise FlagError("sweep_values needs a sweep_parameter")
         settings["sweep_parameter"] = "p0_dbm"
         settings["sweep_values"] = [settings["p0_dbm"]]
 
@@ -207,7 +209,7 @@ def cmd_simulate(args):
         "std_error": point.stats.std_error,
         "fd_fraction": point.stats.fd_fraction,
         "n_trials": point.stats.n_trials,
-    } for point in run_sweep(spec, workers=whole_number("workers", settings["workers"]))]
+    } for point in run_sweep(spec, workers=settings["workers"])]
     out = args.out or f"simulate.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
     _write_manifest(out, "simulate", settings)
@@ -223,12 +225,11 @@ def cmd_analyze(args):
     if not set(algs) <= set(_ALGS):
         raise FlagError(f"algs must be taken from {list(_ALGS)}, got {algs!r}")
     if args.k is not None:
-        if args.k < 2:
-            raise FlagError("--k must be >= 2")
         settings["k_d"] = settings["k_u"] = args.k
     radio = {key: settings[key] for key in RADIO_DEFAULTS}
     try:
         params = AnalyticalParams.from_config(resolve_config(radio))
+        asym = analysis.asymptotic_rate_a1(params) if settings["asymptotic"] else None
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
 
@@ -256,8 +257,7 @@ def cmd_analyze(args):
         cdf_dl = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
         result = fn(params)
         row(f"avg_rate_{alg}", result.value, oracle=oracle(cdf_dl), flagged=result.flagged)
-    if settings["asymptotic"]:
-        asym = analysis.asymptotic_rate_a1(params)
+    if asym is not None:
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)
 
     out = args.out or f"analyze.{settings['format']}"

@@ -9,16 +9,17 @@ each power is either zero or its maximum, and only three corners can win
 
 The indicators, the corner comparison and the rescheduling live in the
 batched kernel of :mod:`fdsched.scheduling`; the functions here are its
-views for one snapshot and one pair.
+views for one snapshot and one pair.  :func:`opa` returns an
+:class:`OpaDecision`: a Schedule that also records whether the indicator
+fast path settled it, so it goes to :func:`fdsched.model.rates` as it is.
 """
 
 from dataclasses import dataclass
 
 from .model import _check_index
 from .scheduling import (  # zeta and eta are re-exported
-    DuplexMode,
+    Schedule,
     Scheduler,
-    _schedule_of,
     _select,
     allocate,
     eta,
@@ -34,25 +35,10 @@ _OPA_OF = {select_a1: Scheduler.A1_OPA, select_a2: Scheduler.A2_OPA, select_a3: 
 
 
 @dataclass(frozen=True)
-class OpaDecision:
-    """Outcome of the binary power allocation for one scheduled pair."""
+class OpaDecision(Schedule):
+    """The Schedule that the binary power allocation gives one pair."""
 
-    p0_star: float
-    pu_star: float
-    mode: DuplexMode
     fast_path: bool  # True when the indicator test settled it without corner enumeration
-
-    def __post_init__(self):
-        if self.p0_star == 0.0 and self.pu_star == 0.0:
-            raise ValueError("the all-off corner is never a valid decision")
-        expected = {
-            DuplexMode.FD: self.p0_star > 0.0 and self.pu_star > 0.0,
-            DuplexMode.HD_UL: self.p0_star == 0.0 and self.pu_star > 0.0,
-            DuplexMode.HD_DL: self.p0_star > 0.0 and self.pu_star == 0.0,
-        }[self.mode]
-        if not expected:
-            raise ValueError(f"mode {self.mode} inconsistent with powers "
-                             f"({self.p0_star!r}, {self.pu_star!r})")
 
 
 def opa(ch, ul, dl, config):
@@ -67,8 +53,7 @@ def opa(ch, ul, dl, config):
     _check_index("UL", ul, ch.g_ul.shape[0])
     _check_index("DL", dl, ch.g_dl.shape[0])
     fast, p0, pu, _, _ = allocate(config, ch.si_gain, ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul])
-    s = _schedule_of(ul, dl, float(p0), float(pu))
-    return OpaDecision(p0_star=s.p0, pu_star=s.pu, mode=s.mode, fast_path=bool(fast))
+    return OpaDecision(ul, dl, float(p0), float(pu), bool(fast))
 
 
 def opa_enhanced_schedule(ch, config, base):

@@ -12,10 +12,11 @@ pair and the two best single links.  Ties resolve to the lowest index
 Gains carry a leading trial axis.  :func:`decide` gives per-trial users and
 powers, :func:`evaluate` per-trial rates for the Monte Carlo engine; the
 scalar ``select_*`` functions and :mod:`fdsched.power` are batch-of-one
-views of the same code.
+views of the same code, and return a :class:`Schedule`.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,39 +53,30 @@ class DuplexMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Schedule:
-    """One scheduling decision: which users transmit, at what powers, in
-    which duplex mode."""
+    """One scheduling decision: users and powers.  The duplex mode is read
+    off the powers, and a link at power 0 keeps no user (it becomes None)."""
 
     ul: Optional[int]
     dl: Optional[int]
     p0: float
     pu: float
-    mode: DuplexMode
 
     def __post_init__(self):
-        if self.p0 < 0.0 or self.pu < 0.0:
-            raise ValueError("powers must be >= 0")
-        if self.mode is DuplexMode.FD:
-            if self.ul is None or self.dl is None or self.p0 <= 0.0 or self.pu <= 0.0:
-                raise ValueError("FD schedule needs both users and positive powers")
-        elif self.mode is DuplexMode.HD_UL:
-            if self.ul is None or self.p0 != 0.0:
-                raise ValueError("HD-UL schedule needs an UL user and p0 = 0")
-        elif self.mode is DuplexMode.HD_DL:
-            if self.dl is None or self.pu != 0.0:
-                raise ValueError("HD-DL schedule needs a DL user and pu = 0")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if not (math.isfinite(self.p0) and math.isfinite(self.pu)) or min(self.p0, self.pu) < 0.0:
+            raise ValueError(f"powers must be finite and >= 0, got ({self.p0!r}, {self.pu!r})")
+        if self.p0 == 0.0 and self.pu == 0.0:
+            raise ValueError("the all-off corner is never a valid schedule")
+        if (self.pu > 0.0 and self.ul is None) or (self.p0 > 0.0 and self.dl is None):
+            raise ValueError("a link with positive power needs a user")
+        for user, power in (("ul", self.pu), ("dl", self.p0)):
+            if power == 0.0:
+                object.__setattr__(self, user, None)
 
-
-def _schedule_of(ul, dl, p0, pu):
-    """The Schedule of one decision: a zero power names the half-duplex
-    mode and drops that link's user."""
-    if p0 == 0.0:
-        return Schedule(ul=ul, dl=None, p0=p0, pu=pu, mode=DuplexMode.HD_UL)
-    if pu == 0.0:
-        return Schedule(ul=None, dl=dl, p0=p0, pu=pu, mode=DuplexMode.HD_DL)
-    return Schedule(ul=ul, dl=dl, p0=p0, pu=pu, mode=DuplexMode.FD)
+    @property
+    def mode(self):
+        if self.p0 == 0.0:
+            return DuplexMode.HD_UL
+        return DuplexMode.HD_DL if self.pu == 0.0 else DuplexMode.FD
 
 
 def require_positive_powers(config):
@@ -212,7 +204,7 @@ def _select(scheduler, ch, config):
     """Batch-of-one view of :func:`decide` on one snapshot."""
     ul, dl, p0, pu, _ = decide(scheduler, config, ch.si_gain,
                                ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
-    return _schedule_of(int(ul[0]), int(dl[0]), float(p0[0]), float(pu[0]))
+    return Schedule(int(ul[0]), int(dl[0]), float(p0[0]), float(pu[0]))
 
 
 def select_a1(ch, config):

@@ -166,9 +166,11 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
     if not schedulers:
         raise ValueError("at least one scheduler is required")
-    n_trials = whole_number("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    n_trials, seed, workers = (whole_number(k, v) for k, v in
+                               (("n_trials", n_trials), ("seed", seed), ("workers", workers)))
+    for name, value, least in (("n_trials", n_trials, 1), ("seed", seed, 0), ("workers", workers, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     n_blocks = -(-n_trials // BLOCK_SIZE)
     out = {}
     lock = threading.Lock()
@@ -194,8 +196,8 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
                 for k, v in block.items():
                     dest[k][lo + start:lo + start + n] = v
 
-    if workers and workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+    if workers > 1 and n_blocks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(one, range(n_blocks)))
     else:
         for j in range(n_blocks):

@@ -146,7 +146,8 @@ class TestSimulate:
         ({"trials": "100"}, "trials must be a whole number"),
         ({"sweep_parameter": "si_cancellation_db"}, "values must be non-empty"),
         ({"seed": -1}, "seed must be >= 0"),
-    ], ids=[f"settings{i}" for i in range(8)])
+        ({"sweep_values": [10, 20, 30]}, "sweep_values needs a sweep_parameter"),
+    ], ids=[f"settings{i}" for i in range(9)])
     def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))
@@ -331,6 +332,18 @@ class TestAnalyze:
     def test_nothing_requested_exits_2(self, capsys):
         assert run_cli(["analyze"]) == 2
         assert "--alg" in capsys.readouterr().err
+
+    def test_k_sets_both_user_counts_down_to_1(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--k", "1", "--out", str(a)]) == 0
+        assert run_cli(["analyze", "--alg", "a1", "--kd", "1", "--ku", "1", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--kd", "1"], ["--k", "1"]])
+    def test_asymptotic_single_user_exits_2(self, tmp_path, capsys, flags):
+        rc = run_cli(["analyze", "--asymptotic", *flags, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "k_u >= 2 and k_d >= 2" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -14,7 +14,7 @@ from fdsched.model import (
     sinr_dl,
     sinr_ul,
 )
-from fdsched.scheduling import DuplexMode, Schedule
+from fdsched.scheduling import Schedule
 
 
 def make_ch(g_ul, g_dl, g_x, si=0.0):
@@ -146,7 +146,7 @@ class TestRates:
     def test_unit_sinrs(self):
         # gamma_ul = gamma_dl = 1 -> 1 + 1 bps/Hz.
         ch = make_ch([1.0], [2.0], [[1.0]], si=0.0)
-        sched = Schedule(ul=0, dl=0, p0=1.0, pu=1.0, mode=DuplexMode.FD)
+        sched = Schedule(ul=0, dl=0, p0=1.0, pu=1.0)
         out = rates(ch, sched, self.config())
         assert out.r_ul == pytest.approx(1.0, rel=1e-12)
         assert out.r_dl == pytest.approx(1.0, rel=1e-12)
@@ -155,7 +155,7 @@ class TestRates:
     def test_hd_ul_only(self):
         # gamma_ul = 3 at p0 = 0 -> (2, 0, 2).
         ch = make_ch([3.0], [1.0], [[1.0]], si=0.7)
-        sched = Schedule(ul=0, dl=None, p0=0.0, pu=1.0, mode=DuplexMode.HD_UL)
+        sched = Schedule(ul=0, dl=None, p0=0.0, pu=1.0)
         out = rates(ch, sched, self.config())
         assert out.r_ul == pytest.approx(2.0, rel=1e-12)
         assert out.r_dl == 0.0
@@ -168,7 +168,7 @@ class TestRates:
             ch = draw_realization(cfg, rng)
             u = int(rng.integers(cfg.k_u))
             d = int(rng.integers(cfg.k_d))
-            sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max, mode=DuplexMode.FD)
+            sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max)
             out = rates(ch, sched, cfg)
             expect_ul = math.log2(1.0 + sinr_ul(ch, u, cfg.p0_max, cfg.pu_max, cfg.sigma0_sq))
             expect_dl = math.log2(1.0 + sinr_dl(ch, d, u, cfg.p0_max, cfg.pu_max, cfg.sigmaD_sq))
@@ -184,22 +184,22 @@ class TestRates:
             ch = draw_realization(cfg, rng)
             # r_ul falls as p0 grows (more SI), rises with pu.
             ul_vs_p0 = [
-                rates(ch, Schedule(0, 0, float(p0), 1.0, DuplexMode.FD), cfg).r_ul
+                rates(ch, Schedule(0, 0, float(p0), 1.0), cfg).r_ul
                 for p0 in grid[1:]
             ]
             assert all(a >= b - 1e-12 for a, b in zip(ul_vs_p0, ul_vs_p0[1:]))
             dl_vs_p0 = [
-                rates(ch, Schedule(0, 0, float(p0), 1.0, DuplexMode.FD), cfg).r_dl
+                rates(ch, Schedule(0, 0, float(p0), 1.0), cfg).r_dl
                 for p0 in grid[1:]
             ]
             assert all(b >= a - 1e-12 for a, b in zip(dl_vs_p0, dl_vs_p0[1:]))
             ul_vs_pu = [
-                rates(ch, Schedule(0, 0, 1.0, float(pu), DuplexMode.FD), cfg).r_ul
+                rates(ch, Schedule(0, 0, 1.0, float(pu)), cfg).r_ul
                 for pu in grid[1:]
             ]
             assert all(b >= a - 1e-12 for a, b in zip(ul_vs_pu, ul_vs_pu[1:]))
             dl_vs_pu = [
-                rates(ch, Schedule(0, 0, 1.0, float(pu), DuplexMode.FD), cfg).r_dl
+                rates(ch, Schedule(0, 0, 1.0, float(pu)), cfg).r_dl
                 for pu in grid[1:]
             ]
             assert all(a >= b - 1e-12 for a, b in zip(dl_vs_pu, dl_vs_pu[1:]))

@@ -58,7 +58,7 @@ class TestOpa:
         d = opa(ch, 0, 0, cfg)
         assert d.fast_path
         assert d.mode is DuplexMode.FD
-        assert (d.p0_star, d.pu_star) == (1.0, 1.0)
+        assert (d.p0, d.pu) == (1.0, 1.0)
 
     def test_hd_wins_under_crushing_interference(self):
         # FD corner: 2*log2(1 + 1/101) ~ 0.0285; each HD corner: 1.0.
@@ -68,7 +68,7 @@ class TestOpa:
         d = opa(ch, 0, 0, cfg)
         assert not d.fast_path
         assert d.mode is DuplexMode.HD_UL
-        assert (d.p0_star, d.pu_star) == (0.0, 1.0)
+        assert (d.p0, d.pu) == (0.0, 1.0)
         r_fd = 2 * math.log2(1 + 1.0 / 101.0)
         assert r_fd < 1.0
 
@@ -94,9 +94,7 @@ class TestOpa:
 
     def test_decision_invariants(self):
         with pytest.raises(ValueError):
-            OpaDecision(0.0, 0.0, DuplexMode.HD_UL, False)
-        with pytest.raises(ValueError):
-            OpaDecision(1.0, 1.0, DuplexMode.HD_UL, False)
+            OpaDecision(0, 0, 0.0, 0.0, False)
 
     def test_corner_value_never_beaten_by_grid(self):
         rng = np.random.default_rng(71)
@@ -121,14 +119,22 @@ class TestOpa:
                 + np.log1p(frac[:, None] * cfg.p0_max * gd
                            / (frac[None, :] * cfg.pu_max * gx + cfg.sigmaD_sq))
             ) / math.log(2)
-            if d.mode is DuplexMode.FD:
-                sched = Schedule(pair.ul, pair.dl, d.p0_star, d.pu_star, DuplexMode.FD)
-            elif d.mode is DuplexMode.HD_UL:
-                sched = Schedule(pair.ul, None, 0.0, d.pu_star, DuplexMode.HD_UL)
-            else:
-                sched = Schedule(None, pair.dl, d.p0_star, 0.0, DuplexMode.HD_DL)
-            chosen = rates(ch, sched, cfg).r_sum
+            chosen = rates(ch, d, cfg).r_sum
             assert float(grid.max()) <= chosen + 1e-9
+
+    def test_decision_is_a_schedule_at_the_best_corner(self):
+        rng = np.random.default_rng(89)
+        modes = set()
+        for _ in range(200):
+            cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 10.0 ** rng.uniform(-2, 2), 3, 3)
+            ch = draw_realization(cfg, rng)
+            d = opa(ch, 1, 2, cfg)
+            assert isinstance(d, Schedule)
+            corners = [rates(ch, Schedule(1, 2, p0, pu), cfg).r_sum
+                       for p0, pu in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0))]
+            assert rates(ch, d, cfg).r_sum == max(corners)
+            modes.add(d.mode)
+        assert modes == set(DuplexMode)
 
     def test_fast_path_agrees_with_enumeration(self):
         rng = np.random.default_rng(73)
@@ -170,7 +176,7 @@ class TestOpa:
                 checked_eta += 1
                 vals = [
                     rates(ch, Schedule(pair.ul, pair.dl, float(f) * cfg.p0_max,
-                                       cfg.pu_max, DuplexMode.FD), cfg).r_sum
+                                       cfg.pu_max), cfg).r_sum
                     for f in grid
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -178,7 +184,7 @@ class TestOpa:
                 checked_zeta += 1
                 vals = [
                     rates(ch, Schedule(pair.ul, pair.dl, cfg.p0_max,
-                                       float(f) * cfg.pu_max, DuplexMode.FD), cfg).r_sum
+                                       float(f) * cfg.pu_max), cfg).r_sum
                     for f in grid
                 ]
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))

@@ -185,7 +185,7 @@ class TestExhaustiveSearch:
             best_pair, best_rate = None, -1.0
             for u in range(CFG.k_u):
                 for d in range(CFG.k_d):
-                    r = rates(ch, Schedule(u, d, CFG.p0_max, CFG.pu_max, DuplexMode.FD), CFG).r_sum
+                    r = rates(ch, Schedule(u, d, CFG.p0_max, CFG.pu_max), CFG).r_sum
                     if r > best_rate:
                         best_pair, best_rate = (u, d), r
             assert (s.ul, s.dl) == best_pair
@@ -256,14 +256,25 @@ class TestHdTdd:
 class TestScheduleInvariants:
     def test_fd_requires_both_users_and_powers(self):
         with pytest.raises(ValueError):
-            Schedule(ul=None, dl=0, p0=1.0, pu=1.0, mode=DuplexMode.FD)
-        with pytest.raises(ValueError):
-            Schedule(ul=0, dl=0, p0=0.0, pu=1.0, mode=DuplexMode.FD)
+            Schedule(ul=None, dl=0, p0=1.0, pu=1.0)
 
     def test_hd_modes(self):
         with pytest.raises(ValueError):
-            Schedule(ul=0, dl=None, p0=0.5, pu=1.0, mode=DuplexMode.HD_UL)
+            Schedule(ul=0, dl=None, p0=0.5, pu=1.0)
         with pytest.raises(ValueError):
-            Schedule(ul=None, dl=0, p0=1.0, pu=0.5, mode=DuplexMode.HD_DL)
-        Schedule(ul=0, dl=None, p0=0.0, pu=1.0, mode=DuplexMode.HD_UL)
-        Schedule(ul=None, dl=0, p0=1.0, pu=0.0, mode=DuplexMode.HD_DL)
+            Schedule(ul=None, dl=0, p0=1.0, pu=0.5)
+        Schedule(ul=0, dl=None, p0=0.0, pu=1.0)
+        Schedule(ul=None, dl=0, p0=1.0, pu=0.0)
+
+    @pytest.mark.parametrize("p0,pu", [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0), (0.0, 0.0)],
+                             ids=["nan", "inf", "negative", "all-off"])
+    def test_refuses_bad_powers(self, p0, pu):
+        with pytest.raises(ValueError):
+            Schedule(ul=0, dl=0, p0=p0, pu=pu)
+
+    def test_mode_is_read_off_the_powers(self):
+        s = Schedule(0, 3, 0.0, 1.0)
+        assert s.dl is None and s.mode is DuplexMode.HD_UL
+        s = Schedule(2, 3, 1.0, 0.0)
+        assert s.ul is None and s.mode is DuplexMode.HD_DL
+        assert Schedule(2, 3, 1.0, 1.0).mode is DuplexMode.FD

@@ -422,6 +422,24 @@ class TestInputChecks:
     def test_engine_takes_whole_float_trial_counts(self):
         assert run_trials(CFG, "a1", 100.0, seed=1) == run_trials(CFG, "a1", 100, seed=1)
 
+    @pytest.mark.parametrize("args,message", [
+        ({"seed": 5.5}, "seed must be a whole number"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"workers": 2.5}, "workers must be a whole number"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"workers": -1}, "workers must be >= 1"),
+    ])
+    def test_engine_needs_whole_seeds_and_workers(self, args, message):
+        args = {"seed": 1, **args}
+        with pytest.raises(ValueError, match=message):
+            run_trials(CFG, "a1", 100, **args)
+        with pytest.raises(ValueError, match=message):
+            run_coupled(CFG, [Scheduler.ES_FDHD, Scheduler.A1_OPA], 100, **args)
+
+    def test_engine_takes_whole_float_seeds_and_workers(self):
+        expected = run_trials(CFG, "a1", 5000, seed=5)
+        assert run_trials(CFG, "a1", 5000, seed=5.0, workers=2.0) == expected
+
     def test_scheduler_list_must_be_non_empty(self):
         with pytest.raises(ValueError):
             sim._run_arrays(CFG, [], 100, seed=1)
