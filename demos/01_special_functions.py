@@ -5,10 +5,11 @@ The star of the analytical layer is
 
     xi_n(x, y) = integral_0^inf e^{-x t} (t + y)^{-n} dt,
 
-evaluated through a Gamma/exponential-integral closed form with an
-automatic quadrature fallback when the alternating terms cancel too hard.
-This script shows the identity xi_1(x,1) = -e^x Ei(-x), compares the kernel
-against direct quadrature, and pokes the cancellation cliff.
+evaluated as y^{1-n} e^{xy} E_n(xy), with the scaled generalized
+exponential integral e^z E_n(z) by continued fraction (z > 1) or series
+(z <= 1); neither cancels.  This script shows the identity
+xi_1(x,1) = -e^x Ei(-x), compares the kernel against direct quadrature,
+and evaluates it where a Gamma/Ei closed form would cancel.
 """
 
 from math import fsum
@@ -34,8 +35,8 @@ for (n, x, y) in [(1, 1.0, 1.0), (3, 2.0, 0.5), (8, 0.3, 1.0), (15, 10.0, 10.0)]
     got = xi_n(n, x, y)
     print(f"  n={n:2d} x={x:5.2f} y={y:5.2f}:  xi={got: .12e}  quad={ref: .12e}  "
           f"rel={abs(got - ref) / ref:.1e}")
-print("  (n=15, x=y=10 is the cancellation cliff: the closed form alone would")
-print("   return garbage ~1e-16 off by a sign; the kernel reroutes to quadrature)")
+print("  (at n=15, x=y=10 the Gamma/Ei closed form's alternating terms cancel")
+print("   to garbage; the scaled E_n form has no terms to cancel)")
 
 print("\n=== harmonic numbers approach log K + gamma from above ===")
 for k in (16, 256, 4096):

@@ -15,8 +15,9 @@ oracle and as their route (``ClosedFormRate.route``) around
   (1 - p0/pu)^{-n}; at a pole pu is nudged up by 1e-6 relative and the
   result is flagged;
 * cancellation: the alternating binomial sums lose ~2^K digits, so a sum
-  whose compensated-summation error estimate exceeds 1e-9 of it, or a user
-  count above 40, goes to the rate integral.
+  whose compensated-summation error estimate exceeds 1e-9 bits, the
+  reroute's tolerance, or a user count above 40, goes to the rate
+  integral.  Both routes thus meet one absolute contract.
 
 The survival functions take numpy arrays and never subtract from 1, so
 their tails keep full relative precision.  UL and A2 DL: the best of K
@@ -50,13 +51,13 @@ import numpy as np
 
 from .model import LN2, SystemConfig
 from .scheduling import require_positive_powers
-from .specfun import _EPS4, xi_n
+from .specfun import xi_n
 
 _POLE_EPS = 1e-9          # relative pole distance that triggers the guard
 _PERTURB_REL = 1e-6       # relative nudge applied to pu at a pole
-_CANCEL_LIMIT = 1e-9      # estimated cancellation beyond this -> quadrature
 _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
-_RATE_TOL = 1e-9          # bits: summed error estimate of the rate integral
+_RATE_TOL = 1e-9          # bits: error estimate allowed on either route
+_EPS4 = 4.0 * float(np.finfo(float).eps)  # compensated-sum error per unit gross size
 _MAX_PANELS = 4096        # narrowest Gauss-Legendre panel: T / 4096
 _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
@@ -304,41 +305,28 @@ def _ul_terms(params):
         yield term, abs(term)
 
 
-def _rate_bound(params, with_dl):
-    """An upper bound on the average rate in bits, UL only or UL plus DL:
-    Jensen's inequality, with E[max of K unit exponentials] = H_K <= 1 + ln K
-    and the DL SINR at most its interference-free SNR."""
-    bound = math.log2(1.0 + (1.0 + log(params.k_u)) * params.pu_max
-                      / (params.p0_max * params.si_gain + params.sigma0_sq))
-    if with_dl:
-        bound += math.log2(1.0 + (1.0 + log(params.k_d)) * params.p0_max / params.sigmaD_sq)
-    return bound
-
-
 def _closed_or_quadrature(params, dl_terms=None, sf_dl=None):
     """The closed UL rate plus ``dl_terms`` (None: UL only), or the rate
     integral with ``sf_dl`` when a user count is beyond the closed forms or
-    the compensated-summation error estimate exceeds 1e-9 of the sum; the
-    one place that sets a :class:`ClosedFormRate`'s route.  The terms stop
-    once their gross magnitude fails the estimate against
-    :func:`_rate_bound`, which the full sum would then fail too.
+    the compensated-summation error estimate exceeds 1e-9 bits, the
+    reroute's tolerance; the one place that sets a :class:`ClosedFormRate`'s
+    route.  The terms stop once their gross magnitude alone fails the
+    estimate, which the full sum would then fail too.
     """
     k = params.k_u if dl_terms is None else max(params.k_u, params.k_d)
     if k > _CLOSED_RATE_MAX_K:
         route = "quadrature:large-k"
     else:
-        limit = _CANCEL_LIMIT / _EPS4 * _rate_bound(params, dl_terms is not None)
         terms, gross, running = [], [], 0.0
         for term, size in chain(_ul_terms(params), () if dl_terms is None else dl_terms(params)):
             terms.append(term)
             gross.append(size)
             running += size
-            if running > limit:
+            if running > _RATE_TOL / _EPS4:
                 break
         else:
-            total = fsum(terms)
-            if total > 0.0 and _EPS4 * fsum(gross) <= _CANCEL_LIMIT * total:
-                return ClosedFormRate(total, False)
+            if _EPS4 * fsum(gross) <= _RATE_TOL:
+                return ClosedFormRate(fsum(terms), False)
         route = "quadrature:cancellation"
     return ClosedFormRate(_rate_by_quadrature(params, sf_dl), False, route)
 

@@ -34,9 +34,9 @@ class CriterionResult:
 
 def _xi_reference(n, x, y):
     """Oracle for the xi_n kernel: adaptive quadrature of the raw defining
-    integral in the t variable.  Deliberately a different integrand than
-    the implementation's fallback (which substitutes u = x t first); checked
-    against 30-digit evaluation to 7e-12 over the acceptance grid."""
+    integral in the t variable, independent of the implementation's scaled
+    E_n evaluation; checked against 30-digit evaluation to 7e-12 over the
+    acceptance grid."""
 
     def f(t):
         return exp(-x * t) * (t + y) ** (-n)

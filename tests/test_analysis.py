@@ -17,7 +17,6 @@ from fdsched.analysis import (
     QuadratureError,
     _dl_a1_terms,
     _dl_a2_terms,
-    _rate_bound,
     _rate_by_quadrature,
     _sf_dl_a1,
     _sf_dl_a2,
@@ -208,19 +207,35 @@ class TestRoutes:
 
     @pytest.mark.parametrize("alg", ["a1", "a2"])
     def test_early_stop_keeps_the_full_sum_decision(self, alg):
-        # The closed sums stop once their gross magnitude fails the estimate
-        # against _rate_bound; the route must be the one the full sums give.
+        # The closed sums stop once their gross magnitude alone fails the
+        # absolute estimate; the route must be the one the full sums give.
         fn, dl_terms = (avg_rate_a1, _dl_a1_terms) if alg == "a1" else (avg_rate_a2, _dl_a2_terms)
         for si_db in (40.0, 80.0, 120.0):
             for k in (1, 2, 5, 8, 10, 15, 20, 30, 40):
                 params = preset_params(k, si_db)
                 terms, gross = zip(*list(_ul_terms(params)) + list(dl_terms(params)))
-                total = math.fsum(terms)
                 estimate = analysis._EPS4 * math.fsum(gross)
-                closed = total > 0.0 and estimate <= analysis._CANCEL_LIMIT * total
+                closed = estimate <= analysis._RATE_TOL
                 result = fn(params)
                 assert (result.route == "closed") == closed, (si_db, k)
-                assert result.value < _rate_bound(params, True)
+                # Jensen's inequality, with E[max of K unit exponentials]
+                # = H_K <= 1 + ln K and the DL SINR at most its
+                # interference-free SNR.
+                bound = (math.log2(1.0 + (1.0 + math.log(k)) * params.pu_max
+                                   / (params.p0_max * params.si_gain + params.sigma0_sq))
+                         + math.log2(1.0 + (1.0 + math.log(k)) * params.p0_max
+                                     / params.sigmaD_sq))
+                assert result.value < bound
+
+    def test_analysis_grid_within_1e9_bits_of_reference(self):
+        # Both routes hold the same absolute 1e-9-bit contract at every
+        # analysis-grid point of perfbench/reference.json (mpmath, 40 digits).
+        points = [p for p in REFERENCE["points"] if p["set"] == "analysis-grid"]
+        assert len(points) == 120
+        for p in points:
+            fn = avg_rate_a1 if p["alg"] == "a1" else avg_rate_a2
+            value = fn(preset_params(p["k"], float(p["si_db"]))).value
+            assert abs(value - float(p["rate_bits"])) <= 1e-9, (p["alg"], p["si_db"], p["k"])
 
 
 class TestRateIntegral:

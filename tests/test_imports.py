@@ -5,7 +5,7 @@ imports, and each resolves.
 
 scipy is loaded only where a quadrature runs.  Importing scipy.integrate
 costs more than half a second, and the Monte Carlo path never integrates,
-so the package imports it inside the three functions that call ``quad``.
+so the package imports it inside the two functions that call ``quad``.
 Each scipy check runs in a fresh interpreter: in pytest's own process
 other tests have already imported scipy.
 """
@@ -59,6 +59,24 @@ def test_simulate_does_not_load_scipy(tmp_path):
         " '--out', 'fig4.csv'])\n"
         "print(rc, 'scipy' in sys.modules)", tmp_path)
     assert out[-2:] == ["0", "False"]
+
+
+def test_closed_forms_do_not_load_scipy(tmp_path):
+    out = run_fresh(
+        "import sys\n"
+        "import numpy as np\n"
+        "from fdsched import AnalyticalParams, config_from_db, xi_n\n"
+        "from fdsched.analysis import avg_rate_a1, avg_rate_a2\n"
+        "for n in range(1, 16):\n"
+        "    for x in np.logspace(-3.0, 3.0, 13):\n"
+        "        for y in (0.1, 1.0, 10.0):\n"
+        "            xi_n(n, float(x), y)\n"
+        "for k in (1, 5, 10, 20, 30, 48):\n"
+        "    for si in (40.0, 80.0, 120.0):\n"
+        "        params = AnalyticalParams.from_config(config_from_db(24, 23, si, k_u=k, k_d=k))\n"
+        "        avg_rate_a1(params), avg_rate_a2(params)\n"
+        "print('scipy' in sys.modules)", tmp_path)
+    assert out == ["False"]
 
 
 @pytest.mark.parametrize("argv", [

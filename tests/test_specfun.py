@@ -71,8 +71,28 @@ class TestXiN:
                 for y in (0.1, 1.0, 10.0):
                     assert xi_n(n, x, y) == pytest.approx(mp_xi(n, x, y), rel=1e-8), (n, x, y)
 
+    def test_against_mpmath_expint(self):
+        # xi_n(x, y) = y^(1-n) e^(xy) E_n(xy): criterion 1's grid, then n up
+        # to 41 (k_d + 1 at K = 40) at small and large y.  mpmath's expint
+        # itself loses ~10 digits at n = 36, xy = 100, hence 60 digits.
+        grid = [(n, y) for n in range(1, 16) for y in (0.1, 1.0, 10.0)]
+        grid += [(n, y) for n in range(16, 42) for y in (1e-3, 1.0, 1e2)]
+        with mp.workdps(60):
+            for n, y in grid:
+                for x in np.logspace(-3.0, 3.0, 13):
+                    x = float(x)
+                    z = mp.mpf(x) * mp.mpf(y)
+                    ref = float(mp.mpf(y) ** (1 - n) * mp.e ** z * mp.expint(n, z))
+                    assert xi_n(n, x, y) == pytest.approx(ref, rel=1e-13), (n, x, y)
+
+    def test_overflowing_power_raises(self):
+        # y^(1-n) = 1e400 is beyond float range: an error, never inf.
+        with pytest.raises(ArithmeticError):
+            xi_n(41, 1.0, 1e-10)
+
     def test_huge_exponent_no_overflow(self):
-        # x*y = 1e4 forces the scaled e^{xy} Ei(-xy) route.
+        # x*y = 1e4: the continued fraction gives e^{xy} E_2(xy) without
+        # forming e^{xy}.
         val = xi_n(2, 1e3, 10.0)
         assert val == pytest.approx(mp_xi(2, 1e3, 10.0), rel=1e-8)
 
