@@ -12,17 +12,15 @@ The same sweep is available from the command line as
 ``fdsched simulate --preset fig2``.
 """
 
-from fdsched import SweepSpec, run_sweep
+from fdsched import run_sweep
 
 BASE = {"pu_dbm_scale": 0.95, "si_cancellation_db": 80.0, "k_u": 5, "k_d": 5}
 VALUES = tuple(float(v) for v in range(-20, 31, 5))
+SCHEDULERS = ("es-fd", "es-fdhd", "hd-tdd")
 
-spec = SweepSpec(
-    swept_parameter="p0_dbm", values=VALUES, schedulers=("es-fd", "es-fdhd", "hd-tdd"),
-    base_config=BASE, n_trials=50_000, seed=43,
-)
-curves = {sched.value: [] for sched in spec.schedulers}
-for pt in run_sweep(spec):  # one draw per sweep point, shared by all three
+curves = {sched: [] for sched in SCHEDULERS}
+# One draw per sweep point, shared by all three schedulers.
+for pt in run_sweep(BASE, "p0_dbm", VALUES, SCHEDULERS, n_trials=50_000, seed=43):
     curves[pt.scheduler.value].append(pt.stats.mean_sum_rate)
 
 print("mean sum rate (bps/Hz) vs DL power, 80 dB SI cancellation, K=5")

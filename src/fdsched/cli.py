@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__, analysis, validate
 from .analysis import AnalyticalParams
 from .model import RADIO_DEFAULTS, whole_number
-from .sim import BASE_CONFIG_DEFAULTS, Scheduler, SweepSpec, resolve_config, run_sweep
+from .sim import BASE_CONFIG_DEFAULTS, Scheduler, resolve_config, run_sweep
 
 
 class FlagError(Exception):
@@ -186,18 +186,14 @@ def cmd_simulate(args):
 
     header = ["value", "scheduler", "mean_sum_rate", "mean_ul_rate",
               "mean_dl_rate", "std_error", "fd_fraction", "n_trials"]
-    try:  # SweepSpec checks the seed and every sweep point's config
+    try:  # run_sweep checks the rest before its first draw
         for key in ("trials", "workers"):
             if whole_number(key, settings[key]) < 1:
                 raise FlagError(f"--{key} must be >= 1")
-        spec = SweepSpec(
-            swept_parameter=settings["sweep_parameter"],
-            values=tuple(settings["sweep_values"] or ()),
-            schedulers=tuple(settings["schedulers"]),
-            base_config={key: settings[key] for key in BASE_CONFIG_DEFAULTS},
-            n_trials=settings["trials"],
-            seed=settings["seed"],
-        )
+        points = run_sweep({key: settings[key] for key in BASE_CONFIG_DEFAULTS},
+                           settings["sweep_parameter"], settings["sweep_values"] or (),
+                           settings["schedulers"], settings["trials"], settings["seed"],
+                           settings["workers"])
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
     rows = [{
@@ -209,7 +205,7 @@ def cmd_simulate(args):
         "std_error": point.stats.std_error,
         "fd_fraction": point.stats.fd_fraction,
         "n_trials": point.stats.n_trials,
-    } for point in run_sweep(spec, workers=settings["workers"])]
+    } for point in points]
     out = args.out or f"simulate.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
     _write_manifest(out, "simulate", settings)

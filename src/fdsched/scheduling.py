@@ -195,7 +195,7 @@ def evaluate(scheduler, config, g_ul, g_dl, g_x):
     gamma_ul = sinr(pu, g_ul[idx, ul], p0, si, config.sigma0_sq)
     gamma_dl = sinr(p0, g_dl[idx, dl], pu, g_x[idx, dl, ul], config.sigmaD_sq)
     out = {"r_ul": log2_1p(gamma_ul), "r_dl": log2_1p(gamma_dl), "fd": (p0 > 0.0) & (pu > 0.0)}
-    if scheduler in (Scheduler.A1, Scheduler.A2, Scheduler.A3):
+    if scheduler in OPA_BASE.values():
         out.update(gamma_ul=gamma_ul, gamma_dl=gamma_dl)
     return {**out, **extras}
 

@@ -26,7 +26,7 @@ enumeration of every pair and power corner instead.
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,49 +52,6 @@ class TrialStats:
     std_error: float
     n_trials: int
     fd_fraction: float
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter, one or more schedulers, shared base configuration.
-
-    ``schedulers`` is a tuple of scheduler names; a single name is taken as
-    a one-element tuple.
-    """
-
-    swept_parameter: str
-    values: tuple
-    schedulers: tuple
-    base_config: dict
-    n_trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.swept_parameter not in SWEEPABLE_PARAMETERS:
-            raise ValueError(
-                f"swept_parameter must be one of {SWEEPABLE_PARAMETERS}, "
-                f"got {self.swept_parameter!r}"
-            )
-        values = tuple(self.values)
-        if not values:
-            raise ValueError("values must be non-empty")
-        diffs = [b - a for a, b in zip(values, values[1:])]
-        if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-            raise ValueError("values must be strictly monotone")
-        for name in ("n_trials", "seed"):
-            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "values", values)
-        schedulers = (self.schedulers,) if isinstance(self.schedulers, str) else self.schedulers
-        schedulers = tuple(Scheduler(s) for s in schedulers)
-        if not schedulers:
-            raise ValueError("schedulers must be non-empty")
-        object.__setattr__(self, "schedulers", schedulers)
-        for value in values:  # every sweep point must make a valid config
-            resolve_config(self.base_config, self.swept_parameter, value)
 
 
 class SweepPoint(NamedTuple):
@@ -154,6 +111,16 @@ def _draw_block(config, rng):
 _evaluate_block = evaluate  # per-trial arrays of one scheduler on one block; a seam for tracing
 
 
+def _run_settings(n_trials, seed, workers):
+    """``(n_trials, seed, workers)`` as ints, or a ValueError naming the bad one."""
+    names = ("n_trials", "seed", "workers")
+    settings = tuple(whole_number(k, v) for k, v in zip(names, (n_trials, seed, workers)))
+    for name, value, least in zip(names, settings, (1, 0, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    return settings
+
+
 def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     """Per-trial arrays of every scheduler, ``{scheduler: {name: array}}``
     in the order given (repeats collapse); ``keys`` limits the arrays kept.
@@ -166,11 +133,7 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
     if not schedulers:
         raise ValueError("at least one scheduler is required")
-    n_trials, seed, workers = (whole_number(k, v) for k, v in
-                               (("n_trials", n_trials), ("seed", seed), ("workers", workers)))
-    for name, value, least in (("n_trials", n_trials, 1), ("seed", seed, 0), ("workers", workers, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be >= {least}, got {value}")
+    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
     n_blocks = -(-n_trials // BLOCK_SIZE)
     out = {}
     lock = threading.Lock()
@@ -248,7 +211,7 @@ def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
     """Per-trial (UL SINR, DL SINR) of the pair picked by a fixed-power
     selection rule at maximum powers.  Only meaningful for a1/a2/a3."""
     scheduler = Scheduler(scheduler)
-    if scheduler not in (Scheduler.A1, Scheduler.A2, Scheduler.A3):
+    if scheduler not in OPA_BASE.values():
         raise ValueError("SINR sampling applies to the fixed-power selectors only")
     arrays = _run_arrays(config, [scheduler], n_trials, seed, workers)[scheduler]
     return arrays["gamma_ul"], arrays["gamma_dl"]
@@ -302,19 +265,30 @@ def dominance_violations(arrays):
     return out
 
 
-def run_sweep(spec, workers=1):
-    """Every scheduler of ``spec`` at every sweep value.
+def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, workers=1):
+    """Every scheduler at every value of one swept parameter.
 
-    Sweep value i is simulated once for all schedulers, with the seed
-    derived from (spec.seed, i): each block is drawn once and evaluated by
-    every scheduler, and the point's per-trial arrays are freed before the
-    next point is drawn.  Rows come back scheduler-major: every value of
-    ``spec.schedulers[0]`` in sweep order, then the next scheduler.
+    ``swept_parameter`` is one of :data:`SWEEPABLE_PARAMETERS`, set on
+    ``base_config`` as in :func:`resolve_config`, and ``values`` is strictly
+    monotone.  The settings and every point's config are checked before
+    the first draw.  Sweep value i is simulated once for all schedulers,
+    with the seed derived from (seed, i): each block is drawn once and
+    evaluated by every scheduler, and the point's per-trial arrays are freed
+    before the next point is drawn.  Rows come back scheduler-major: every
+    value of ``schedulers[0]`` in sweep order, then the next scheduler.
     """
-    points = []
-    for i, value in enumerate(spec.values):
-        config = resolve_config(spec.base_config, spec.swept_parameter, value)
-        seed = derived_trial_seed(spec.seed, i)
-        points.append(_run_stats(config, spec.schedulers, spec.n_trials, seed, workers))
-    return [SweepPoint(value, stats[s], s)
-            for s in spec.schedulers for value, stats in zip(spec.values, points)]
+    if swept_parameter not in SWEEPABLE_PARAMETERS:
+        raise ValueError(f"swept_parameter must be one of {SWEEPABLE_PARAMETERS}, "
+                         f"got {swept_parameter!r}")
+    values = tuple(values)
+    if not values:
+        raise ValueError("values must be non-empty")
+    diffs = [b - a for a, b in zip(values, values[1:])]
+    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+        raise ValueError("values must be strictly monotone")
+    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
+    schedulers = [Scheduler(s) for s in schedulers]
+    configs = [resolve_config(base_config, swept_parameter, value) for value in values]
+    points = [_run_stats(config, schedulers, n_trials, derived_trial_seed(seed, i), workers)
+              for i, config in enumerate(configs)]
+    return [SweepPoint(value, stats[s], s) for s in schedulers for value, stats in zip(values, points)]

@@ -77,7 +77,8 @@ def exp_integral_ei(t):
 def xi_n(n, x, y):
     """Kernel xi_n(x, y) = integral_0^inf e^{-x t} (t + y)^{-n} dt.
 
-    Requires integer n >= 1 and x, y > 0.  Evaluated as
+    Requires integer n >= 1, x, y > 0 and a product x y that neither
+    overflows nor underflows to 0 (else ValueError).  Evaluated as
     y^{1-n} e^{x y} E_n(x y), with e^{x y} E_n(x y) by continued fraction
     for x y > 1 and by series for x y <= 1; no term cancels in either.
     Raises OverflowError (an ArithmeticError) if y^{1-n} overflows.
@@ -91,6 +92,6 @@ def xi_n(n, x, y):
         raise ValueError(f"xi_n requires x > 0, got {x!r}")
     if not (math.isfinite(y) and y > 0.0):
         raise ValueError(f"xi_n requires y > 0, got {y!r}")
-    if not math.isfinite(x * y):
+    if not 0.0 < x * y < math.inf:
         raise ValueError("x * y is not representable")
     return _en_scaled(n, x * y) * y ** (1 - n)

@@ -231,11 +231,12 @@ def crit_cdf_laws(quick=False):
     return True, "; ".join(f"{name} {d:.4f}" for name, d in checks) + f" (tol {tol})"
 
 
-def _sweep_means(spec):
-    """``{scheduler: [mean sum rate per sweep value]}`` of one sweep."""
-    means = {s: [] for s in spec.schedulers}
-    for pt in sim.run_sweep(spec):
-        means[pt.scheduler].append(pt.stats.mean_sum_rate)
+def _sweep_means(*sweep):
+    """``{scheduler: [mean sum rate per sweep value]}`` of one
+    :func:`sim.run_sweep` call with arguments ``sweep``."""
+    means = {}
+    for pt in sim.run_sweep(*sweep):
+        means.setdefault(pt.scheduler, []).append(pt.stats.mean_sum_rate)
     return means
 
 
@@ -266,12 +267,8 @@ def crit_trend_reproductions(quick=False):
     # (b) crossover sweep at 80 dB cancellation, pu = 0.95 * p0 (dBm rule).
     base = {"pu_dbm_scale": 0.95, "si_cancellation_db": 80.0, "k_u": 5, "k_d": 5}
     p0_values = list(range(-20, 31, 5))
-    spec = sim.SweepSpec(
-        swept_parameter="p0_dbm", values=tuple(float(v) for v in p0_values),
-        schedulers=(Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD),
-        base_config=base, n_trials=n, seed=43,
-    )
-    means = _sweep_means(spec)
+    means = _sweep_means(base, "p0_dbm", [float(v) for v in p0_values],
+                         (Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD), n, 43)
     crossed = [v for v, fd_m, hd_m in zip(p0_values, means[Scheduler.ES_FD], means[Scheduler.HD_TDD])
                if fd_m < hd_m]
     if not crossed:
@@ -281,14 +278,11 @@ def crit_trend_reproductions(quick=False):
             return False, f"(b) es-fdhd below hd-tdd at p0 = {v} dBm"
 
     # (c) A2 >= A1 and a widening gap as K grows (fixed 24/23 dBm, 80 dB).
-    spec = sim.SweepSpec(
-        swept_parameter="k_users", values=(2, 5, 10, 15),
-        schedulers=(Scheduler.A1, Scheduler.A2),
-        base_config={"si_cancellation_db": 80.0}, n_trials=n, seed=45,
-    )
-    means = _sweep_means(spec)
+    k_values = (2, 5, 10, 15)
+    means = _sweep_means({"si_cancellation_db": 80.0}, "k_users", k_values,
+                         (Scheduler.A1, Scheduler.A2), n, 45)
     gaps = []
-    for k, a1, a2 in zip(spec.values, means[Scheduler.A1], means[Scheduler.A2]):
+    for k, a1, a2 in zip(k_values, means[Scheduler.A1], means[Scheduler.A2]):
         if a2 < a1:
             return False, f"(c) mean A2 < mean A1 at K={k}"
         gaps.append(a2 - a1)

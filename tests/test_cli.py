@@ -147,7 +147,9 @@ class TestSimulate:
         ({"sweep_parameter": "si_cancellation_db"}, "values must be non-empty"),
         ({"seed": -1}, "seed must be >= 0"),
         ({"sweep_values": [10, 20, 30]}, "sweep_values needs a sweep_parameter"),
-    ], ids=[f"settings{i}" for i in range(9)])
+        ({"p0_dbm": -4000.0}, "needs positive p0_max and pu_max"),
+        ({"pu_dbm": -4000.0, "schedulers": ["es-fdhd"]}, "needs positive p0_max and pu_max"),
+    ], ids=[f"settings{i}" for i in range(11)])
     def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))

@@ -14,7 +14,6 @@ from fdsched.model import SystemConfig, config_from_db, draw_realization
 from fdsched.sim import (
     BLOCK_SIZE,
     Scheduler,
-    SweepSpec,
     derived_trial_seed,
     dominance_violations,
     resolve_config,
@@ -263,17 +262,30 @@ class TestSharedDraws:
             return real_draw(cfg, rng)
 
         monkeypatch.setattr(sim, "_draw_block", counting_draw)
-        spec = SweepSpec("k_users", (2, 3, 4), ("a2-opa", "es-fdhd", "hd-tdd"),
-                         {"si_cancellation_db": 80.0}, BLOCK_SIZE + 1, seed=62)
-        rows = run_sweep(spec)
+        base, values = {"si_cancellation_db": 80.0}, (2, 3, 4)
+        schedulers = (Scheduler.A2_OPA, Scheduler.ES_FDHD, Scheduler.HD_TDD)
+        rows = run_sweep(base, "k_users", values, ("a2-opa", "es-fdhd", "hd-tdd"),
+                         BLOCK_SIZE + 1, seed=62)
         assert draws == [2, 2, 3, 3, 4, 4]
         # Scheduler-major rows, each equal to a run of that scheduler alone.
         assert [(pt.scheduler, pt.value) for pt in rows] == [
-            (s, k) for s in spec.schedulers for k in spec.values]
+            (s, k) for s in schedulers for k in values]
         for pt in rows:
-            config = resolve_config(spec.base_config, "k_users", pt.value)
-            seed = derived_trial_seed(62, spec.values.index(pt.value))
-            assert pt.stats == run_trials(config, pt.scheduler, spec.n_trials, seed)
+            config = resolve_config(base, "k_users", pt.value)
+            seed = derived_trial_seed(62, values.index(pt.value))
+            assert pt.stats == run_trials(config, pt.scheduler, BLOCK_SIZE + 1, seed)
+
+    @pytest.mark.parametrize("values,n_trials,message", [
+        ((2, 3, 4.5), 100, "whole number"),
+        ((2, 3, 4), 0, "n_trials must be >= 1"),
+    ], ids=["fractional-last-k", "zero-trials"])
+    def test_sweep_checks_everything_before_the_first_draw(self, monkeypatch, values,
+                                                           n_trials, message):
+        draws = []
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        with pytest.raises(ValueError, match=message):
+            run_sweep({}, "k_users", values, [Scheduler.A1], n_trials, seed=1)
+        assert draws == []
 
     def test_es_tie_order_matches_scalar_search(self, monkeypatch):
         # With p0 = pu = s0 = sd = 1 and no SI, a zero cross gain makes the
@@ -410,7 +422,7 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="whole number"):
             resolve_config({}, "k_users", 2.5)
         with pytest.raises(ValueError, match="whole number"):
-            SweepSpec("k_users", (2.5, 3.7), Scheduler.A1, {}, 100, 0)
+            run_sweep({}, "k_users", (2.5, 3.7), [Scheduler.A1], 100, 0)
 
     @pytest.mark.parametrize("n_trials", [2.5, "100"])
     def test_engine_needs_whole_trial_counts(self, n_trials):
@@ -444,7 +456,7 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             sim._run_arrays(CFG, [], 100, seed=1)
         with pytest.raises(ValueError):
-            SweepSpec("p0_dbm", (1.0,), (), {}, 100, 0)
+            run_sweep({}, "p0_dbm", (1.0,), (), 100, 0)
 
 
 class TestCoupling:
@@ -480,17 +492,11 @@ class TestCoupling:
 
 class TestSweeps:
     def test_single_value_sweep_equals_direct_run(self):
-        spec = SweepSpec(
-            swept_parameter="si_cancellation_db",
-            values=(80.0,),
-            schedulers=(Scheduler.A2_OPA,),
-            base_config={"k_u": 5, "k_d": 5},
-            n_trials=5_000,
-            seed=51,
-        )
-        rows = run_sweep(spec)
+        base = {"k_u": 5, "k_d": 5}
+        rows = run_sweep(base, "si_cancellation_db", (80.0,), (Scheduler.A2_OPA,),
+                         n_trials=5_000, seed=51)
         assert len(rows) == 1
-        config = resolve_config(spec.base_config, "si_cancellation_db", 80.0)
+        config = resolve_config(base, "si_cancellation_db", 80.0)
         direct = run_trials(config, Scheduler.A2_OPA, 5_000, derived_trial_seed(51, 0))
         assert rows[0].stats == direct
 
@@ -504,26 +510,26 @@ class TestSweeps:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SweepSpec("p0_dbm", (), Scheduler.A1, {}, 100, 0)
+            run_sweep({}, "p0_dbm", (), [Scheduler.A1], 100, 0)
         with pytest.raises(ValueError):
-            SweepSpec("p0_dbm", (1.0, 3.0, 2.0), Scheduler.A1, {}, 100, 0)
+            run_sweep({}, "p0_dbm", (1.0, 3.0, 2.0), [Scheduler.A1], 100, 0)
         with pytest.raises(ValueError):
-            SweepSpec("bandwidth", (1.0,), Scheduler.A1, {}, 100, 0)
+            run_sweep({}, "bandwidth", (1.0,), [Scheduler.A1], 100, 0)
         with pytest.raises(ValueError):
-            SweepSpec("p0_dbm", (1.0,), Scheduler.A1, {}, 0, 0)
+            run_sweep({}, "p0_dbm", (1.0,), [Scheduler.A1], 0, 0)
         with pytest.raises(ValueError):
-            SweepSpec("p0_dbm", (1.0,), Scheduler.A1, {"bogus": 1}, 100, 0)
+            run_sweep({"bogus": 1}, "p0_dbm", (1.0,), [Scheduler.A1], 100, 0)
 
     def test_si_sweep_fd_fraction_monotone(self):
-        spec = SweepSpec(
+        rows = run_sweep(
+            base_config={"p0_dbm": 0.0, "pu_dbm": 0.0, "k_u": 5, "k_d": 5,
+                         "bandwidth_hz": 1e7},
             swept_parameter="si_cancellation_db",
             values=tuple(float(v) for v in range(60, 111, 10)),
             schedulers=(Scheduler.A2_OPA,),
-            base_config={"p0_dbm": 0.0, "pu_dbm": 0.0, "k_u": 5, "k_d": 5,
-                         "bandwidth_hz": 1e7},
             n_trials=20_000,
             seed=53,
         )
-        fracs = [pt.stats.fd_fraction for pt in run_sweep(spec)]
+        fracs = [pt.stats.fd_fraction for pt in rows]
         assert all(b >= a for a, b in zip(fracs, fracs[1:]))
         assert fracs[-1] > fracs[0]

@@ -90,6 +90,13 @@ class TestXiN:
         with pytest.raises(ArithmeticError):
             xi_n(41, 1.0, 1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_underflowing_product_raises(self, n):
+        # x*y = 1e-340 underflows to 0 although x and y are positive: the
+        # same explained error as an overflowing product, not a log(0).
+        with pytest.raises(ValueError, match="x \\* y is not representable"):
+            xi_n(n, 1e-170, 1e-170)
+
     def test_huge_exponent_no_overflow(self):
         # x*y = 1e4: the continued fraction gives e^{xy} E_2(xy) without
         # forming e^{xy}.
