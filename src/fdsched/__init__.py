@@ -2,6 +2,8 @@
 and closed-form Rayleigh-fading sum-rate analysis, with a deterministic
 Monte Carlo engine and numerical quadrature as mutual cross-checks."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .analysis import (
@@ -52,49 +54,6 @@ from .sim import (
 )
 from .specfun import exp_integral_ei, xi_n
 
-__all__ = [
-    "AnalyticalParams",
-    "AsymptoticRate",
-    "ChannelRealization",
-    "ClosedFormRate",
-    "DuplexMode",
-    "OpaDecision",
-    "QuadratureError",
-    "RateBreakdown",
-    "Schedule",
-    "Scheduler",
-    "SweepPoint",
-    "SystemConfig",
-    "TrialStats",
-    "asymptotic_rate_a1",
-    "avg_rate_a1",
-    "avg_rate_a2",
-    "avg_rate_integral",
-    "avg_rate_ul_closed",
-    "cdf_sinr_dl_a1",
-    "cdf_sinr_dl_a2",
-    "cdf_sinr_ul",
-    "config_from_db",
-    "derived_trial_seed",
-    "draw_realization",
-    "eta",
-    "exp_integral_ei",
-    "opa",
-    "opa_enhanced_schedule",
-    "rates",
-    "resolve_config",
-    "run_coupled",
-    "run_sweep",
-    "run_trials",
-    "select_a1",
-    "select_a2",
-    "select_a3",
-    "select_es_fd",
-    "select_es_fdhd",
-    "select_hd_tdd",
-    "selected_sinr_samples",
-    "sinr_dl",
-    "sinr_ul",
-    "xi_n",
-    "zeta",
-]
+# Every public name imported above, each listed once.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

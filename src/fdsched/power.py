@@ -20,6 +20,8 @@ from .model import _check_index
 from .scheduling import (  # zeta and eta are re-exported
     Schedule,
     Scheduler,
+    _pair_at,
+    _powers,
     _select,
     allocate,
     eta,
@@ -52,8 +54,9 @@ def opa(ch, ul, dl, config):
     require_positive_powers(config)
     _check_index("UL", ul, ch.g_ul.shape[0])
     _check_index("DL", dl, ch.g_dl.shape[0])
-    fast, p0, pu, _, _ = allocate(config, ch.si_gain, ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul])
-    return OpaDecision(ul, dl, float(p0), float(pu), bool(fast))
+    pair = _pair_at(config, ch.si_gain, ul, dl, (ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul]))
+    fast, fd, on_ul, _, _ = allocate(config, ch.si_gain, pair)
+    return OpaDecision(ul, dl, *map(float, _powers(config, fd, on_ul)), bool(fast))
 
 
 def opa_enhanced_schedule(ch, config, base):

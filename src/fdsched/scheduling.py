@@ -9,15 +9,19 @@ corners (see :mod:`fdsched.power`), ES-FDHD the best of the exhaustive FD
 pair and the two best single links.  Ties resolve to the lowest index
 (lexicographic (u, d) for pair searches), then to FD, HD-UL, HD-DL.
 
-Gains carry a leading trial axis.  :func:`decide` gives per-trial users and
-powers, :func:`evaluate` per-trial rates for the Monte Carlo engine; the
-scalar ``select_*`` functions and :mod:`fdsched.power` are batch-of-one
-views of the same code, and return a :class:`Schedule`.
+Gains carry a leading trial axis.  :func:`evaluate` gives the per-trial
+rates of every scheduler of a run on one batch, each picked from work done
+once per batch: the gain-max users and their single-link rates, and each
+base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
+The scalar ``select_*`` functions and :mod:`fdsched.power` are
+batch-of-one views of the same code, and return a :class:`Schedule`.
 """
 
 import enum
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -106,105 +110,138 @@ def _hd_rates(config, si, g_ul, g_dl):
             log2_1p(sinr(config.p0_max, g_dl, 0.0, 0.0, config.sigmaD_sq)))
 
 
-def _corner_powers(config, r_fd, r_hd_ul, r_hd_dl, fast=False):
-    """Powers (p0, pu) of the best live corner: (P0, PU) when ``fast`` or
-    when FD is best, else (0, PU) or (P0, 0).  Ties prefer FD, then HD-UL,
-    then HD-DL."""
+def _corner(r_fd, r_hd_ul, r_hd_dl, fast=False):
+    """Masks ``(fd, on_ul)`` of the best live corner (FD if ``fast``); ties prefer FD, then HD-UL."""
     fd = fast | ((r_fd >= r_hd_ul) & (r_fd >= r_hd_dl))
-    on_ul = ~fd & (r_hd_ul >= r_hd_dl)
-    return config.p0_max * ~on_ul, config.pu_max * (fd | on_ul)  # 0 where the link is off
+    return fd, ~fd & (r_hd_ul >= r_hd_dl)
 
 
-def allocate(config, si, g_ul, g_dl, g_x):
-    """Binary power allocation of pairs with gains ``g_ul``, ``g_dl`` and
-    cross gain ``g_x`` (arrays or 0-d scalars): ``(fast, p0, pu, r_hd_ul,
+def _powers(config, fd, on_ul):
+    """Powers (p0, pu) of a corner: 0 where the link is off."""
+    return config.p0_max * ~on_ul, config.pu_max * (fd | on_ul)
+
+
+# Users, gains (g_ul, g_dl, g_x), SINRs, rates and sum rate of a pair in FD at maximum powers.
+_Pair = namedtuple("_Pair", "ul dl gains gamma rates r_fd")
+
+
+def _pair_at(config, si, ul, dl, gains, r_fd=None):
+    """The ``_Pair`` of users ``ul``, ``dl`` with ``gains`` (arrays or 0-d
+    scalars); ``r_fd`` defaults to the sum of the rates."""
+    p0, pu = config.p0_max, config.pu_max
+    gamma = sinr(pu, gains[0], p0, si, config.sigma0_sq), sinr(p0, gains[1], pu, gains[2], config.sigmaD_sq)
+    rates = log2_1p(gamma[0]), log2_1p(gamma[1])
+    return _Pair(ul, dl, gains, gamma, rates, rates[0] + rates[1] if r_fd is None else r_fd)
+
+
+def allocate(config, si, pair):
+    """Binary power allocation of a ``_Pair``: ``(fast, fd, on_ul, r_hd_ul,
     r_hd_dl)``, where ``fast`` marks pairs whose two indicators settle
     full-power FD outright."""
-    p0, pu = config.p0_max, config.pu_max
+    (g_ul, g_dl, g_x), p0, pu = pair.gains, config.p0_max, config.pu_max
     s0, sd = config.sigma0_sq, config.sigmaD_sq
     fast = (zeta(p0, g_ul, g_x, s0, sd, si) >= 0.0) & (eta(pu, g_dl, g_x, s0, sd, si) >= 0.0)
-    r_fd = log2_1p(sinr(pu, g_ul, p0, si, s0)) + log2_1p(sinr(p0, g_dl, pu, g_x, sd))
     hd = _hd_rates(config, si, g_ul, g_dl)
-    return (fast, *_corner_powers(config, r_fd, *hd, fast), *hd)
+    return (fast, *_corner(pair.r_fd, *hd, fast), *hd)
 
 
-def decide(scheduler, config, si, g_ul, g_dl, g_x):
-    """Per-trial decisions ``(ul, dl, p0, pu, extras)`` of an FD-capable
-    scheduler on a block of snapshots with self-interference gain ``si``.
+_PAIR_RULE = {**OPA_BASE, Scheduler.ES_FDHD: Scheduler.ES_FD}  # each corner rule's base pair
 
-    Pairs are chosen at maximum powers; A2 reads only column u* of each
-    cross-gain matrix and A3 only row d*, building the metric in place in
-    the gathered copy.  Each returned power is 0 or its maximum and so names
-    the duplex mode; a half-duplex outcome hands both links to the gain-max
-    users (the off link's user is moot).  ``extras`` holds the OPA rules'
-    indicator fast path and the single-link corner rates of their base pair.
-    """
-    require_positive_powers(config)
-    n, k_u = g_ul.shape
-    k_d = g_dl.shape[1]
-    p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
-    idx = np.arange(n)
-    rule = OPA_BASE.get(scheduler, scheduler)
-    if rule in (Scheduler.ES_FD, Scheduler.ES_FDHD):
-        r_ul = log2_1p(sinr(pu, g_ul, p0, si, s0))
-        # Pair sum rates, built in place in (n, k_u, k_d) layout: one tensor
-        # the size of g_x, and its first flat max is the lexicographic (u, d).
-        pair = sinr(p0, g_dl[:, None, :], pu, g_x.transpose(0, 2, 1), sd,
-                    out=np.empty((n, k_u, k_d)))
-        log2_1p(pair, out=pair)
-        pair += r_ul[:, :, None]
-        pair = pair.reshape(n, -1)
-        best = np.argmax(pair, axis=1)
-        ul, dl, r_fd = best // k_d, best % k_d, pair[idx, best]
-    elif rule is Scheduler.A3:
-        dl = np.argmax(g_dl, axis=1)
-        row = g_x[idx, dl, :]  # a copy: the metric is built in place
-        ul = np.argmax(sinr(pu, g_ul, pu, row, s0, out=row), axis=1)  # signal-to-leakage
-    else:
-        ul = np.argmax(g_ul, axis=1)
-        if rule is Scheduler.A1:
-            dl = np.argmax(g_dl, axis=1)
-        else:
+
+class _Batch:
+    """A batch of snapshots and the work its schedulers share, each piece
+    done once, on first use, and dropped with the batch."""
+
+    def __init__(self, config, si, g_ul, g_dl, g_x):
+        self.config, self.si, self.g_ul, self.g_dl, self.g_x = config, si, g_ul, g_dl, g_x
+        self.idx, self.pairs = np.arange(len(g_ul)), {}
+        self.best = np.argmax(g_ul, axis=1), np.argmax(g_dl, axis=1)  # the gain-max users
+
+    @cached_property
+    def hd(self):
+        """Full-power single-link rates of the gain-max users."""
+        ul, dl = self.best
+        return _hd_rates(self.config, self.si, self.g_ul[self.idx, ul], self.g_dl[self.idx, dl])
+
+    def users(self, rule):
+        """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
+        ``r_fd`` is the search's pair sum rate, else None.  A2 reads only column
+        u* of each cross-gain matrix and A3 only row d*, in a gathered copy."""
+        config, si, g_ul, g_dl, g_x, idx = self.config, self.si, self.g_ul, self.g_dl, self.g_x, self.idx
+        require_positive_powers(config)
+        p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
+        if rule is Scheduler.ES_FD:
+            (n, k_u), k_d = g_ul.shape, g_dl.shape[1]
+            r_ul = log2_1p(sinr(pu, g_ul, p0, si, s0))
+            # Pair sum rates, built in place in (n, k_u, k_d) layout: one tensor
+            # the size of g_x, and its first flat max is the lexicographic (u, d).
+            sums = sinr(p0, g_dl[:, None, :], pu, g_x.transpose(0, 2, 1), sd,
+                        out=np.empty((n, k_u, k_d)))
+            log2_1p(sums, out=sums)
+            sums += r_ul[:, :, None]
+            sums = sums.reshape(n, -1)
+            best = np.argmax(sums, axis=1)
+            return best // k_d, best % k_d, sums[idx, best]
+        if rule is Scheduler.A3:
+            row = g_x[idx, self.best[1], :]  # a copy: the signal-to-leakage is built in place
+            return np.argmax(sinr(pu, g_ul, pu, row, s0, out=row), axis=1), self.best[1], None
+        ul, dl = self.best
+        if rule is Scheduler.A2:
             col = g_x[idx, :, ul]
             dl = np.argmax(sinr(p0, g_dl, pu, col, sd, out=col), axis=1)
-    if scheduler not in OPA_BASE and scheduler is not Scheduler.ES_FDHD:
-        return ul, dl, np.full(n, p0), np.full(n, pu), {}
-    best_ul, best_dl = np.argmax(g_ul, axis=1), np.argmax(g_dl, axis=1)
-    extras = {}
-    if scheduler is Scheduler.ES_FDHD:
-        hd = _hd_rates(config, si, g_ul[idx, best_ul], g_dl[idx, best_dl])
-        p0, pu = _corner_powers(config, r_fd, *hd)
-    else:
-        fast, p0, pu, *hd = allocate(config, si, g_ul[idx, ul], g_dl[idx, dl], g_x[idx, dl, ul])
-        extras = {"fast": fast, "pair_hd_ul": hd[0], "pair_hd_dl": hd[1]}
-    off = (p0 == 0.0) | (pu == 0.0)
-    return np.where(off, best_ul, ul), np.where(off, best_dl, dl), p0, pu, extras
+        return ul, dl, None
+
+    def pair(self, rule):
+        """The ``_Pair`` of a base rule, made on first use."""
+        if rule not in self.pairs:
+            ul, dl, r_fd = self.users(rule)
+            gains = self.g_ul[self.idx, ul], self.g_dl[self.idx, dl], self.g_x[self.idx, dl, ul]
+            self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd)
+        return self.pairs[rule]
+
+    def corner(self, scheduler):
+        """``(pair, fd, on_ul, extras)`` of an OPA rule or ES-FDHD: its base pair,
+        its FD and HD-UL row masks, and the OPA rules' extra arrays."""
+        pair = self.pair(_PAIR_RULE[scheduler])
+        if scheduler is Scheduler.ES_FDHD:
+            return (pair, *_corner(pair.r_fd, *self.hd), {})
+        fast, fd, on_ul, hd_ul, hd_dl = allocate(self.config, self.si, pair)
+        return pair, fd, on_ul, {"fast": fast, "pair_hd_ul": hd_ul, "pair_hd_dl": hd_dl}
+
+    def rows(self, scheduler):
+        """Per-trial arrays of one scheduler: the pair's rates on FD rows, the
+        gain-max user's single-link rate on a half-duplex row's live link."""
+        if scheduler is Scheduler.HD_TDD:
+            r_ul, r_dl = self.hd
+            return {"r_ul": 0.5 * r_ul, "r_dl": 0.5 * r_dl, "fd": np.zeros(len(r_ul), dtype=bool)}
+        if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD on every trial
+            pair = self.pair(scheduler)
+            gamma = {} if scheduler is Scheduler.ES_FD else dict(zip(("gamma_ul", "gamma_dl"), pair.gamma))
+            return {"r_ul": pair.rates[0], "r_dl": pair.rates[1], "fd": np.ones(len(pair.ul), dtype=bool),
+                    **gamma}
+        pair, fd, on_ul, extras = self.corner(scheduler)
+        hd_ul, hd_dl = self.hd
+        return {"r_ul": np.where(fd, pair.rates[0], np.where(on_ul, hd_ul, 0.0)),
+                "r_dl": np.where(fd, pair.rates[1], np.where(on_ul, 0.0, hd_dl)), "fd": fd, **extras}
 
 
-def evaluate(scheduler, config, g_ul, g_dl, g_x):
-    """Per-trial ``r_ul``, ``r_dl`` and FD flags of one scheduler on a block
-    of snapshots, plus A1-A3's pair SINRs (``gamma_ul``/``gamma_dl``) and
-    the OPA rules' :func:`decide` extras."""
-    n = g_ul.shape[0]
-    if scheduler is Scheduler.HD_TDD:
-        r_ul, r_dl = _hd_rates(config, 0.0, g_ul.max(axis=1), g_dl.max(axis=1))
-        return {"r_ul": 0.5 * r_ul, "r_dl": 0.5 * r_dl, "fd": np.zeros(n, dtype=bool)}
-    si = config.si_gain
-    ul, dl, p0, pu, extras = decide(scheduler, config, si, g_ul, g_dl, g_x)
-    idx = np.arange(n)
-    gamma_ul = sinr(pu, g_ul[idx, ul], p0, si, config.sigma0_sq)
-    gamma_dl = sinr(p0, g_dl[idx, dl], pu, g_x[idx, dl, ul], config.sigmaD_sq)
-    out = {"r_ul": log2_1p(gamma_ul), "r_dl": log2_1p(gamma_dl), "fd": (p0 > 0.0) & (pu > 0.0)}
-    if scheduler in OPA_BASE.values():
-        out.update(gamma_ul=gamma_ul, gamma_dl=gamma_dl)
-    return {**out, **extras}
+def evaluate(schedulers, config, g_ul, g_dl, g_x):
+    """Per-trial arrays ``{scheduler: {name: array}}`` of ``schedulers`` on one
+    batch: ``r_ul``, ``r_dl`` and FD flags, plus A1-A3's pair SINRs ``gamma_ul``
+    and ``gamma_dl``, and the OPA rules' ``fast``, ``pair_hd_ul``, ``pair_hd_dl``."""
+    batch = _Batch(config, config.si_gain, g_ul, g_dl, g_x)
+    return {s: batch.rows(s) for s in map(Scheduler, schedulers)}
 
 
 def _select(scheduler, ch, config):
-    """Batch-of-one view of :func:`decide` on one snapshot."""
-    ul, dl, p0, pu, _ = decide(scheduler, config, ch.si_gain,
-                               ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
-    return Schedule(int(ul[0]), int(dl[0]), float(p0[0]), float(pu[0]))
+    """Batch-of-one view of the kernel; a half-duplex link goes to its gain-max user."""
+    batch = _Batch(config, ch.si_gain, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
+    if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD
+        ul, dl, _ = batch.users(scheduler)
+        return Schedule(int(ul[0]), int(dl[0]), float(config.p0_max), float(config.pu_max))
+    pair, fd, on_ul, _ = batch.corner(scheduler)
+    ul, dl = (pair.ul, pair.dl) if fd[0] else batch.best
+    return Schedule(int(ul[0]), int(dl[0]), *map(float, _powers(config, fd[0], on_ul[0])))
 
 
 def select_a1(ch, config):
@@ -245,6 +282,6 @@ def select_hd_tdd(ch, config):
     alternative HD accounting can be swapped in without touching anything
     else.
     """
-    out = evaluate(Scheduler.HD_TDD, config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
-    r_ul, r_dl = float(out["r_ul"][0]), float(out["r_dl"][0])
+    out = evaluate([Scheduler.HD_TDD], config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
+    r_ul, r_dl = float(out[Scheduler.HD_TDD]["r_ul"][0]), float(out[Scheduler.HD_TDD]["r_dl"][0])
     return RateBreakdown(r_ul=r_ul, r_dl=r_dl, r_sum=r_ul + r_dl)

@@ -11,16 +11,14 @@ continue the same stream, so the numbers are those of a whole-block draw,
 while memory stays bounded at any user count.
 
 The engine takes a list of schedulers: each block is drawn once (once per
-sweep point in a sweep) and every scheduler is evaluated on it, so the
-schedulers of one run see common random numbers by construction and the
-draws are never repeated.
-
-Per-block evaluation is the batched scheduling kernel of
-:mod:`fdsched.scheduling`; the scalar functions of :mod:`fdsched.model`,
-:mod:`fdsched.scheduling` and :mod:`fdsched.power` are batch-of-one views
-of the same code, so there is no second implementation to agree with.  The
-test suite checks the engine against a plain-Python brute-force
-enumeration of every pair and power corner instead.
+sweep point in a sweep), and each chunk goes to one call of the batched
+kernel of :mod:`fdsched.scheduling`, which gives the per-trial arrays of
+every scheduler and does the work they share once.  The schedulers of one
+run see common random numbers by construction.  The scalar functions of
+:mod:`fdsched.model`, :mod:`fdsched.scheduling` and :mod:`fdsched.power`
+are batch-of-one views of the same code, so there is no second
+implementation to agree with; the test suite checks the engine against a
+plain-Python brute-force enumeration of every pair and power corner.
 """
 
 import math
@@ -108,32 +106,36 @@ def _draw_block(config, rng):
     return g_ul, g_dl, g_x
 
 
-_evaluate_block = evaluate  # per-trial arrays of one scheduler on one block; a seam for tracing
+_evaluate_block = evaluate  # per-trial arrays of every scheduler on one chunk; a seam for tracing
 
 
-def _run_settings(n_trials, seed, workers):
-    """``(n_trials, seed, workers)`` as ints, or a ValueError naming the bad one."""
+def _run_settings(schedulers, n_trials, seed, workers):
+    """``(schedulers, n_trials, seed, workers)`` checked, or a ValueError naming the bad one."""
+    if isinstance(schedulers, str):  # a bare name would be read letter by letter
+        name = getattr(schedulers, "value", schedulers)
+        raise ValueError(f"schedulers must be a sequence, e.g. [{name!r}], not the bare name {name!r}")
+    schedulers = [Scheduler(s) for s in schedulers]
+    if not schedulers:
+        raise ValueError("at least one scheduler is required")
     names = ("n_trials", "seed", "workers")
     settings = tuple(whole_number(k, v) for k, v in zip(names, (n_trials, seed, workers)))
     for name, value, least in zip(names, settings, (1, 0, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    return settings
+    return schedulers, *settings
 
 
 def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     """Per-trial arrays of every scheduler, ``{scheduler: {name: array}}``
     in the order given (repeats collapse); ``keys`` limits the arrays kept.
 
-    Each block is drawn once and evaluated by every scheduler, a chunk of
-    cross-gain rows at a time; the rows go straight into per-scheduler
-    output arrays at their offset, so the result is the same for any
-    worker count.
+    Each block is drawn once and evaluated a chunk of cross-gain rows at a
+    time, every scheduler in one kernel call; the rows go straight into
+    per-scheduler output arrays at their offset, so the result is the same
+    for any worker count.
     """
-    schedulers = list(dict.fromkeys(Scheduler(s) for s in schedulers))
-    if not schedulers:
-        raise ValueError("at least one scheduler is required")
-    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
+    schedulers, n_trials, seed, workers = _run_settings(schedulers, n_trials, seed, workers)
+    schedulers = list(dict.fromkeys(schedulers))
     n_blocks = -(-n_trials // BLOCK_SIZE)
     out = {}
     lock = threading.Lock()
@@ -147,9 +149,9 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
             n = min(rows, take - start)
             if start:  # g_x is last in the stream: refill in place, stop at the last row used
                 g_x = rng.standard_exponential(out=g_x[:n])
-            for s in schedulers:
-                block = _evaluate_block(s, config, g_ul[start:start + n],
-                                        g_dl[start:start + n], g_x[:n])
+            chunk = _evaluate_block(schedulers, config, g_ul[start:start + n],
+                                    g_dl[start:start + n], g_x[:n])
+            for s, block in chunk.items():
                 if keys is not None:
                     block = {k: block[k] for k in keys}
                 with lock:  # the first chunk to finish allocates the outputs
@@ -286,8 +288,7 @@ def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, 
     diffs = [b - a for a, b in zip(values, values[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("values must be strictly monotone")
-    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
-    schedulers = [Scheduler(s) for s in schedulers]
+    schedulers, n_trials, seed, workers = _run_settings(schedulers, n_trials, seed, workers)
     configs = [resolve_config(base_config, swept_parameter, value) for value in values]
     points = [_run_stats(config, schedulers, n_trials, derived_trial_seed(seed, i), workers)
               for i, config in enumerate(configs)]

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fdsched.model import ChannelRealization, SystemConfig, draw_realization, rates
+from fdsched.model import ChannelRealization, SystemConfig, config_from_db, draw_realization, rates
 from fdsched.scheduling import (
+    OPA_BASE,
     DuplexMode,
     Schedule,
+    Scheduler,
+    evaluate,
     select_a1,
     select_a2,
     select_a3,
@@ -251,6 +254,57 @@ class TestHdTdd:
             expect = 0.5 * math.log2(1 + CFG.pu_max * ch.g_ul.max() / CFG.sigma0_sq) \
                 + 0.5 * math.log2(1 + CFG.p0_max * ch.g_dl.max() / CFG.sigmaD_sq)
             assert out.r_sum == pytest.approx(expect, rel=1e-12)
+
+
+def _exponential_block(config, rng, n=700):
+    return (rng.standard_exponential((n, config.k_u)), rng.standard_exponential((n, config.k_d)),
+            rng.standard_exponential((n, config.k_d, config.k_u)))
+
+
+def _integer_block(config, rng, n=700):
+    # Small integer gains: argmax ties, pair-search ties and corner ties.
+    return (rng.integers(1, 4, (n, config.k_u)).astype(float),
+            rng.integers(1, 4, (n, config.k_d)).astype(float),
+            rng.choice([0.0, 1.0, 50.0], (n, config.k_d, config.k_u)))
+
+
+class TestSharedKernel:
+    """Evaluating a list of schedulers gives each one the bytes it gets when
+    evaluated alone, whatever the other schedulers and their order."""
+
+    @pytest.mark.parametrize("config,block", [
+        (SystemConfig(1.0, 1.0, 1.0, 1.0, 1.0, 4, 3), _integer_block),
+        (config_from_db(24.0, 23.0, 20.0, k_u=3, k_d=4), _exponential_block),   # weak SI: HD only
+        (config_from_db(24.0, 23.0, 110.0, k_u=3, k_d=4), _exponential_block),  # all three modes
+        (config_from_db(24.0, 23.0, 100.0, k_u=1, k_d=1), _exponential_block),
+        (config_from_db(24.0, 23.0, 90.0, k_u=7, k_d=2), _exponential_block),
+        (SystemConfig(2.0, 1.0, 1.0, 0.5, 0.3, 2, 5), _integer_block),
+    ], ids=["integer-gains", "weak-si", "mixed-modes", "k-1", "ku-7-kd-2", "integer-ku-2-kd-5"])
+    def test_list_matches_each_scheduler_alone(self, config, block):
+        rng = np.random.default_rng(config.k_u * 10 + config.k_d)
+        gains = block(config, rng)
+        alone = {s: evaluate([s], config, *gains)[s] for s in Scheduler}
+        everything = list(Scheduler)
+        subsets = [everything, everything[::-1]]
+        subsets += [[everything[i] for i in rng.permutation(len(everything))[:rng.integers(1, 10)]]
+                    for _ in range(12)]
+        for subset in subsets:
+            together = evaluate(subset, config, *gains)
+            assert list(together) == subset
+            for s in subset:
+                assert list(together[s]) == list(alone[s])
+                for key, values in alone[s].items():
+                    assert together[s][key].dtype == values.dtype, (subset, s, key)
+                    assert together[s][key].tobytes() == values.tobytes(), (subset, s, key)
+
+    def test_weak_si_sends_opa_rows_to_both_half_duplex_modes(self):
+        # The weak-SI case above, with the same draws.
+        config = config_from_db(24.0, 23.0, 20.0, k_u=3, k_d=4)
+        out = evaluate(OPA_BASE, config, *_exponential_block(config, np.random.default_rng(34)))
+        for s in OPA_BASE:
+            hd = ~out[s]["fd"]
+            assert hd.all()
+            assert np.any(hd & (out[s]["r_dl"] == 0.0)) and np.any(hd & (out[s]["r_ul"] == 0.0))
 
 
 class TestScheduleInvariants:

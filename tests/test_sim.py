@@ -337,7 +337,7 @@ class TestChunkedDraws:
             g_dl = rng.standard_exponential((BLOCK_SIZE, k_d))
             g_x = rng.standard_exponential((BLOCK_SIZE, k_d, k_u))
             for s in Scheduler:
-                for key, v in scheduling.evaluate(s, config, g_ul, g_dl, g_x).items():
+                for key, v in scheduling.evaluate([s], config, g_ul, g_dl, g_x)[s].items():
                     reference[s].setdefault(key, []).append(v)
         monkeypatch.setattr(sim, "CHUNK_BYTES", 13 * 8 * k_u * k_d)  # 13 rows, 4096 % 13 = 1
         assert sim._chunk_rows(config) == 13
@@ -362,14 +362,32 @@ class TestChunkedDraws:
         rows = []
         real_evaluate = sim._evaluate_block
 
-        def counting_evaluate(scheduler, config, g_ul, g_dl, g_x):
+        def counting_evaluate(schedulers, config, g_ul, g_dl, g_x):
             rows.append(len(g_ul))
-            return real_evaluate(scheduler, config, g_ul, g_dl, g_x)
+            return real_evaluate(schedulers, config, g_ul, g_dl, g_x)
 
         monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
         monkeypatch.setattr(sim, "CHUNK_BYTES", 1000 * 8 * 6 * 6)
         run_trials(SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 6, 6), "es-fdhd", n_trials, seed=65)
         assert sum(rows) == n_trials and max(rows) <= 1000
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_kernel_call_per_chunk_for_every_scheduler(self, monkeypatch, workers):
+        calls = []
+        real_evaluate = sim._evaluate_block
+
+        def counting_evaluate(schedulers, config, g_ul, g_dl, g_x):
+            calls.append((tuple(schedulers), len(g_ul)))
+            return real_evaluate(schedulers, config, g_ul, g_dl, g_x)
+
+        monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
+        monkeypatch.setattr(sim, "CHUNK_BYTES", 1000 * 8 * 6 * 6)  # 1000 rows a chunk
+        n_trials = 2 * BLOCK_SIZE + 7
+        run_coupled(SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 6, 6), list(Scheduler), n_trials,
+                    seed=67, workers=workers)
+        assert len(calls) == 5 + 5 + 1  # two full blocks of 5 chunks, then 7 rows
+        assert sum(rows for _, rows in calls) == n_trials
+        assert all(schedulers == tuple(Scheduler) for schedulers, _ in calls)
 
     def test_large_k_run_memory_is_bounded(self):
         # tracemalloc sees numpy's buffers.  Drawing a whole block of cross
@@ -451,6 +469,17 @@ class TestInputChecks:
     def test_engine_takes_whole_float_seeds_and_workers(self):
         expected = run_trials(CFG, "a1", 5000, seed=5)
         assert run_trials(CFG, "a1", 5000, seed=5.0, workers=2.0) == expected
+
+    # A str is a sequence of letters, so a bare name would be read letter by letter.
+    @pytest.mark.parametrize("name", ["a1", "es-fdhd", Scheduler.A1], ids=["a1", "es-fdhd", "enum"])
+    def test_sweep_refuses_a_bare_scheduler_name(self, name):
+        with pytest.raises(ValueError, match=r"schedulers must be a sequence, e\.g\. \['"):
+            run_sweep({}, "p0_dbm", [1.0], name, 100, 0)
+
+    @pytest.mark.parametrize("name", ["a1", "es-fdhd", Scheduler.A1], ids=["a1", "es-fdhd", "enum"])
+    def test_coupled_run_refuses_a_bare_scheduler_name(self, name):
+        with pytest.raises(ValueError, match=r"schedulers must be a sequence, e\.g\. \['"):
+            run_coupled(CFG, name, 100, 0)
 
     def test_scheduler_list_must_be_non_empty(self):
         with pytest.raises(ValueError):
