@@ -31,11 +31,11 @@ RADIO_DEFAULTS = {
 
 
 def whole_number(name, value):
-    """``value`` as an int: whole floats such as ``5.0`` are taken, anything
-    else that is not an integer raises a ValueError naming ``name``."""
+    """``value`` as an int: whole floats such as ``5.0`` are taken; anything
+    else that is not an integer, or is a bool, raises a ValueError naming ``name``."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 

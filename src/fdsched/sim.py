@@ -10,11 +10,13 @@ are drawn and evaluated in row chunks of about ``CHUNK_BYTES``: the chunks
 continue the same stream, so the numbers are those of a whole-block draw,
 while memory stays bounded at any user count.
 
-The engine takes a list of schedulers: each block is drawn once (once per
-sweep point in a sweep), and each chunk goes to one call of the batched
-kernel of :mod:`fdsched.scheduling`, which gives the per-trial arrays of
-every scheduler and does the work they share once.  The schedulers of one
-run see common random numbers by construction.  The scalar functions of
+The engine takes runs, each a config and its schedulers, whose configs
+share their user counts, the only settings a draw reads: each block is
+drawn once for all of them (once per sweep point in a sweep), and each
+chunk goes to one call of the batched kernel of :mod:`fdsched.scheduling`
+per distinct config, which gives the per-trial arrays of every scheduler
+at it and does the work they share once.  The runs of one engine call see
+common random numbers by construction.  The scalar functions of
 :mod:`fdsched.model`, :mod:`fdsched.scheduling` and :mod:`fdsched.power`
 are batch-of-one views of the same code, so there is no second
 implementation to agree with; the test suite checks the engine against a
@@ -109,57 +111,71 @@ def _draw_block(config, rng):
 _evaluate_block = evaluate  # per-trial arrays of every scheduler on one chunk; a seam for tracing
 
 
-def _run_settings(schedulers, n_trials, seed, workers):
-    """``(schedulers, n_trials, seed, workers)`` checked, or a ValueError naming the bad one."""
+def _schedulers(schedulers):
+    """``schedulers`` as a non-empty list of Scheduler, or a ValueError."""
     if isinstance(schedulers, str):  # a bare name would be read letter by letter
         name = getattr(schedulers, "value", schedulers)
         raise ValueError(f"schedulers must be a sequence, e.g. [{name!r}], not the bare name {name!r}")
     schedulers = [Scheduler(s) for s in schedulers]
     if not schedulers:
         raise ValueError("at least one scheduler is required")
+    return schedulers
+
+
+def _run_settings(n_trials, seed, workers):
+    """``(n_trials, seed, workers)`` checked, or a ValueError naming the bad one."""
     names = ("n_trials", "seed", "workers")
     settings = tuple(whole_number(k, v) for k, v in zip(names, (n_trials, seed, workers)))
     for name, value, least in zip(names, settings, (1, 0, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    return schedulers, *settings
+    return settings
 
 
-def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
-    """Per-trial arrays of every scheduler, ``{scheduler: {name: array}}``
-    in the order given (repeats collapse); ``keys`` limits the arrays kept.
+def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
+    """Per-trial arrays of ``(config, schedulers)`` runs whose configs share
+    (k_u, k_d): one ``{scheduler: {name: array}}`` per run, in the order
+    given (repeated schedulers collapse); ``keys`` limits the arrays kept.
 
-    Each block is drawn once and evaluated a chunk of cross-gain rows at a
-    time, every scheduler in one kernel call; the rows go straight into
-    per-scheduler output arrays at their offset, so the result is the same
-    for any worker count.
+    Each block is drawn once for every run and evaluated a chunk of
+    cross-gain rows at a time, in one kernel call per distinct config with
+    the schedulers of every run at it (runs at equal configs share their
+    arrays); the rows go straight into output arrays at their offset, so
+    the result is the same for any worker count.
     """
-    schedulers, n_trials, seed, workers = _run_settings(schedulers, n_trials, seed, workers)
-    schedulers = list(dict.fromkeys(schedulers))
-    n_blocks = -(-n_trials // BLOCK_SIZE)
+    runs = [(config, _schedulers(schedulers)) for config, schedulers in runs]
+    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
+    if len({(config.k_u, config.k_d) for config, _ in runs}) != 1:
+        raise ValueError(f"the runs must share one (k_u, k_d), got {[(c.k_u, c.k_d) for c, _ in runs]}")
+    calls = {config: {} for config, _ in runs}  # distinct config -> the schedulers of every run at it
+    for config, schedulers in runs:
+        calls[config].update(dict.fromkeys(schedulers))
     out = {}
+    n_blocks = -(-n_trials // BLOCK_SIZE)
     lock = threading.Lock()
 
     def one(j):
         rng = _block_rng(seed, j)
-        g_ul, g_dl, g_x = _draw_block(config, rng)
+        g_ul, g_dl, g_x = _draw_block(runs[0][0], rng)
         lo, rows = j * BLOCK_SIZE, len(g_x)
         take = min(BLOCK_SIZE, n_trials - lo)
         for start in range(0, take, rows):
             n = min(rows, take - start)
             if start:  # g_x is last in the stream: refill in place, stop at the last row used
                 g_x = rng.standard_exponential(out=g_x[:n])
-            chunk = _evaluate_block(schedulers, config, g_ul[start:start + n],
-                                    g_dl[start:start + n], g_x[:n])
-            for s, block in chunk.items():
-                if keys is not None:
-                    block = {k: block[k] for k in keys}
-                with lock:  # the first chunk to finish allocates the outputs
-                    dest = out.get(s)
-                    if dest is None:
-                        dest = out[s] = {k: np.empty(n_trials, v.dtype) for k, v in block.items()}
-                for k, v in block.items():
-                    dest[k][lo + start:lo + start + n] = v
+            for config, schedulers in calls.items():
+                chunk = _evaluate_block(list(schedulers), config, g_ul[start:start + n],
+                                        g_dl[start:start + n], g_x[:n])
+                for s, block in chunk.items():
+                    if keys is not None:
+                        block = {k: block[k] for k in keys}
+                    with lock:  # the first chunk to finish allocates the outputs
+                        dest = out.get((config, s))
+                        if dest is None:
+                            dest = out[config, s] = {k: np.empty(n_trials, v.dtype)
+                                                     for k, v in block.items()}
+                    for k, v in block.items():
+                        dest[k][lo + start:lo + start + n] = v
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -167,7 +183,7 @@ def _run_arrays(config, schedulers, n_trials, seed, workers=1, keys=None):
     else:
         for j in range(n_blocks):
             one(j)
-    return {s: out[s] for s in schedulers}
+    return [{s: out[config, s] for s in schedulers} for config, schedulers in runs]
 
 
 def _aggregate(arrays):
@@ -191,11 +207,11 @@ def _aggregate(arrays):
 _STATS_KEYS = ("r_ul", "r_dl", "fd")
 
 
-def _run_stats(config, schedulers, n_trials, seed, workers=1):
-    """``{scheduler: TrialStats}`` on shared draws, keeping only the
-    per-trial arrays the aggregates read."""
-    arrays = _run_arrays(config, schedulers, n_trials, seed, workers, keys=_STATS_KEYS)
-    return {s: _aggregate(a) for s, a in arrays.items()}
+def _run_stats(runs, n_trials, seed, workers=1):
+    """One ``{scheduler: TrialStats}`` per run of :func:`_run_arrays`, on
+    shared draws, keeping only the per-trial arrays the aggregates read."""
+    arrays = _run_arrays(runs, n_trials, seed, workers, keys=_STATS_KEYS)
+    return [{s: _aggregate(a) for s, a in run.items()} for run in arrays]
 
 
 def run_trials(config, scheduler, n_trials, seed, workers=1):
@@ -206,7 +222,7 @@ def run_trials(config, scheduler, n_trials, seed, workers=1):
     land at the block's offset before the (fixed-order) reduction.
     """
     scheduler = Scheduler(scheduler)
-    return _run_stats(config, [scheduler], n_trials, seed, workers)[scheduler]
+    return _run_stats([(config, [scheduler])], n_trials, seed, workers)[0][scheduler]
 
 
 def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
@@ -215,7 +231,7 @@ def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
     scheduler = Scheduler(scheduler)
     if scheduler not in OPA_BASE.values():
         raise ValueError("SINR sampling applies to the fixed-power selectors only")
-    arrays = _run_arrays(config, [scheduler], n_trials, seed, workers)[scheduler]
+    arrays = _run_arrays([(config, [scheduler])], n_trials, seed, workers)[0][scheduler]
     return arrays["gamma_ul"], arrays["gamma_dl"]
 
 
@@ -232,7 +248,7 @@ def run_coupled(config, schedulers, n_trials, seed, workers=1):
     of its scheduled pair.  Returns ({scheduler: TrialStats},
     {scheduler: per-trial arrays}).
     """
-    arrays = _run_arrays(config, schedulers, n_trials, seed, workers)
+    (arrays,) = _run_arrays([(config, schedulers)], n_trials, seed, workers)
     violations = dominance_violations(arrays)
     if violations:
         raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
@@ -288,8 +304,9 @@ def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, 
     diffs = [b - a for a, b in zip(values, values[1:])]
     if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
         raise ValueError("values must be strictly monotone")
-    schedulers, n_trials, seed, workers = _run_settings(schedulers, n_trials, seed, workers)
+    schedulers = _schedulers(schedulers)
+    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
     configs = [resolve_config(base_config, swept_parameter, value) for value in values]
-    points = [_run_stats(config, schedulers, n_trials, derived_trial_seed(seed, i), workers)
+    points = [_run_stats([(config, schedulers)], n_trials, derived_trial_seed(seed, i), workers)[0]
               for i, config in enumerate(configs)]
     return [SweepPoint(value, stats[s], s) for s in schedulers for value, stats in zip(values, points)]

@@ -4,10 +4,13 @@ Each criterion is one function returning (passed, detail).  The same
 functions back tests/test_acceptance.py, so the CLI table and the pytest
 suite can never drift apart.  ``quick=True`` shrinks the Monte Carlo sizes
 (statistical tolerances scale with them automatically) so the whole table
-finishes within about a minute.
+finishes within seconds.  The Theorem 2 and 3 triangles share their Monte
+Carlo draws: whichever triangle criterion runs first carries the Monte
+Carlo time of both.
 """
 
 import filecmp
+import functools
 import math
 import tempfile
 import time
@@ -87,8 +90,23 @@ _TRIANGLE_POINTS_A2 = [
 ]
 
 
-def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, quick):
+@functools.cache
+def _triangle_stats(quick):
+    """``{(scheduler, K, point): TrialStats}`` of both triangles, whose runs at
+    one (K, point) share a seed and so one engine call.  :func:`run` clears
+    this memo, so no run reuses another's work."""
     n_mc = 100_000 if quick else 1_000_000
+    rules = (Scheduler.A1, Scheduler.A2)
+    stats = {}
+    for k in (1, 2, 5):
+        for i, points in enumerate(zip(_TRIANGLE_POINTS_A1, _TRIANGLE_POINTS_A2)):
+            runs = [(AnalyticalParams(*p, k, k), [s]) for p, s in zip(points, rules)]
+            for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i)):
+                stats[s, k, i] = run[s]
+    return stats
+
+
+def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, quick):
     worst_quad = 0.0
     worst_z = 0.0
     for k_users in (1, 2, 5):
@@ -109,7 +127,7 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
                 )
             if expect_flag and i == pole_index and not closed.flagged:
                 return False, f"K={k_users} point {i}: pole not flagged"
-            stats = sim.run_trials(params, scheduler, n_mc, seed=1000 + 10 * k_users + i)
+            stats = _triangle_stats(quick)[scheduler, k_users, i]
             z = abs(closed.value - stats.mean_sum_rate) / stats.std_error
             worst_z = max(worst_z, z)
             if z > 3.0:
@@ -192,7 +210,7 @@ def crit_dominance_chain(quick=False):
         Scheduler.ES_FDHD, Scheduler.ES_FD,
         Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA,
     ]
-    arrays = sim._run_arrays(config, schedulers, n, seed=77)
+    (arrays,) = sim._run_arrays([(config, schedulers)], n, seed=77)
     violations = sim.dominance_violations(arrays)
     if violations:
         return False, "; ".join(violations)
@@ -250,10 +268,9 @@ def crit_trend_reproductions(quick=False):
     # (a) FD fraction trends, all three OPA selectors.
     opa = (Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA)
     fractions = {}
-    for si_db, si in ((80, 1e-8), (90, 1e-9)):
-        for k in (5, 15):
-            config = SystemConfig(1.0, 1.0, 1e-9, 0.03, si, k, k)
-            stats = sim._run_stats(config, opa, n, seed=41)
+    for k in (5, 15):  # one draw for both SI levels
+        runs = [(SystemConfig(1.0, 1.0, 1e-9, 0.03, si, k, k), opa) for si in (1e-8, 1e-9)]
+        for si_db, stats in zip((80, 90), sim._run_stats(runs, n, seed=41)):
             for s in opa:
                 fractions[(s, si_db, k)] = stats[s].fd_fraction
     for s in opa:
@@ -371,6 +388,7 @@ def run(names=None, quick=False, echo=print):
         selected = [(n, wanted[n]) for n in names]
     else:
         selected = CRITERIA
+    _triangle_stats.cache_clear()
     results = []
     for name, fn in selected:
         start = time.perf_counter()
@@ -383,6 +401,7 @@ def run(names=None, quick=False, echo=print):
         if echo:
             status = "PASS" if passed else "FAIL"
             echo(f"{status}  {name:<22} [{elapsed:7.2f}s]  {detail}")
+    _triangle_stats.cache_clear()
     all_passed = all(r.passed for r in results)
     if echo:
         echo(f"{'all criteria passed' if all_passed else 'FAILURES PRESENT'} "

@@ -182,6 +182,22 @@ class TestSimulate:
                         "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"trials": True, "seed": False}, "trials must be a whole number, got True"),
+        ({"trials": 10, "seed": False}, "seed must be a whole number, got False"),
+        ({"trials": 10, "workers": True}, "workers must be a whole number, got True"),
+        ({"k_u": True, "k_d": True, "trials": 10}, "k_u must be a whole number, got True"),
+        ({"kd": False, "trials": 10}, "k_d must be a whole number, got False"),
+    ], ids=["trials-seed", "seed", "workers", "k_u-k_d", "old-kd"])
+    def test_booleans_are_not_counts(self, tmp_path, capsys, settings, message):
+        # JSON true/false would otherwise pass as the integers 1 and 0.
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps(settings))
+        out = tmp_path / "x.csv"
+        assert run_cli(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_old_setting_names_load(self, tmp_path):
         old = {"si_db": 60.0, "kd": 3, "ku": 4, "nf_bs_db": 10.0, "nf_mt_db": 7.0}
         new = {"si_cancellation_db": 60.0, "k_d": 3, "k_u": 4, "noise_figure_bs_db": 10.0,

@@ -36,8 +36,8 @@ class TestDeterminism:
     def test_trials_are_a_prefix_function_of_seed(self):
         # Trial i's draws depend only on (seed, i): growing n_trials keeps
         # the earlier trials' per-trial rates bit-identical.
-        short = sim._run_arrays(CFG, [Scheduler.A2_OPA], BLOCK_SIZE + 7, seed=12)[Scheduler.A2_OPA]
-        long = sim._run_arrays(CFG, [Scheduler.A2_OPA], 3 * BLOCK_SIZE, seed=12)[Scheduler.A2_OPA]
+        short = sim._run_arrays([(CFG, [Scheduler.A2_OPA])], BLOCK_SIZE + 7, seed=12)[0][Scheduler.A2_OPA]
+        long = sim._run_arrays([(CFG, [Scheduler.A2_OPA])], 3 * BLOCK_SIZE, seed=12)[0][Scheduler.A2_OPA]
         for key in short:
             assert np.array_equal(short[key], long[key][: BLOCK_SIZE + 7])
 
@@ -187,7 +187,7 @@ class TestAgainstScalarPipeline:
         close_calls = 0
         modes = set()
         for c, config in enumerate(REFERENCE_CONFIGS):
-            arrays = sim._run_arrays(config, [sched], self.N, seed=20 + c)[sched]
+            arrays = sim._run_arrays([(config, [sched])], self.N, seed=20 + c)[0][sched]
             g_ul, g_dl, g_x = sim._draw_block(config, sim._block_rng(20 + c, 0))
             for i in range(self.N):
                 r_ul, r_dl, mode, lead = reference(sched, select, config, g_ul[i].tolist(),
@@ -229,10 +229,10 @@ class TestSharedDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_multi_scheduler_run_matches_single_runs(self, workers):
         n = 2 * BLOCK_SIZE + 7
-        shared = sim._run_arrays(CFG, list(Scheduler), n, seed=61, workers=workers)
+        (shared,) = sim._run_arrays([(CFG, list(Scheduler))], n, seed=61, workers=workers)
         assert list(shared) == list(Scheduler)
         for sched in Scheduler:
-            alone = sim._run_arrays(CFG, [sched], n, seed=61, workers=workers)[sched]
+            alone = sim._run_arrays([(CFG, [sched])], n, seed=61, workers=workers)[0][sched]
             assert shared[sched].keys() == alone.keys()
             for key, values in alone.items():
                 assert shared[sched][key].dtype == values.dtype
@@ -242,11 +242,11 @@ class TestSharedDraws:
         # More workers than cores and a tiny switch interval: a lost
         # allocation or write of a shared output array would show here.
         n = 6 * BLOCK_SIZE + 3
-        serial = sim._run_arrays(CFG, list(Scheduler), n, seed=63, workers=1)
+        (serial,) = sim._run_arrays([(CFG, list(Scheduler))], n, seed=63, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sim._run_arrays(CFG, list(Scheduler), n, seed=63, workers=4)
+            (threaded,) = sim._run_arrays([(CFG, list(Scheduler))], n, seed=63, workers=4)
         finally:
             sys.setswitchinterval(interval)
         for sched in Scheduler:
@@ -304,7 +304,7 @@ class TestSharedDraws:
 
         monkeypatch.setattr(sim, "_draw_block", tied_draw)
         n = 400
-        arrays = sim._run_arrays(config, [Scheduler.ES_FD, Scheduler.ES_FDHD], n, seed=71)
+        (arrays,) = sim._run_arrays([(config, [Scheduler.ES_FD, Scheduler.ES_FDHD])], n, seed=71)
         g_ul, g_dl, g_x = tied_draw(config, sim._block_rng(71, 0))
         split_ties = 0
         for i in range(n):
@@ -319,6 +319,71 @@ class TestSharedDraws:
             best = max(r_ul + r_dl for r_ul, r_dl in fd_pairs)
             split_ties += len({r_ul for r_ul, r_dl in fd_pairs if r_ul + r_dl == best}) > 1
         assert split_ties > 10  # the tie order decided these trials
+
+
+class TestMultiConfigRuns:
+    """One engine call draws each block once for several configs that share
+    (k_u, k_d), and gives every run the arrays of a run of its own."""
+
+    @staticmethod
+    def _runs(k):
+        at_80, at_60 = (config_from_db(24.0, 23.0, si, k_u=k, k_d=k) for si in (80.0, 60.0))
+        again_80 = config_from_db(24.0, 23.0, 80.0, k_u=k, k_d=k)  # equal to at_80, not the same object
+        return [(at_80, [Scheduler.A2_OPA, Scheduler.ES_FDHD]),
+                (at_60, [Scheduler.A2_OPA, Scheduler.A1, Scheduler.A1]),
+                (again_80, [Scheduler.HD_TDD, Scheduler.A2_OPA])]
+
+    @pytest.mark.parametrize("k", [5, 40], ids=["K5", "K40-chunked"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_each_run_matches_a_run_of_its_own(self, monkeypatch, k, workers):
+        runs = self._runs(k)
+        calls, draws = [], []
+        real_evaluate, real_draw = sim._evaluate_block, sim._draw_block
+
+        def counting_evaluate(schedulers, config, g_ul, g_dl, g_x):
+            calls.append((tuple(schedulers), config, len(g_ul)))
+            return real_evaluate(schedulers, config, g_ul, g_dl, g_x)
+
+        def counting_draw(config, rng):
+            draws.append(config.k_u)
+            return real_draw(config, rng)
+
+        monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
+        monkeypatch.setattr(sim, "_draw_block", counting_draw)
+        n, seed = BLOCK_SIZE + 7, 81
+        together = sim._run_arrays(runs, n, seed, workers=workers)
+        # Two blocks drawn once; per chunk one kernel call per distinct
+        # config, the equal configs' scheduler lists merged.
+        chunks = -(-BLOCK_SIZE // sim._chunk_rows(runs[0][0])) + 1  # the 7-row block is one
+        assert chunks == (2 if k == 5 else 8)
+        assert draws == [k, k]
+        assert len(calls) == 2 * chunks and sum(rows for *_, rows in calls) == 2 * n
+        merged = (Scheduler.A2_OPA, Scheduler.ES_FDHD, Scheduler.HD_TDD)
+        assert {c[:2] for c in calls} == {(merged, runs[0][0]),
+                                          ((Scheduler.A2_OPA, Scheduler.A1), runs[1][0])}
+        assert together[0][Scheduler.A2_OPA] is together[2][Scheduler.A2_OPA]
+        assert len(together) == len(runs)
+        for (config, schedulers), arrays in zip(runs, together):
+            (alone,) = sim._run_arrays([(config, schedulers)], n, seed, workers=workers)
+            assert list(arrays) == list(alone) == list(dict.fromkeys(schedulers))
+            for s, values in alone.items():
+                assert arrays[s].keys() == values.keys()
+                for key, v in values.items():
+                    assert arrays[s][key].dtype == v.dtype
+                    assert arrays[s][key].tobytes() == v.tobytes(), (s, key)
+
+    @pytest.mark.parametrize("other", [
+        SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 5, 6),
+        SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 6, 5),
+    ], ids=["k_d", "k_u"])
+    def test_other_user_counts_raise_before_the_first_draw(self, monkeypatch, other):
+        draws = []
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        with pytest.raises(ValueError, match=r"share one \(k_u, k_d\)"):
+            sim._run_arrays([(CFG, [Scheduler.A1]), (other, [Scheduler.A1])], 100, seed=1)
+        with pytest.raises(ValueError, match=r"share one \(k_u, k_d\)"):
+            sim._run_arrays([], 100, seed=1)
+        assert draws == []
 
 
 class TestChunkedDraws:
@@ -342,7 +407,7 @@ class TestChunkedDraws:
         monkeypatch.setattr(sim, "CHUNK_BYTES", 13 * 8 * k_u * k_d)  # 13 rows, 4096 % 13 = 1
         assert sim._chunk_rows(config) == 13
         for workers in (1, 2):
-            arrays = sim._run_arrays(config, list(Scheduler), n, seed, workers=workers)
+            (arrays,) = sim._run_arrays([(config, list(Scheduler))], n, seed, workers=workers)
             for s in Scheduler:
                 assert arrays[s].keys() == reference[s].keys()
                 for key, parts in reference[s].items():
@@ -429,6 +494,19 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="whole number"):
             SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 2.5, 3)
 
+    @pytest.mark.parametrize("flag", [True, False, np.bool_(True)], ids=["true", "false", "np-true"])
+    def test_booleans_are_not_whole_numbers(self, flag):
+        for k_u, k_d, name in [(flag, 3, "k_u"), (3, flag, "k_d")]:
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, k_u, k_d)
+        with pytest.raises(ValueError, match="k_u must be a whole number"):
+            config_from_db(24.0, 23.0, 80.0, k_u=flag, k_d=flag)
+        for args in [{"n_trials": flag, "seed": 1}, {"n_trials": 100, "seed": flag},
+                     {"n_trials": 100, "seed": 1, "workers": flag}]:
+            name = next(k for k, v in args.items() if v is flag)
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                run_trials(CFG, "a1", **args)
+
     def test_config_from_db_needs_whole_user_counts(self):
         assert config_from_db(24.0, 23.0, 80.0, k_u=5.0, k_d=4).k_u == 5
         with pytest.raises(ValueError, match="whole number"):
@@ -483,7 +561,7 @@ class TestInputChecks:
 
     def test_scheduler_list_must_be_non_empty(self):
         with pytest.raises(ValueError):
-            sim._run_arrays(CFG, [], 100, seed=1)
+            sim._run_arrays([(CFG, [])], 100, seed=1)
         with pytest.raises(ValueError):
             run_sweep({}, "p0_dbm", (1.0,), (), 100, 0)
 
@@ -528,6 +606,12 @@ class TestSweeps:
         config = resolve_config(base, "si_cancellation_db", 80.0)
         direct = run_trials(config, Scheduler.A2_OPA, 5_000, derived_trial_seed(51, 0))
         assert rows[0].stats == direct
+
+    def test_scheduler_listed_twice_gives_its_rows_twice(self):
+        rows = run_sweep({}, "p0_dbm", (20.0, 24.0), iter(["a1", "hd-tdd", "a1"]), 500, seed=52)
+        assert [(pt.scheduler.value, pt.value) for pt in rows] == [
+            (s, v) for s in ("a1", "hd-tdd", "a1") for v in (20.0, 24.0)]
+        assert rows[0] == rows[4] and rows[1] == rows[5]
 
     def test_k_users_sweep_sets_both_sides(self):
         config = resolve_config({}, "k_users", 7)
