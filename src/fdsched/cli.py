@@ -115,7 +115,7 @@ def _git_describe():
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or one slower than the timeout
         pass
     return "unknown"
 
@@ -317,7 +317,7 @@ def build_parser():
     p_an.set_defaults(func=cmd_analyze)
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria")
-    p_val.add_argument("--quick", action="store_true", help="reduced-size suite (about a minute)")
+    p_val.add_argument("--quick", action="store_true", help="reduced-size suite (about 3 s)")
     p_val.add_argument("--only", action="append",
                        choices=[name for name, _ in validate.CRITERIA],
                        help="run a subset of criteria (repeatable)")

@@ -13,6 +13,8 @@ Gains carry a leading trial axis.  :func:`evaluate` gives the per-trial
 rates of every scheduler of a run on one batch, each picked from work done
 once per batch: the gain-max users and their single-link rates, and each
 base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
+The exhaustive search sweeps the DL users and keeps each UL user's best DL
+SINR, so it holds no (u, d) tensor and takes logs of K values, not K².
 The scalar ``select_*`` functions and :mod:`fdsched.power` are
 batch-of-one views of the same code, and return a :class:`Schedule`.
 """
@@ -166,22 +168,26 @@ class _Batch:
     def users(self, rule):
         """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
         ``r_fd`` is the search's pair sum rate, else None.  A2 reads only column
-        u* of each cross-gain matrix and A3 only row d*, in a gathered copy."""
+        u* of each cross-gain matrix and A3 only row d*, in a gathered copy;
+        the search reads every pair but keeps K-wide rows, never a K² tensor."""
         config, si, g_ul, g_dl, g_x, idx = self.config, self.si, self.g_ul, self.g_dl, self.g_x, self.idx
         require_positive_powers(config)
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
-            (n, k_u), k_d = g_ul.shape, g_dl.shape[1]
             r_ul = log2_1p(sinr(pu, g_ul, p0, si, s0))
-            # Pair sum rates, built in place in (n, k_u, k_d) layout: one tensor
-            # the size of g_x, and its first flat max is the lexicographic (u, d).
-            sums = sinr(p0, g_dl[:, None, :], pu, g_x.transpose(0, 2, 1), sd,
-                        out=np.empty((n, k_u, k_d)))
-            log2_1p(sums, out=sums)
-            sums += r_ul[:, :, None]
-            sums = sums.reshape(n, -1)
-            best = np.argmax(sums, axis=1)
-            return best // k_d, best % k_d, sums[idx, best]
+            # Sweep the DL users, keeping each UL user's best DL SINR: log2_1p and
+            # + r_ul are monotone, so its best pair sum is log2_1p of that SINR.
+            best, buf = np.full_like(r_ul, -np.inf), np.empty_like(r_ul)
+            for d in range(g_dl.shape[1]):
+                np.maximum(best, sinr(p0, g_dl[:, d, None], pu, g_x[:, d, :], sd, out=buf), out=best)
+            sums = np.add(log2_1p(best, out=best), r_ul, out=best)
+            ul = np.argmax(sums, axis=1)
+            # The DL user of the lexicographic (u, d) search: the first d whose
+            # rounded sum ties, which need not be the first d of highest SINR.
+            col = g_x[idx, :, ul]  # a copy: the winner's pair sums are built in place
+            log2_1p(sinr(p0, g_dl, pu, col, sd, out=col), out=col)
+            col += r_ul[idx, ul, None]
+            return ul, np.argmax(col, axis=1), sums[idx, ul]
         if rule is Scheduler.A3:
             row = g_x[idx, self.best[1], :]  # a copy: the signal-to-leakage is built in place
             return np.argmax(sinr(pu, g_ul, pu, row, s0, out=row), axis=1), self.best[1], None

@@ -35,7 +35,7 @@ from .model import RADIO_DEFAULTS, config_from_db, whole_number
 from .scheduling import OPA_BASE, Scheduler, evaluate
 
 BLOCK_SIZE = 4096
-CHUNK_BYTES = 8 << 20  # cross gains drawn and evaluated at a time, per worker
+CHUNK_BYTES = 8 << 20  # cross gains drawn and evaluated at a time, per worker; the kernel adds K-wide rows
 
 SWEEPABLE_PARAMETERS = ("p0_dbm", "si_cancellation_db", "k_users")
 

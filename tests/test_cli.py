@@ -54,6 +54,15 @@ class TestSimulate:
         assert manifest["resolved"]["schedulers"] == ["hd-tdd"]
         assert "timestamp" in manifest and "git_describe" in manifest
 
+    def test_slow_git_still_writes_manifest(self, tmp_path, monkeypatch):
+        def timeout(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+        monkeypatch.setattr(cli.subprocess, "run", timeout)
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--scheduler", "a1", "--trials", "10", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["git_describe"] == "unknown"
+
     def test_default_trials_echoed(self, tmp_path):
         out = tmp_path / "run.csv"
         run_cli(["simulate", "--scheduler", "hd-tdd", "--kd", "2", "--ku", "2",

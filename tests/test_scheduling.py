@@ -1,11 +1,14 @@
 """Selection rules against brute-force scans, decoupling, and baselines."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fdsched.model import ChannelRealization, SystemConfig, config_from_db, draw_realization, rates
+from fdsched.model import (
+    ChannelRealization, SystemConfig, config_from_db, draw_realization, log2_1p, rates,
+)
 from fdsched.scheduling import (
     OPA_BASE,
     DuplexMode,
@@ -192,6 +195,41 @@ class TestExhaustiveSearch:
                     if r > best_rate:
                         best_pair, best_rate = (u, d), r
             assert (s.ul, s.dl) == best_pair
+
+    # UL user 1's rate swamps both DL rates, so its pairs with d = 0 and d = 1
+    # have the same rounded sum at different DL SINRs: the lexicographic
+    # (u, d) search takes d = 0, not the DL user of highest SINR.
+    TIE_CFG = SystemConfig(1.0, 1.0, 1e-18, 1.0, 0.0, 2, 2)
+    TIE_GAINS = [1.0, 2.0], [1e-20, 2e-20], np.ones((2, 2))
+
+    def test_rounded_sum_tie_goes_to_lowest_dl(self):
+        for select in (select_es_fd, select_es_fdhd):
+            s = select(make_ch(*self.TIE_GAINS, si=0.0), self.TIE_CFG)
+            assert (s.ul, s.dl) == (1, 0)
+        gains = (np.asarray(g, float)[None] for g in self.TIE_GAINS)
+        out = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], self.TIE_CFG, *gains)
+        for rows in out.values():
+            assert rows["fd"][0]
+            assert rows["r_dl"][0] == log2_1p(1e-20 / 2.0)  # d = 0's SINR under UL leakage
+
+    def test_exact_tie_goes_to_lowest_ul(self):
+        # UL users 0 and 2 are the same user; each pairs best with DL user 1.
+        cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 2)
+        ch = make_ch([2.0, 1.0, 2.0], [1.0, 3.0], [[1.0, 1.0, 1.0], [2.0, 1.0, 2.0]], si=0.0)
+        for select in (select_es_fd, select_es_fdhd):
+            s = select(ch, cfg)
+            assert (s.ul, s.dl) == (0, 1)
+
+    def test_search_memory_is_a_fraction_of_the_cross_gains(self):
+        config = config_from_db(24.0, 23.0, 80.0, k_u=64, k_d=64)
+        gains = _exponential_block(config, np.random.default_rng(67), n=256)
+        tracemalloc.start()
+        try:
+            evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, *gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gains[2].nbytes / 4
 
     def test_dominates_a2(self):
         rng = np.random.default_rng(47)
