@@ -43,8 +43,8 @@ print("\n=== the removable pole at p0 = pu (A2) ===")
 pole = AnalyticalParams(1.0, 1.0, 0.1, 0.1, 1e-3, 5, 5)
 res = avg_rate_a2(pole)
 quad = avg_rate_integral(lambda x: cdf_sinr_ul(x, pole), lambda x: cdf_sinr_dl_a2(x, pole))
-print(f"  closed (pu nudged, flagged={res.flagged}) = {res.value:.8f}")
-print(f"  quadrature at the exact pole           = {quad:.8f}")
+print(f"  closed ({res.route}, flagged={res.flagged}) = {res.value:.8f}")
+print(f"  quadrature oracle at the exact pole    = {quad:.8f}")
 
 print("\n=== large-system scaling (si = 0, matched UL noise) ===")
 print("  K      closed/quadrature   approximation   relative gap")

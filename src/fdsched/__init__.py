@@ -30,7 +30,7 @@ from .model import (
     sinr_dl,
     sinr_ul,
 )
-from .power import OpaDecision, eta, opa, opa_enhanced_schedule, zeta
+from .power import OpaDecision, eta, opa, zeta
 from .scheduling import (
     DuplexMode,
     Schedule,
@@ -50,7 +50,6 @@ from .sim import (
     run_coupled,
     run_sweep,
     run_trials,
-    selected_sinr_samples,
 )
 from .specfun import exp_integral_ei, xi_n
 

@@ -12,8 +12,8 @@ one object drives all three.  The quadrature doubles as the closed forms'
 oracle and as their route (``ClosedFormRate.route``) around
 
 * removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form
-  (1 - p0/pu)^{-n}; at a pole pu is nudged up by 1e-6 relative and the
-  result is flagged;
+  (1 - p0/pu)^{-n}; a pole goes to the rate integral at the same point,
+  whose survival functions have no pole, and flags the result;
 * cancellation: the alternating binomial sums lose ~2^K digits, so a sum
   whose compensated-summation error estimate exceeds 1e-9 bits, the
   reroute's tolerance, or a user count above 40, goes to the rate
@@ -41,7 +41,7 @@ nor the Monte Carlo engine loads it.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb, fsum, log
@@ -53,8 +53,7 @@ from .model import LN2, SystemConfig
 from .scheduling import require_positive_powers
 from .specfun import xi_n
 
-_POLE_EPS = 1e-9          # relative pole distance that triggers the guard
-_PERTURB_REL = 1e-6       # relative nudge applied to pu at a pole
+_POLE_EPS = 1e-9          # relative pole distance that routes to the rate integral
 _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
 _RATE_TOL = 1e-9          # bits: error estimate allowed on either route
 _EPS4 = 4.0 * float(np.finfo(float).eps)  # compensated-sum error per unit gross size
@@ -78,13 +77,17 @@ class AnalyticalParams(SystemConfig):
 
 
 class ClosedFormRate(NamedTuple):
-    """Closed-form value, whether a pole guard perturbed the inputs, and the
-    route that computed it: ``"closed"``, ``"quadrature:cancellation"`` or
-    ``"quadrature:large-k"``."""
+    """Closed-form value and the route that computed it: ``"closed"``,
+    ``"quadrature:cancellation"``, ``"quadrature:large-k"`` or
+    ``"quadrature:pole"``."""
 
     value: float
-    flagged: bool
     route: str = "closed"
+
+    @property
+    def flagged(self):
+        """True at a removable pole of the closed form."""
+        return self.route == "quadrature:pole"
 
 
 class AsymptoticRate(NamedTuple):
@@ -305,16 +308,18 @@ def _ul_terms(params):
         yield term, abs(term)
 
 
-def _closed_or_quadrature(params, dl_terms=None, sf_dl=None):
+def _closed_or_quadrature(params, dl_terms=None, sf_dl=None, pole=False):
     """The closed UL rate plus ``dl_terms`` (None: UL only), or the rate
-    integral with ``sf_dl`` when a user count is beyond the closed forms or
-    the compensated-summation error estimate exceeds 1e-9 bits, the
-    reroute's tolerance; the one place that sets a :class:`ClosedFormRate`'s
-    route.  The terms stop once their gross magnitude alone fails the
-    estimate, which the full sum would then fail too.
+    integral with ``sf_dl`` at a ``pole``, beyond the closed forms' user
+    counts, or when the compensated-summation error estimate exceeds 1e-9
+    bits, the reroute's tolerance; the one place that sets a
+    :class:`ClosedFormRate`'s route.  The terms stop once their gross
+    magnitude alone fails the estimate, which the full sum would then fail.
     """
     k = params.k_u if dl_terms is None else max(params.k_u, params.k_d)
-    if k > _CLOSED_RATE_MAX_K:
+    if pole:
+        route = "quadrature:pole"
+    elif k > _CLOSED_RATE_MAX_K:
         route = "quadrature:large-k"
     else:
         terms, gross, running = [], [], 0.0
@@ -326,9 +331,9 @@ def _closed_or_quadrature(params, dl_terms=None, sf_dl=None):
                 break
         else:
             if _EPS4 * fsum(gross) <= _RATE_TOL:
-                return ClosedFormRate(fsum(terms), False)
+                return ClosedFormRate(fsum(terms))
         route = "quadrature:cancellation"
-    return ClosedFormRate(_rate_by_quadrature(params, sf_dl), False, route)
+    return ClosedFormRate(_rate_by_quadrature(params, sf_dl), route)
 
 
 def avg_rate_ul_closed(params):
@@ -336,13 +341,6 @@ def avg_rate_ul_closed(params):
     xi_1 kernels.  Falls back to the rate integral when cancellation would
     eat the result (large k_u)."""
     return _closed_or_quadrature(params).value
-
-
-def _guard(params, on_pole):
-    """``(params, False)``, or with ``on_pole`` pu nudged up by 1e-6 relative and True."""
-    if on_pole:
-        return replace(params, pu_max=params.pu_max * (1.0 + _PERTURB_REL)), True
-    return params, False
 
 
 def _dl_a1_terms(params):
@@ -359,13 +357,13 @@ def avg_rate_a1(params) -> ClosedFormRate:
     """Closed-form average sum rate under gain-max UL and gain-max DL
     selection (UL part plus partial-fraction DL part).
 
-    Removable poles at p0 = k*pu flag the result and nudge pu by 1e-6
-    relative; severe cancellation reroutes the evaluation to the rate
-    integral.  Never raises on a pole.
+    At a removable pole p0 = k*pu, and wherever cancellation is severe,
+    the rate integral is taken at the same point; a pole flags the result.
+    Never raises on a pole.
     """
-    eff, flagged = _guard(params, any(abs(params.p0_max - k * params.pu_max)
-                                      < _POLE_EPS * params.pu_max for k in range(1, params.k_d + 1)))
-    return _closed_or_quadrature(eff, _dl_a1_terms, _sf_dl_a1)._replace(flagged=flagged)
+    pole = any(abs(params.p0_max - k * params.pu_max) < _POLE_EPS * params.pu_max
+               for k in range(1, params.k_d + 1))
+    return _closed_or_quadrature(params, _dl_a1_terms, _sf_dl_a1, pole)
 
 
 def _dl_a2_terms(params):
@@ -384,12 +382,12 @@ def avg_rate_a2(params) -> ClosedFormRate:
     """Closed-form average sum rate under gain-max UL and SINR-max DL
     selection (UL part plus the nested xi_n combination).
 
-    The pole at p0 = pu flags the result and nudges pu by 1e-6 relative;
-    the (1 - p0/pu)^{-n} weights blow up the cancellation near that pole,
-    in which case the rate-integral route takes over.
+    The pole at p0 = pu goes to the rate integral at the same point and
+    flags the result; the (1 - p0/pu)^{-n} weights blow up the cancellation
+    near that pole, in which case the rate integral takes over too.
     """
-    eff, flagged = _guard(params, abs(1.0 - params.p0_max / params.pu_max) < _POLE_EPS)
-    return _closed_or_quadrature(eff, _dl_a2_terms, _sf_dl_a2)._replace(flagged=flagged)
+    pole = abs(1.0 - params.p0_max / params.pu_max) < _POLE_EPS
+    return _closed_or_quadrature(params, _dl_a2_terms, _sf_dl_a2, pole)
 
 
 def asymptotic_rate_a1(params) -> AsymptoticRate:

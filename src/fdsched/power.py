@@ -19,21 +19,13 @@ from dataclasses import dataclass
 from .model import _check_index
 from .scheduling import (  # zeta and eta are re-exported
     Schedule,
-    Scheduler,
     _pair_at,
     _powers,
-    _select,
     allocate,
     eta,
     require_positive_powers,
-    select_a1,
-    select_a2,
-    select_a3,
     zeta,
 )
-
-# The OPA scheduler that starts from each fixed-power selector.
-_OPA_OF = {select_a1: Scheduler.A1_OPA, select_a2: Scheduler.A2_OPA, select_a3: Scheduler.A3_OPA}
 
 
 @dataclass(frozen=True)
@@ -57,19 +49,3 @@ def opa(ch, ul, dl, config):
     pair = _pair_at(config, ch.si_gain, ul, dl, (ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul]))
     fast, fd, on_ul, _, _ = allocate(config, ch.si_gain, pair)
     return OpaDecision(ul, dl, *map(float, _powers(config, fd, on_ul)), bool(fast))
-
-
-def opa_enhanced_schedule(ch, config, base):
-    """Run a fixed-power selector, then let the binary power allocation pick
-    the duplex mode.
-
-    ``base`` is ``select_a1``, ``select_a2`` or ``select_a3``; this is the
-    matching OPA scheduler's decision.  If the allocation keeps FD, the base
-    pair stands at maximum powers.  If it collapses to a half-duplex mode,
-    the surviving link's user is rescheduled by raw channel gain, which is
-    what maximizes a single-link rate.
-    """
-    rule = _OPA_OF.get(base)
-    if rule is None:
-        raise ValueError(f"base must be select_a1, select_a2 or select_a3, got {base!r}")
-    return _select(rule, ch, config)

@@ -225,16 +225,6 @@ def run_trials(config, scheduler, n_trials, seed, workers=1):
     return _run_stats([(config, [scheduler])], n_trials, seed, workers)[0][scheduler]
 
 
-def selected_sinr_samples(config, scheduler, n_trials, seed, workers=1):
-    """Per-trial (UL SINR, DL SINR) of the pair picked by a fixed-power
-    selection rule at maximum powers.  Only meaningful for a1/a2/a3."""
-    scheduler = Scheduler(scheduler)
-    if scheduler not in OPA_BASE.values():
-        raise ValueError("SINR sampling applies to the fixed-power selectors only")
-    arrays = _run_arrays([(config, [scheduler])], n_trials, seed, workers)[0][scheduler]
-    return arrays["gamma_ul"], arrays["gamma_dl"]
-
-
 _DOMINANCE_TOL = 1e-9
 
 

@@ -198,7 +198,18 @@ class TestRateRule:
 
 class TestRoutes:
     def test_closed_form_rate_defaults_to_closed(self):
-        assert ClosedFormRate(1.0, False).route == "closed"
+        assert ClosedFormRate(1.0).route == "closed"
+        assert not ClosedFormRate(1.0).flagged
+
+    @pytest.mark.parametrize("alg,p0", [("a1", 2.0), ("a2", 1.0)])
+    def test_pole_route_beats_large_k(self, alg, p0):
+        # A pole goes to the rate integral above 40 users too, and only a
+        # pole flags the result.
+        fn = avg_rate_a1 if alg == "a1" else avg_rate_a2
+        res = fn(AnalyticalParams(p0, 1.0, 0.3, 0.2, 0.01, 48, 48))
+        assert res.route == "quadrature:pole" and res.flagged
+        off_pole = fn(AnalyticalParams(p0 + 0.5, 1.0, 0.3, 0.2, 0.01, 48, 48))
+        assert off_pole.route == "quadrature:large-k" and not off_pole.flagged
 
     @pytest.mark.parametrize("k,route", [(5, "closed"), (10, "quadrature:cancellation"),
                                          (48, "quadrature:large-k")])
@@ -314,12 +325,12 @@ class TestAvgRateA1:
         assert not res.flagged
         assert res.value == pytest.approx(quad_rate(p, cdf_sinr_dl_a1), rel=1e-6)
 
-    def test_exact_pole_flags_and_perturbs(self):
+    def test_exact_pole_flags_and_reroutes(self):
         p = AnalyticalParams(3.0, 1.0, 0.3, 0.2, 0.01, 5, 5)
         res = avg_rate_a1(p)
         assert res.flagged
         assert math.isfinite(res.value)
-        assert res.value == pytest.approx(quad_rate(p, cdf_sinr_dl_a1), rel=1e-5)
+        assert res.value == pytest.approx(quad_rate(p, cdf_sinr_dl_a1), abs=1e-9)
 
     def test_monte_carlo_agreement(self):
         config = SystemConfig(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5, 5)
@@ -378,7 +389,7 @@ class TestAvgRateA2:
         p = AnalyticalParams(1.0, 1.0, 0.1, 0.1, 1e-3, 5, 5)
         res = avg_rate_a2(p)
         assert res.flagged
-        assert res.value == pytest.approx(quad_rate(p, cdf_sinr_dl_a2), rel=1e-5)
+        assert res.value == pytest.approx(quad_rate(p, cdf_sinr_dl_a2), abs=1e-9)
 
     def test_monte_carlo_agreement(self):
         config = SystemConfig(1.0, 0.8, 1e-2, 1e-2, 1e-8, 5, 5)
@@ -395,6 +406,46 @@ class TestAvgRateA2:
             for k in (2, 5):
                 p = AnalyticalParams(p0, pu, s0, sd, si, k, k)
                 assert avg_rate_a2(p).value >= avg_rate_a1(p).value
+
+
+def mp_survival_rate(params, alg):
+    """Rate integral of the UL and DL survival laws at 30 digits, each law
+    in a form with no pole.  A1's DL law averages 1 - (1 - e^{-(sigmaD^2 +
+    pu g) x / p0})^K over the interferer's gain g ~ Exp(1) term by term; A2's
+    is the best of K candidates, each above x with chance
+    e^{-sigmaD^2 x / p0} / (1 + pu x / p0)."""
+    with mp.workdps(30):
+        p0, pu, sd = mp.mpf(params.p0_max), mp.mpf(params.pu_max), mp.mpf(params.sigmaD_sq)
+        a_ul = (p0 * mp.mpf(params.si_gain) + mp.mpf(params.sigma0_sq)) / pu
+        k_u, k_d = params.k_u, params.k_d
+
+        def sf_dl(x):
+            if alg == "a1":
+                return mp.fsum(mp.binomial(k_d, k) * (-1) ** (k + 1) * mp.exp(-k * sd * x / p0)
+                               / (1 + k * pu * x / p0) for k in range(1, k_d + 1))
+            return 1 - (1 - mp.exp(-sd * x / p0) / (1 + pu * x / p0)) ** k_d
+
+        def integrand(x):
+            return (1 - (1 - mp.exp(-a_ul * x)) ** k_u + sf_dl(x)) / (1 + x)
+
+        value, err = mp.quad(integrand, [0, 1, 10, 100, 1000, mp.inf], error=True)
+        assert err < mp.mpf("1e-20")
+        return float(value / mp.log(2))
+
+
+POLES = [("a1", k_users, k) for k_users in (1, 2, 5) for k in range(1, k_users + 1)]
+POLES += [("a2", k_users, 1) for k_users in (1, 2, 5)]
+
+
+class TestPoles:
+    @pytest.mark.parametrize("alg,k_users,k", POLES)
+    def test_pole_within_1e9_bits_of_mpmath(self, alg, k_users, k):
+        # A1 at p0 = k pu, A2 at p0 = pu: the rate integral at the point itself.
+        params = AnalyticalParams(k * 0.8, 0.8, 0.3, 0.2, 0.01, k_users, k_users)
+        res = (avg_rate_a1 if alg == "a1" else avg_rate_a2)(params)
+        assert res.route == "quadrature:pole"
+        assert res.flagged is True
+        assert abs(res.value - mp_survival_rate(params, alg)) <= 1e-9
 
 
 class TestAsymptotic:

@@ -1,5 +1,5 @@
 """Indicator functions, binary power allocation, and the OPA-enhanced
-scheduling wrapper."""
+selectors."""
 
 import math
 
@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from fdsched.model import ChannelRealization, SystemConfig, draw_realization, rates
-from fdsched.power import OpaDecision, eta, opa, opa_enhanced_schedule, zeta
+from fdsched.power import OpaDecision, eta, opa, zeta
 from fdsched.scheduling import (
+    OPA_BASE,
     DuplexMode,
     Schedule,
+    Scheduler,
+    evaluate,
     select_a1,
     select_a2,
     select_a3,
-    select_es_fd,
 )
 
 
@@ -191,55 +193,65 @@ class TestOpa:
         assert checked_eta > 20 and checked_zeta > 20
 
 
+def draw_batch(cfg, seed, n=300):
+    """``n`` snapshots of :func:`draw_realization`, and their gains stacked
+    as one batch of :func:`evaluate`."""
+    rng = np.random.default_rng(seed)
+    chs = [draw_realization(cfg, rng) for _ in range(n)]
+    return chs, [np.stack([getattr(ch, name) for ch in chs]) for name in ("g_ul", "g_dl", "g_x")]
+
+
+def r_sum(rows):
+    return rows["r_ul"] + rows["r_dl"]
+
+
+SELECT = {Scheduler.A1: select_a1, Scheduler.A2: select_a2, Scheduler.A3: select_a3}
+
+
 class TestOpaEnhancedSchedule:
+    """Each OPA-enhanced selector as the batched kernel evaluates it,
+    against its fixed-power base selector."""
+
     def test_transparent_without_interference(self):
+        # No leakage and no SI: full-power FD is optimal, so each OPA rule
+        # keeps its base pair's rates.
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 4, 4)
-        rng = np.random.default_rng(83)
-        for base in (select_a1, select_a2, select_a3):
-            raw = draw_realization(cfg, rng)
-            ch = ChannelRealization(raw.g_ul, raw.g_dl, np.zeros_like(raw.g_x), 0.0)
-            assert opa_enhanced_schedule(ch, cfg, base) == base(ch, cfg)
+        _, (g_ul, g_dl, g_x) = draw_batch(cfg, 83)
+        out = evaluate([*OPA_BASE, *OPA_BASE.values()], cfg, g_ul, g_dl, np.zeros_like(g_x))
+        for rule, base in OPA_BASE.items():
+            assert out[rule]["fd"].all()
+            for key in ("r_ul", "r_dl"):
+                assert out[rule][key].tobytes() == out[base][key].tobytes()
 
     def test_hd_ul_reschedules_away_from_a3_choice(self):
         # A3 avoids the leaky strongest UL user, but once the DL side is
         # switched off there is no leakage to avoid and the raw strongest
-        # user must be re-selected.  Corner rates here: FD ~ 0.146,
-        # HD-UL ~ 5.93, HD-DL ~ 0.14.
+        # user must be re-selected.  Corner rates of A3's pair: FD ~ 0.146,
+        # HD-UL ~ 5.93, HD-DL ~ 0.14; user 0 alone gives log2(101) ~ 6.66.
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 1e4, 2, 1)
         g_ul = [100.0, 60.0]
         g_x = [[1000.0, 1e-9]]  # strongest UL user leaks hard into the DL user
         ch = make_ch(g_ul, [0.1], g_x, si=1e4)
-        base = select_a3(ch, cfg)
-        assert base.ul == 1
-        sched = opa_enhanced_schedule(ch, cfg, select_a3)
-        assert sched.mode is DuplexMode.HD_UL
-        assert sched.ul == 0
-        assert sched.dl is None and sched.p0 == 0.0
-
-    def test_base_must_be_a_fixed_power_selector(self):
-        cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
-        ch = draw_realization(cfg, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="select_a1, select_a2 or select_a3"):
-            opa_enhanced_schedule(ch, cfg, select_es_fd)
+        assert select_a3(ch, cfg).ul == 1
+        out = evaluate([Scheduler.A3_OPA], cfg, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
+        rows = out[Scheduler.A3_OPA]
+        assert not rows["fd"][0] and rows["r_dl"][0] == 0.0
+        assert rows["r_ul"][0] == pytest.approx(math.log2(1.0 + 100.0), rel=1e-12)
 
     def test_never_worse_than_base(self):
-        rng = np.random.default_rng(89)
         cfg = SystemConfig(3.0, 2.0, 0.1, 0.1, 2.0, 5, 5)
-        for _ in range(300):
-            ch = draw_realization(cfg, rng)
-            for base in (select_a1, select_a2, select_a3):
-                enhanced = rates(ch, opa_enhanced_schedule(ch, cfg, base), cfg).r_sum
-                plain = rates(ch, base(ch, cfg), cfg).r_sum
-                assert enhanced >= plain - 1e-12
+        _, batch = draw_batch(cfg, 89)
+        out = evaluate([*OPA_BASE, *OPA_BASE.values()], cfg, *batch)
+        for rule, base in OPA_BASE.items():
+            assert np.all(r_sum(out[rule]) >= r_sum(out[base]) - 1e-12)
 
     def test_dominates_pair_hd_corners(self):
-        rng = np.random.default_rng(97)
         cfg = SystemConfig(3.0, 2.0, 0.1, 0.1, 2.0, 5, 5)
-        for _ in range(300):
-            ch = draw_realization(cfg, rng)
-            for base in (select_a1, select_a2, select_a3):
-                pair = base(ch, cfg)
-                enhanced = rates(ch, opa_enhanced_schedule(ch, cfg, base), cfg).r_sum
+        chs, batch = draw_batch(cfg, 97)
+        out = evaluate(OPA_BASE, cfg, *batch)
+        for rule, base in OPA_BASE.items():
+            for ch, enhanced in zip(chs, r_sum(out[rule])):
+                pair = SELECT[base](ch, cfg)
                 corner_ul = math.log1p(cfg.pu_max * ch.g_ul[pair.ul] / cfg.sigma0_sq) / math.log(2)
                 corner_dl = math.log1p(cfg.p0_max * ch.g_dl[pair.dl] / cfg.sigmaD_sq) / math.log(2)
                 assert enhanced >= max(corner_ul, corner_dl) - 1e-9

@@ -20,7 +20,6 @@ from fdsched.sim import (
     run_coupled,
     run_sweep,
     run_trials,
-    selected_sinr_samples,
 )
 
 CFG = SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 5, 5)
@@ -589,12 +588,12 @@ class TestCoupling:
         with pytest.raises(RuntimeError, match="injected"):
             run_coupled(CFG, [Scheduler.ES_FDHD], 100, seed=1)
 
-    def test_selected_sinr_samples_shape_and_law(self):
-        g_ul, g_dl = selected_sinr_samples(CFG, Scheduler.A1, 5_000, seed=35)
-        assert g_ul.shape == (5_000,) and g_dl.shape == (5_000,)
-        assert np.all(g_ul >= 0) and np.all(g_dl >= 0)
-        with pytest.raises(ValueError):
-            selected_sinr_samples(CFG, Scheduler.ES_FD, 100, seed=1)
+    def test_sinr_samples_shape_and_sign(self):
+        keys = ("gamma_ul", "gamma_dl")
+        (run,) = sim._run_arrays([(CFG, [Scheduler.A1])], 5_000, seed=35, keys=keys)
+        assert tuple(run[Scheduler.A1]) == keys
+        for gamma in run[Scheduler.A1].values():
+            assert gamma.shape == (5_000,) and np.all(gamma >= 0)
 
 
 class TestSweeps:
