@@ -127,7 +127,7 @@ class ChannelRealization:
         if g_ul.size < 1 or g_dl.size < 1:
             raise ValueError("empty user set")
         for name, arr in (("g_ul", g_ul), ("g_dl", g_dl), ("g_x", g_x)):
-            if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+            if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails the first test
                 raise ValueError(f"{name} entries must be finite and >= 0")
         if not (math.isfinite(self.si_gain) and self.si_gain >= 0.0):
             raise ValueError(f"si_gain must be finite and >= 0, got {self.si_gain!r}")

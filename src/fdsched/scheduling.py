@@ -15,6 +15,9 @@ once per batch: the gain-max users and their single-link rates, and each
 base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
 The exhaustive search sweeps the DL users and keeps each UL user's best DL
 SINR, so it holds no (u, d) tensor and takes logs of K values, not K².
+ES-FDHD without ES-FD searches only the snapshots where FD can still win:
+those whose bound on the FD sum, u*'s UL rate plus d*'s DL rate under the
+least cross gain, is not below the best single link by a 1e-9 margin.
 The scalar ``select_*`` functions and :mod:`fdsched.power` are
 batch-of-one views of the same code, and return a :class:`Schedule`.
 """
@@ -150,14 +153,30 @@ def allocate(config, si, pair):
 _PAIR_RULE = {**OPA_BASE, Scheduler.ES_FDHD: Scheduler.ES_FD}  # each corner rule's base pair
 
 
+def _spread(n, rows, pair):
+    """The ``_Pair`` of ``n`` rows with ``pair`` (None if ``rows`` is empty) on
+    ``rows``; elsewhere users 0, rates 0 and sum rate -inf, so no corner picks
+    FD there.  Gains and SINRs are left out: no ES-FDHD corner reads them."""
+    ul, dl, r_ul, r_dl, r_fd = (np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n),
+                                np.full(n, -np.inf))
+    if pair is not None:
+        for full, part in zip((ul, dl, r_ul, r_dl, r_fd), (pair.ul, pair.dl, *pair.rates, pair.r_fd)):
+            full[rows] = part
+    return _Pair(ul, dl, None, None, (r_ul, r_dl), r_fd)
+
+
 class _Batch:
     """A batch of snapshots and the work its schedulers share, each piece
     done once, on first use, and dropped with the batch."""
 
-    def __init__(self, config, si, g_ul, g_dl, g_x):
+    def __init__(self, config, si, g_ul, g_dl, g_x, schedulers=()):
         self.config, self.si, self.g_ul, self.g_dl, self.g_x = config, si, g_ul, g_dl, g_x
-        self.idx, self.pairs = np.arange(len(g_ul)), {}
-        self.best = np.argmax(g_ul, axis=1), np.argmax(g_dl, axis=1)  # the gain-max users
+        self.idx, self.pairs, self.schedulers = np.arange(len(g_ul)), {}, schedulers
+
+    @cached_property
+    def best(self):
+        """The gain-max users."""
+        return np.argmax(self.g_ul, axis=1), np.argmax(self.g_dl, axis=1)
 
     @cached_property
     def hd(self):
@@ -205,12 +224,32 @@ class _Batch:
             self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd)
         return self.pairs[rule]
 
+    def searched(self):
+        """The exhaustive search's ``_Pair`` for ES-FDHD.  Unless ES-FD is
+        evaluated too, only the rows where FD can still win are searched: a
+        row whose bound on every pair's sum rate, with a 1e-9 margin, is below
+        its best single link goes to HD as it would after a search.  The bound
+        is u*'s UL rate plus d*'s DL rate under the row's least cross gain,
+        exact up to log1p's few-ulp error.  If at most half the rows are left,
+        a compacted copy of them is searched and spread back."""
+        if Scheduler.ES_FD not in self.schedulers:
+            config, (ul, dl), idx, n = self.config, self.best, self.idx, len(self.idx)
+            p0, pu, x_min = config.p0_max, config.pu_max, self.g_x.min(axis=(1, 2))
+            bound = (log2_1p(sinr(pu, self.g_ul[idx, ul], p0, self.si, config.sigma0_sq))
+                     + log2_1p(sinr(p0, self.g_dl[idx, dl], pu, x_min, config.sigmaD_sq)))
+            keep = np.flatnonzero(~(bound * (1.0 + 1e-9) < np.maximum(*self.hd)))  # NaN is kept
+            if 2 * len(keep) <= n:
+                sub = _Batch(config, self.si, self.g_ul[keep], self.g_dl[keep], self.g_x[keep])
+                return _spread(n, keep, sub.pair(Scheduler.ES_FD) if len(keep) else None)
+        return self.pair(Scheduler.ES_FD)
+
     def corner(self, scheduler):
         """``(pair, fd, on_ul, extras)`` of an OPA rule or ES-FDHD: its base pair,
         its FD and HD-UL row masks, and the OPA rules' extra arrays."""
-        pair = self.pair(_PAIR_RULE[scheduler])
         if scheduler is Scheduler.ES_FDHD:
+            pair = self.searched()
             return (pair, *_corner(pair.r_fd, *self.hd), {})
+        pair = self.pair(OPA_BASE[scheduler])
         fast, fd, on_ul, hd_ul, hd_dl = allocate(self.config, self.si, pair)
         return pair, fd, on_ul, {"fast": fast, "pair_hd_ul": hd_ul, "pair_hd_dl": hd_dl}
 
@@ -235,13 +274,14 @@ def evaluate(schedulers, config, g_ul, g_dl, g_x):
     """Per-trial arrays ``{scheduler: {name: array}}`` of ``schedulers`` on one
     batch: ``r_ul``, ``r_dl`` and FD flags, plus A1-A3's pair SINRs ``gamma_ul``
     and ``gamma_dl``, and the OPA rules' ``fast``, ``pair_hd_ul``, ``pair_hd_dl``."""
-    batch = _Batch(config, config.si_gain, g_ul, g_dl, g_x)
-    return {s: batch.rows(s) for s in map(Scheduler, schedulers)}
+    schedulers = [Scheduler(s) for s in schedulers]
+    batch = _Batch(config, config.si_gain, g_ul, g_dl, g_x, schedulers)
+    return {s: batch.rows(s) for s in schedulers}
 
 
 def _select(scheduler, ch, config):
     """Batch-of-one view of the kernel; a half-duplex link goes to its gain-max user."""
-    batch = _Batch(config, ch.si_gain, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
+    batch = _Batch(config, ch.si_gain, ch.g_ul[None], ch.g_dl[None], ch.g_x[None], (scheduler,))
     if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD
         ul, dl, _ = batch.users(scheduler)
         return Schedule(int(ul[0]), int(dl[0]), float(config.p0_max), float(config.pu_max))
@@ -275,7 +315,9 @@ def select_es_fd(ch, config):
 
 def select_es_fdhd(ch, config):
     """Best of the exhaustive FD pairing and the two full-power single-link
-    half-duplex corners.  Tie preference: FD, then HD-UL, then HD-DL."""
+    half-duplex corners.  Tie preference: FD, then HD-UL, then HD-DL.  The
+    pairs are searched only if an upper bound on their sum rate (see
+    :meth:`_Batch.searched`) reaches the better single link."""
     return _select(Scheduler.ES_FDHD, ch, config)
 
 

@@ -101,6 +101,18 @@ class TestDrawRealization:
         with pytest.raises(ValueError):
             make_ch([1.0], [1.0], [[1.0]], si=-0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize("name", ["g_ul", "g_dl", "g_x"])
+    def test_rejects_non_finite_or_negative_gains_by_name(self, name, bad):
+        gains = {"g_ul": np.ones(2), "g_dl": np.ones(3), "g_x": np.ones((3, 2))}
+        gains[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite and >= 0"):
+            ChannelRealization(si_gain=0.0, **gains)
+
+    def test_negative_zero_is_a_zero_gain(self):
+        ch = make_ch([-0.0, 1.0], [1.0, -0.0, 2.0], [[-0.0, 0.0], [1.0, -0.0], [0.0, 0.0]])
+        assert ch.g_ul.tolist() == [0.0, 1.0] and ch.g_x.min() == 0.0
+
 
 class TestSinr:
     def test_ul_no_si(self):

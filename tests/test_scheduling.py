@@ -345,6 +345,70 @@ class TestSharedKernel:
             assert np.any(hd & (out[s]["r_dl"] == 0.0)) and np.any(hd & (out[s]["r_ul"] == 0.0))
 
 
+class TestBoundedSearch:
+    """ES-FDHD without ES-FD searches only the rows where FD can still win,
+    and gives the bytes it gives on the search it shares with ES-FD."""
+
+    def test_weak_si_never_searches(self, search_rows):
+        config = config_from_db(24.0, 23.0, 20.0, k_u=5, k_d=5)
+        gains = _exponential_block(config, np.random.default_rng(71), n=4096)
+        assert not evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]["fd"].any()
+        ch = draw_realization(config, np.random.default_rng(72))
+        assert select_es_fdhd(ch, config).mode is not DuplexMode.FD
+        assert search_rows == []
+
+    def test_strong_si_searches_every_row_once(self, search_rows):
+        config = config_from_db(24.0, 23.0, 120.0, k_u=5, k_d=5)
+        evaluate([Scheduler.ES_FDHD], config, *_exponential_block(config, np.random.default_rng(73), n=4096))
+        assert search_rows == [4096]
+
+    @pytest.mark.parametrize("k_u,k_d", [(1, 1), (1, 2), (2, 5), (5, 2), (15, 5), (2, 15)])
+    def test_equals_the_shared_search(self, search_rows, k_u, k_d):
+        rng = np.random.default_rng(10 * k_u + k_d)
+        paths = set()
+        for si_db in range(0, 121, 5):
+            config = config_from_db(24.0, 23.0, float(si_db), k_u=k_u, k_d=k_d)
+            gains = _exponential_block(config, rng, n=400)
+            if si_db % 10:  # zero cross gains keep FD alive: only on every other level
+                gains[2][::7] = 0.0            # rows without cross gains
+                gains[2][3::7, -1, 0] = 0.0    # rows with one zero cross gain
+            search_rows.clear()
+            alone = evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+            paths.add("none" if not search_rows else "whole" if search_rows == [400] else "compacted")
+            shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+            assert list(alone) == list(shared)
+            for key, values in shared.items():
+                assert alone[key].tobytes() == values.tobytes(), (si_db, key)
+            for i in range(0, 400, 23):  # the one-row scalar view
+                ch = ChannelRealization(gains[0][i], gains[1][i], gains[2][i], config.si_gain)
+                s = select_es_fdhd(ch, config)
+                assert (s.mode is DuplexMode.FD) == shared["fd"][i]
+                if s.mode is DuplexMode.FD:
+                    es = select_es_fd(ch, config)
+                    assert (s.ul, s.dl) == (es.ul, es.dl)
+                else:
+                    assert (s.mode is DuplexMode.HD_UL) == (shared["r_dl"][i] == 0.0)
+        # At K >= 2 strong SI cancellation leaves FD most rows, which are all searched.
+        assert paths == {"none", "compacted"} | ({"whole"} if k_u * k_d > 2 else set())
+
+    def test_bound_equal_to_the_best_single_link_is_searched(self, search_rows):
+        # Row 0 has a dead UL and a zero cross gain at d* = 0: its bound, the
+        # FD sum of pair (0, 0) and its HD-DL rate are one number, and the tie
+        # goes to FD.  Rows 1 and 2 leak so much that FD cannot win there.
+        config = SystemConfig(1.0, 1.0, 1.0, 1.0, 1.0, 2, 2)
+        g_ul = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        g_dl = np.array([[3.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        g_x = np.array([[[0.0, 2.0], [1.0, 1.0]]] + 2 * [np.full((2, 2), 1e6)])
+        alone = evaluate([Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
+        assert search_rows == [1]
+        assert alone["fd"].tolist() == [True, False, False]
+        shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
+        for key, values in shared.items():
+            assert alone[key].tobytes() == values.tobytes(), key
+        s = select_es_fdhd(ChannelRealization(g_ul[0], g_dl[0], g_x[0], config.si_gain), config)
+        assert (s.mode, s.ul, s.dl) == (DuplexMode.FD, 0, 0)
+
+
 class TestScheduleInvariants:
     def test_fd_requires_both_users_and_powers(self):
         with pytest.raises(ValueError):
