@@ -15,9 +15,10 @@ once per batch: the gain-max users and their single-link rates, and each
 base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
 The exhaustive search sweeps the DL users and keeps each UL user's best DL
 SINR, so it holds no (u, d) tensor and takes logs of K values, not K².
-ES-FDHD without ES-FD searches only the snapshots where FD can still win:
-those whose bound on the FD sum, u*'s UL rate plus d*'s DL rate under the
-least cross gain, is not below the best single link by a 1e-9 margin.
+ES-FDHD without ES-FD skips the search on a batch where FD can win no
+snapshot: where each snapshot's bound on the FD sum, u*'s UL rate plus d*'s
+DL rate under the least cross gain, is below its best single link by a 1e-9
+margin.
 The scalar ``select_*`` functions and :mod:`fdsched.power` are
 batch-of-one views of the same code, and return a :class:`Schedule`.
 """
@@ -153,18 +154,6 @@ def allocate(config, si, pair):
 _PAIR_RULE = {**OPA_BASE, Scheduler.ES_FDHD: Scheduler.ES_FD}  # each corner rule's base pair
 
 
-def _spread(n, rows, pair):
-    """The ``_Pair`` of ``n`` rows with ``pair`` (None if ``rows`` is empty) on
-    ``rows``; elsewhere users 0, rates 0 and sum rate -inf, so no corner picks
-    FD there.  Gains and SINRs are left out: no ES-FDHD corner reads them."""
-    ul, dl, r_ul, r_dl, r_fd = (np.zeros(n, np.intp), np.zeros(n, np.intp), np.zeros(n), np.zeros(n),
-                                np.full(n, -np.inf))
-    if pair is not None:
-        for full, part in zip((ul, dl, r_ul, r_dl, r_fd), (pair.ul, pair.dl, *pair.rates, pair.r_fd)):
-            full[rows] = part
-    return _Pair(ul, dl, None, None, (r_ul, r_dl), r_fd)
-
-
 class _Batch:
     """A batch of snapshots and the work its schedulers share, each piece
     done once, on first use, and dropped with the batch."""
@@ -172,11 +161,7 @@ class _Batch:
     def __init__(self, config, si, g_ul, g_dl, g_x, schedulers=()):
         self.config, self.si, self.g_ul, self.g_dl, self.g_x = config, si, g_ul, g_dl, g_x
         self.idx, self.pairs, self.schedulers = np.arange(len(g_ul)), {}, schedulers
-
-    @cached_property
-    def best(self):
-        """The gain-max users."""
-        return np.argmax(self.g_ul, axis=1), np.argmax(self.g_dl, axis=1)
+        self.best = np.argmax(g_ul, axis=1), np.argmax(g_dl, axis=1)  # the gain-max users
 
     @cached_property
     def hd(self):
@@ -224,24 +209,34 @@ class _Batch:
             self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd)
         return self.pairs[rule]
 
+    def fd_may_win(self):
+        """Whether FD may win ES-FDHD's corner on some row: whether a row's
+        bound on every pair's sum rate, u*'s UL rate plus d*'s DL rate under
+        the row's least cross gain, reaches its best single link.  The bound
+        is exact up to log1p's few-ulp error, which the 1e-9 margin covers.
+        The first 16 rows are bounded before the rest, so a batch where FD
+        may win is told before a pass over all its cross gains."""
+        config, (ul, dl), hd = self.config, self.best, np.maximum(*self.hd)
+        p0, pu = config.p0_max, config.pu_max
+        for rows in (slice(0, 16), slice(16, None)):
+            idx = self.idx[rows]
+            bound = (log2_1p(sinr(pu, self.g_ul[idx, ul[rows]], p0, self.si, config.sigma0_sq))
+                     + log2_1p(sinr(p0, self.g_dl[idx, dl[rows]], pu, self.g_x[rows].min(axis=(1, 2)),
+                                    config.sigmaD_sq)))
+            if not np.all(bound * (1.0 + 1e-9) < hd[rows]):  # a NaN bound may win
+                return True
+        return False
+
     def searched(self):
         """The exhaustive search's ``_Pair`` for ES-FDHD.  Unless ES-FD is
-        evaluated too, only the rows where FD can still win are searched: a
-        row whose bound on every pair's sum rate, with a 1e-9 margin, is below
-        its best single link goes to HD as it would after a search.  The bound
-        is u*'s UL rate plus d*'s DL rate under the row's least cross gain,
-        exact up to log1p's few-ulp error.  If at most half the rows are left,
-        a compacted copy of them is searched and spread back."""
-        if Scheduler.ES_FD not in self.schedulers:
-            config, (ul, dl), idx, n = self.config, self.best, self.idx, len(self.idx)
-            p0, pu, x_min = config.p0_max, config.pu_max, self.g_x.min(axis=(1, 2))
-            bound = (log2_1p(sinr(pu, self.g_ul[idx, ul], p0, self.si, config.sigma0_sq))
-                     + log2_1p(sinr(p0, self.g_dl[idx, dl], pu, x_min, config.sigmaD_sq)))
-            keep = np.flatnonzero(~(bound * (1.0 + 1e-9) < np.maximum(*self.hd)))  # NaN is kept
-            if 2 * len(keep) <= n:
-                sub = _Batch(config, self.si, self.g_ul[keep], self.g_dl[keep], self.g_x[keep])
-                return _spread(n, keep, sub.pair(Scheduler.ES_FD) if len(keep) else None)
-        return self.pair(Scheduler.ES_FD)
+        evaluated too, it is skipped if FD can win no row: each row then gets
+        sum rate -inf and goes to the HD corner it would take after a search."""
+        require_positive_powers(self.config)
+        if Scheduler.ES_FD in self.schedulers or self.fd_may_win():
+            return self.pair(Scheduler.ES_FD)
+        n = len(self.idx)
+        users, rates = np.zeros(n, np.intp), np.zeros(n)  # read by no HD row
+        return _Pair(users, users, None, None, (rates, rates), np.full(n, -np.inf))
 
     def corner(self, scheduler):
         """``(pair, fd, on_ul, extras)`` of an OPA rule or ES-FDHD: its base pair,
@@ -317,7 +312,7 @@ def select_es_fdhd(ch, config):
     """Best of the exhaustive FD pairing and the two full-power single-link
     half-duplex corners.  Tie preference: FD, then HD-UL, then HD-DL.  The
     pairs are searched only if an upper bound on their sum rate (see
-    :meth:`_Batch.searched`) reaches the better single link."""
+    :meth:`_Batch.fd_may_win`) reaches the better single link."""
     return _select(Scheduler.ES_FDHD, ch, config)
 
 

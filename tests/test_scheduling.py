@@ -346,8 +346,8 @@ class TestSharedKernel:
 
 
 class TestBoundedSearch:
-    """ES-FDHD without ES-FD searches only the rows where FD can still win,
-    and gives the bytes it gives on the search it shares with ES-FD."""
+    """ES-FDHD without ES-FD skips the search where FD can win no row, and
+    gives the bytes it gives on the search it shares with ES-FD."""
 
     def test_weak_si_never_searches(self, search_rows):
         config = config_from_db(24.0, 23.0, 20.0, k_u=5, k_d=5)
@@ -374,7 +374,8 @@ class TestBoundedSearch:
                 gains[2][3::7, -1, 0] = 0.0    # rows with one zero cross gain
             search_rows.clear()
             alone = evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
-            paths.add("none" if not search_rows else "whole" if search_rows == [400] else "compacted")
+            assert search_rows in ([], [400])
+            paths.add(len(search_rows))
             shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
             assert list(alone) == list(shared)
             for key, values in shared.items():
@@ -388,8 +389,21 @@ class TestBoundedSearch:
                     assert (s.ul, s.dl) == (es.ul, es.dl)
                 else:
                     assert (s.mode is DuplexMode.HD_UL) == (shared["r_dl"][i] == 0.0)
-        # At K >= 2 strong SI cancellation leaves FD most rows, which are all searched.
-        assert paths == {"none", "compacted"} | ({"whole"} if k_u * k_d > 2 else set())
+        assert paths == {0, 1}
+
+    @pytest.mark.parametrize("row", [0, 15, 16, 99])
+    def test_one_row_where_fd_may_win_searches_all(self, search_rows, row):
+        # 20 dB cancellation leaves FD no row; a zero cross gain and strong
+        # UL revive one row, before, at or past the leading rows' end.
+        config = config_from_db(24.0, 23.0, 20.0, k_u=3, k_d=3)
+        g_ul, g_dl, g_x = _exponential_block(config, np.random.default_rng(74), n=100)
+        g_ul[row], g_x[row] = 1e3 * g_ul[row], 0.0
+        alone = evaluate([Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
+        assert search_rows == [100]
+        assert np.flatnonzero(alone["fd"]).tolist() == [row]
+        shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
+        for key, values in shared.items():
+            assert alone[key].tobytes() == values.tobytes(), key
 
     def test_bound_equal_to_the_best_single_link_is_searched(self, search_rows):
         # Row 0 has a dead UL and a zero cross gain at d* = 0: its bound, the
@@ -400,7 +414,7 @@ class TestBoundedSearch:
         g_dl = np.array([[3.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
         g_x = np.array([[[0.0, 2.0], [1.0, 1.0]]] + 2 * [np.full((2, 2), 1e6)])
         alone = evaluate([Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
-        assert search_rows == [1]
+        assert search_rows == [3]
         assert alone["fd"].tolist() == [True, False, False]
         shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
         for key, values in shared.items():
