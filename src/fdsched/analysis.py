@@ -33,14 +33,13 @@ The rate integral is taken over t = ln(1 + x) on [0, T], T the first of 8,
 16, ..., 512 where the integrand is exactly 0, by 16-point Gauss-Legendre
 panels, halved until successive estimates agree to 1e-9 bits.
 :func:`avg_rate_integral` is the public, generic path over any two scalar
-CDFs (adaptive ``scipy.integrate.quad``) and the independent check of
-validate and of ``fdsched analyze``'s oracle column.  It is the only code
-here that loads scipy, on its first call, so neither importing the package
-nor the Monte Carlo engine loads it.
+CDFs (adaptive QAGS, :mod:`fdsched.quadpack`, bit for bit the
+``scipy.integrate.quad`` of scipy 1.17.1) and the independent check of
+validate and of ``fdsched analyze``'s oracle column.  Nothing here loads
+scipy.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -157,6 +156,14 @@ def _log_comb(k_d):
     return tuple(logs)
 
 
+@lru_cache(maxsize=64)
+def _a1_terms(k_d):
+    """(k, k_d - k, log C(k_d, k)) for k = 1..k_d, the counts as floats:
+    the terms of the scalar A1 CDF's loop."""
+    return tuple((float(k), float(k_d - k), log_comb)
+                 for k, log_comb in enumerate(_log_comb(k_d), 1))
+
+
 def _sf_dl_a1(x, params):
     """Survival function of the A1 DL SINR (gain-max over k_d, blind to the
     interference it will suffer) on an array of x >= 0: the finite sum of
@@ -192,16 +199,16 @@ def cdf_sinr_dl_a1(x, params):
     x = _checked(x)
     if x == 0.0:
         return 0.0
-    k_d = params.k_d
     c = params.sigmaD_sq / params.p0_max * x
     log_p = math.log(max(-math.expm1(-c), _TINY))
     rho = params.p0_max / (params.pu_max * x)
     sf = neg_log_prod = 0.0
-    for k, log_comb in enumerate(_log_comb(k_d), 1):
-        neg_log_prod += math.log1p(rho / k)
-        log_w = log_comb - k * c + (k_d - k) * log_p
+    log1p, exp, expm1 = math.log1p, math.exp, math.expm1
+    for k, k_rest, log_comb in _a1_terms(params.k_d):
+        neg_log_prod += log1p(rho / k)
+        log_w = log_comb - k * c + k_rest * log_p
         if log_w > _LOG_FLOOR:
-            sf -= math.exp(log_w) * math.expm1(-neg_log_prod)
+            sf -= exp(log_w) * expm1(-neg_log_prod)
     return max(0.0, 1.0 - sf)
 
 
@@ -215,21 +222,28 @@ def cdf_sinr_dl_a2(x, params):
 def avg_rate_integral(cdf_ul, cdf_dl):
     """Average sum rate from two SINR CDFs, integrated over t = ln(1 + x).
 
-    ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf).  With
+    ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf) with values in
+    [0, 1]; a value outside it (NaN included) raises ``ValueError``.  With
     x = expm1(t) the weight dx/(1 + x) becomes dt, so the integrand is
-    max(0, 2 - F_ul - F_dl), bounded by 2.  The domain is cut at the first
+    2 - F_ul - F_dl, between 0 and 2.  The domain is cut at the first
     T in 8, 16, ..., 512 where that integrand is exactly 0; for CDFs that
-    are monotone and at most 1 the rest of the tail is then exactly 0, so
-    the cut adds no error.  [0, T] is integrated adaptively to an absolute
-    tolerance of 1e-9 bits.  Raises :class:`QuadratureError` with the
-    achieved error bound if that cannot be reached, or with an infinite
-    bound if the integrand is still positive at T = 512 (x ~ 1e222).
+    are monotone the rest of the tail is then exactly 0, so the cut adds
+    no error.  [0, T] is integrated by QAGS (:func:`quadpack.qags`) to an
+    absolute tolerance of 1e-9 bits.  Raises :class:`QuadratureError` with
+    the achieved error bound if that cannot be reached, or with an
+    infinite bound if the integrand is still positive at T = 512
+    (x ~ 1e222).
     """
     itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
 
     def integrand(t):
         x = math.expm1(t)
-        return max(0.0, 2.0 - cdf_ul(x) - cdf_dl(x))
+        f_ul = cdf_ul(x)
+        f_dl = cdf_dl(x)
+        if not (0.0 <= f_ul <= 1.0 and 0.0 <= f_dl <= 1.0):
+            link, bad = ("DL", f_dl) if 0.0 <= f_ul <= 1.0 else ("UL", f_ul)
+            raise ValueError(f"{link} CDF value at x = {x!r} is {bad!r}, not in [0, 1]")
+        return 2.0 - f_ul - f_dl
 
     cutoff = 8.0
     while integrand(cutoff) > 0.0:
@@ -237,11 +251,9 @@ def avg_rate_integral(cdf_ul, cdf_dl):
             raise QuadratureError("integrand is still positive at ln(1+x) = 512",
                                   achieved=math.inf)
         cutoff *= 2.0
-    from scipy import integrate  # loaded on first use: simulate never needs it
+    from . import quadpack  # compiled on first use: the simulator never integrates
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(integrand, 0.0, cutoff, epsabs=itol / 2.0, epsrel=0.0, limit=500)
+    val, err = quadpack.qags(integrand, 0.0, cutoff, itol / 2.0)
     if err > itol:
         raise QuadratureError("rate integral did not converge", achieved=err / LN2)
     return val / LN2

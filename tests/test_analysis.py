@@ -265,6 +265,20 @@ class TestRateIntegral:
             avg_rate_integral(lambda x: 0.0, lambda x: 0.0)
         assert err.value.achieved > 0.0
 
+    @pytest.mark.parametrize("bad, cdf", [
+        # NaN on (1, 50) once counted as 0, since max(0, nan) is 0: 0.6686.
+        (r"UL CDF value at x = .* is nan",
+         lambda x: math.nan if 1.0 < x < 50.0 else -math.expm1(-x)),
+        # Stuck above 1, the integrand was clipped to 0 everywhere: 0.0.
+        (r"UL CDF value at x = 2979\.95.* is 1\.5", lambda x: 1.5),
+        (r"UL CDF value at x = .* is -0\.2", lambda x: -0.2 if x < 1.0 else 1.0),
+    ], ids=["nan", "above-1", "below-0"])
+    def test_rejects_cdf_values_outside_0_1(self, bad, cdf):
+        with pytest.raises(ValueError, match=bad):
+            avg_rate_integral(cdf, _degenerate_cdf)
+        with pytest.raises(ValueError, match=bad.replace("UL", "DL")):
+            avg_rate_integral(_degenerate_cdf, cdf)
+
     @pytest.mark.parametrize("snr", [1e6, 1e12])
     def test_high_snr_link(self, snr):
         # One Rayleigh link of mean SNR s: e^{1/s} E1(1/s) / ln 2.  At 1e12
