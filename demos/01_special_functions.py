@@ -8,16 +8,17 @@ The star of the analytical layer is
 evaluated as y^{1-n} e^{xy} E_n(xy), with the scaled generalized
 exponential integral e^z E_n(z) by continued fraction (z > 1) or series
 (z <= 1); neither cancels.  This script shows the identity
-xi_1(x,1) = -e^x Ei(-x), compares the kernel against direct quadrature,
-and evaluates it where a Gamma/Ei closed form would cancel.
+xi_1(x,1) = -e^x Ei(-x), compares the kernel against direct quadrature of
+the defining integral (the double-exponential rule behind ``fdsched
+validate``), and evaluates it where a Gamma/Ei closed form would cancel.
 """
 
 from math import fsum
 
 import numpy as np
-from scipy import integrate
 
 from fdsched import exp_integral_ei, xi_n
+from fdsched.validate import _xi_reference
 
 print("=== exponential integral on the negative axis ===")
 for t in (0.1, 1.0, 10.0, 40.0):
@@ -31,9 +32,9 @@ for x in (0.1, 1.0, 10.0):
 
 print("\n=== kernel vs direct quadrature ===")
 for (n, x, y) in [(1, 1.0, 1.0), (3, 2.0, 0.5), (8, 0.3, 1.0), (15, 10.0, 10.0)]:
-    ref, _ = integrate.quad(lambda t: np.exp(-x * t) * (t + y) ** (-n), 0, np.inf)
+    ref = _xi_reference(n, x, y)
     got = xi_n(n, x, y)
-    print(f"  n={n:2d} x={x:5.2f} y={y:5.2f}:  xi={got: .12e}  quad={ref: .12e}  "
+    print(f"  n={n:2d} x={x:5.2f} y={y:5.2f}:  xi={got: .12e}  ref={ref: .12e}  "
           f"rel={abs(got - ref) / ref:.1e}")
 print("  (at n=15, x=y=10 the Gamma/Ei closed form's alternating terms cancel")
 print("   to garbage; the scaled E_n form has no terms to cancel)")

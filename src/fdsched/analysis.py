@@ -147,21 +147,14 @@ def _sf_dl_a2(x, params):
 
 
 @lru_cache(maxsize=64)
-def _log_comb(k_d):
-    """log C(k_d, k) for k = 1..k_d, each the log of the exact integer."""
-    logs, binom = [], 1
+def _a1_terms(k_d):
+    """(k, k_d - k, log C(k_d, k)) for k = 1..k_d, the counts as floats and
+    each log that of the exact integer: the terms of the A1 DL survival sum."""
+    terms, binom = [], 1
     for k in range(1, k_d + 1):
         binom = binom * (k_d - k + 1) // k
-        logs.append(log(binom))
-    return tuple(logs)
-
-
-@lru_cache(maxsize=64)
-def _a1_terms(k_d):
-    """(k, k_d - k, log C(k_d, k)) for k = 1..k_d, the counts as floats:
-    the terms of the scalar A1 CDF's loop."""
-    return tuple((float(k), float(k_d - k), log_comb)
-                 for k, log_comb in enumerate(_log_comb(k_d), 1))
+        terms.append((float(k), float(k_d - k), log(binom)))
+    return tuple(terms)
 
 
 def _sf_dl_a1(x, params):
@@ -169,14 +162,13 @@ def _sf_dl_a1(x, params):
     interference it will suffer) on an array of x >= 0: the finite sum of
     non-negative terms in the module docstring, with each binomial weight
     and each 1 - prod_{j<=k} j r / (1 + j r) taken from logarithms."""
-    k_d = params.k_d
-    k = np.arange(1.0, k_d + 1.0)
+    k, k_rest, log_comb = map(np.array, zip(*_a1_terms(params.k_d)))
     x = np.asarray(x, dtype=float)[..., None]
     c = params.sigmaD_sq / params.p0_max * x
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
         neg_log_prod = np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
-    log_w = np.asarray(_log_comb(k_d)) - k * c + (k_d - k) * log_p
+    log_w = log_comb - k * c + k_rest * log_p
     # Weights below e^-700 are dropped: exp is ~20x slower where its
     # result is subnormal or 0.
     w = np.exp(np.maximum(log_w, _LOG_FLOOR)) * (log_w > _LOG_FLOOR)

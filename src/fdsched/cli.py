@@ -221,6 +221,8 @@ def cmd_analyze(args):
     if not set(algs) <= set(_ALGS):
         raise FlagError(f"algs must be taken from {list(_ALGS)}, got {algs!r}")
     if args.k is not None:
+        if args.k_u is not None or args.k_d is not None:
+            raise FlagError("--k sets both user counts, so it cannot be combined with --ku or --kd")
         settings["k_d"] = settings["k_u"] = args.k
     radio = {key: settings[key] for key in RADIO_DEFAULTS}
     try:

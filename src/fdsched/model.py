@@ -83,20 +83,26 @@ def config_from_db(
     floor: sigma^2 = 10^((-174 + 10 log10 B + NF)/10) mW.  The residual
     self-interference gain is 10^(-cancellation_dB/10).  The bandwidth has
     no canonical value in this model; 10 MHz is the documented default.
+    A setting whose linear value overflows a float raises a ValueError
+    that names it.
     """
     if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0.0):
         raise ValueError(f"bandwidth_hz must be positive and finite, got {bandwidth_hz!r}")
     if not (math.isfinite(si_cancellation_db) and si_cancellation_db >= 0.0):
         raise ValueError(f"si_cancellation_db must be >= 0, got {si_cancellation_db!r}")
 
-    def noise_mw(nf_db):
-        return 10.0 ** ((THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz) + nf_db) / 10.0)
+    def linear(name, db):
+        try:
+            return 10.0 ** (db / 10.0)
+        except OverflowError:
+            raise ValueError(f"{name} is too large: its linear value overflows a float") from None
 
+    floor_dbm = THERMAL_NOISE_DBM_PER_HZ + 10.0 * math.log10(bandwidth_hz)
     return SystemConfig(
-        p0_max=10.0 ** (p0_dbm / 10.0),
-        pu_max=10.0 ** (pu_dbm / 10.0),
-        sigma0_sq=noise_mw(noise_figure_bs_db),
-        sigmaD_sq=noise_mw(noise_figure_mt_db),
+        p0_max=linear("p0_dbm", p0_dbm),
+        pu_max=linear("pu_dbm", pu_dbm),
+        sigma0_sq=linear("noise_figure_bs_db", floor_dbm + noise_figure_bs_db),
+        sigmaD_sq=linear("noise_figure_mt_db", floor_dbm + noise_figure_mt_db),
         si_gain=10.0 ** (-si_cancellation_db / 10.0),
         k_u=k_u,
         k_d=k_d,

@@ -158,7 +158,8 @@ class TestSimulate:
         ({"sweep_values": [10, 20, 30]}, "sweep_values needs a sweep_parameter"),
         ({"p0_dbm": -4000.0}, "needs positive p0_max and pu_max"),
         ({"pu_dbm": -4000.0, "schedulers": ["es-fdhd"]}, "needs positive p0_max and pu_max"),
-    ], ids=[f"settings{i}" for i in range(11)])
+        ({"pu_dbm_scale": 1000.0}, "pu_dbm is too large"),
+    ], ids=[f"settings{i}" for i in range(12)])
     def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))
@@ -324,6 +325,10 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags,message", [
         (["--si-db", "-5"], "si_cancellation_db"),
         (["--bandwidth-hz", "0"], "bandwidth_hz"),
+        (["--p0-dbm", "4000"], "p0_dbm is too large"),
+        (["--pu-dbm", "4000"], "pu_dbm is too large"),
+        (["--nf-bs-db", "4000"], "noise_figure_bs_db is too large"),
+        (["--nf-mt-db", "4000"], "noise_figure_mt_db is too large"),
     ])
     def test_rejects_what_simulate_rejects(self, tmp_path, capsys, flags, message):
         for command in (["analyze", "--alg", "a1"], ["simulate", "--trials", "10"]):
@@ -365,6 +370,23 @@ class TestAnalyze:
         assert run_cli(["analyze", "--alg", "a1", "--k", "1", "--out", str(a)]) == 0
         assert run_cli(["analyze", "--alg", "a1", "--kd", "1", "--ku", "1", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--kd", "7"], ["--ku", "7"], ["--ku", "5", "--kd", "7"]])
+    def test_k_with_ku_or_kd_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--k", "5", *flags, "--out", str(out)]) == 2
+        assert "--k sets both user counts, so it cannot be combined with --ku or --kd" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_k_overrides_a_settings_file(self, tmp_path):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"k_d": 7}))
+        out = tmp_path / "x.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--config", str(config), "--k", "3",
+                        "--out", str(out)]) == 0
+        resolved = json.loads((tmp_path / "x.csv.manifest.json").read_text())["resolved"]
+        assert resolved["k_u"] == resolved["k_d"] == 3
 
     @pytest.mark.parametrize("flags", [["--kd", "1"], ["--k", "1"]])
     def test_asymptotic_single_user_exits_2(self, tmp_path, capsys, flags):

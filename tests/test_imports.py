@@ -3,20 +3,23 @@
 ``fdsched.__all__`` is exactly the public names ``fdsched/__init__.py``
 imports, and each resolves.
 
-scipy is loaded only by ``validate``'s xi_n reference, the one function
-that calls ``scipy.integrate.quad``.  Importing scipy.integrate costs about
-half a second and 40 MB, so nothing else loads it: the Monte Carlo path
-never integrates, and the rate integral behind ``analyze``'s oracle column
-runs on the package's own QAGS port.  Each scipy check runs in a fresh
-interpreter: in pytest's own process other tests have already imported
-scipy.
+numpy is the package's only runtime dependency: the third-party modules the
+sources import are exactly the ``dependencies`` of ``pyproject.toml``.  scipy
+(about half a second and 40 MB to import) is a test dependency only, and no
+command loads it: the rate integral behind ``analyze``'s oracle column runs
+on the package's own QAGS port, and ``validate``'s xi_n reference is a numpy
+double-exponential rule.  Each scipy check runs in a fresh interpreter: in
+pytest's own process other tests have already imported scipy.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,23 +47,6 @@ def run_fresh(code, tmp_path):
     return proc.stdout.split()
 
 
-def test_import_does_not_load_scipy(tmp_path):
-    out = run_fresh(
-        "import sys, fdsched, fdsched.cli, fdsched.validate\n"
-        "print('scipy' in sys.modules)", tmp_path)
-    assert out == ["False"]
-
-
-def test_simulate_does_not_load_scipy(tmp_path):
-    out = run_fresh(
-        "import sys\n"
-        "from fdsched import cli\n"
-        "rc = cli.main(['simulate', '--preset', 'fig4', '--trials', '64', '--workers', '2',"
-        " '--out', 'fig4.csv'])\n"
-        "print(rc, 'scipy' in sys.modules)", tmp_path)
-    assert out[-2:] == ["0", "False"]
-
-
 def test_closed_forms_do_not_load_scipy(tmp_path):
     out = run_fresh(
         "import sys\n"
@@ -79,20 +65,35 @@ def test_closed_forms_do_not_load_scipy(tmp_path):
     assert out == ["False"]
 
 
-def test_analyze_never_loads_scipy(tmp_path):
+# What each case runs in a fresh interpreter; each sets ``rc``, its exit code.
+_WORKFLOWS = {
+    "import": "import fdsched, fdsched.cli, fdsched.validate\nrc = 0\n",
+    "simulate": "rc = cli.main(['simulate', '--preset', 'fig4', '--trials', '64', '--workers', '2',"
+                " '--out', 'fig4.csv'])\n",
+    "analyze": "rc = cli.main(['analyze', '--alg', 'a1', '--alg', 'a2', '--out', 'an.csv'])\n",
+    "validate": "rc = cli.main(['validate', '--quick'])\n",
+}
+
+
+@pytest.mark.parametrize("workflow", _WORKFLOWS)
+def test_never_loads_scipy(workflow, tmp_path):
     out = run_fresh(
         "import sys\n"
         "from fdsched import cli\n"
-        "rc = cli.main(['analyze', '--alg', 'a1', '--alg', 'a2', '--out', 'an.csv'])\n"
+        f"{_WORKFLOWS[workflow]}"
         "print(rc, 'scipy' in sys.modules)", tmp_path)
     assert out[-2:] == ["0", "False"]
 
 
-def test_validate_loads_scipy_when_it_runs(tmp_path):
-    out = run_fresh(
-        "import sys\n"
-        "from fdsched import cli\n"
-        "before = 'scipy' in sys.modules\n"
-        "rc = cli.main(['validate', '--only', 'special-functions', '--quick'])\n"
-        "print(before, rc, 'scipy' in sys.modules)", tmp_path)
-    assert out[-3:] == ["False", "0", "True"]
+def test_third_party_imports_are_the_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
+    imported = set()
+    for path in (ROOT / "src" / "fdsched").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported - set(sys.stdlib_module_names) - {"fdsched"} == declared == {"numpy"}

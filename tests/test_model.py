@@ -49,6 +49,13 @@ class TestConfigFromDb:
         with pytest.raises(ValueError):
             config_from_db(10.0, 10.0, -1.0)
 
+    @pytest.mark.parametrize("name", ["p0_dbm", "pu_dbm", "noise_figure_bs_db",
+                                      "noise_figure_mt_db"])
+    def test_overflowing_db_setting_is_a_value_error(self, name):
+        settings = {"p0_dbm": 24.0, "pu_dbm": 23.0, "si_cancellation_db": 80.0, name: 4000.0}
+        with pytest.raises(ValueError, match=f"^{name} is too large"):
+            config_from_db(**settings)
+
     def test_config_invariants(self):
         with pytest.raises(ValueError):
             SystemConfig(0.0, 0.0, 1.0, 1.0, 0.0, 1, 1)

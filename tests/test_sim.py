@@ -286,6 +286,15 @@ class TestSharedDraws:
             run_sweep({}, "k_users", values, [Scheduler.A1], n_trials, seed=1)
         assert draws == []
 
+    def test_sweep_to_an_overflowing_power_is_a_value_error(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        with pytest.raises(ValueError, match="p0_dbm is too large"):
+            run_sweep({}, "p0_dbm", (20.0, 4000.0), [Scheduler.A1], 100, seed=1)
+        with pytest.raises(ValueError, match="pu_dbm is too large"):
+            run_sweep({"pu_dbm_scale": 1000.0}, "p0_dbm", (20.0,), [Scheduler.A1], 100, seed=1)
+        assert draws == []
+
     def test_es_tie_order_matches_scalar_search(self, monkeypatch):
         # With p0 = pu = s0 = sd = 1 and no SI, a zero cross gain makes the
         # UL rate of gain a and the DL rate of gain b the same function, so

@@ -1,7 +1,10 @@
 """Shared draws inside ``fdsched validate``: the Theorem 2 and Theorem 3
 triangles draw each block once for both, criterion 7(a) draws once for both
-SI levels, and no memo outlives one ``validate.run`` call."""
+SI levels, and no memo outlives one ``validate.run`` call.  And the xi_n
+reference of the special-functions criterion against 40-digit mpmath."""
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from fdsched import sim, validate
@@ -56,3 +59,16 @@ def test_trend_criterion_draws_once_for_both_si_levels(drawn_seeds):
     # (a) runs on seed 41: K = 5 and K = 15, 5 blocks each for 20_000 trials,
     # shared by the 80 dB and 90 dB configs (20 if each SI level drew its own).
     assert drawn_seeds.count(41) == 10
+
+
+def test_xi_reference_against_mpmath_expint():
+    # The special-functions grid, in one vectorised call; xi_n(x, y) is
+    # y^{1-n} e^{xy} E_n(xy).
+    n, x, y = np.meshgrid(np.arange(1, 16), np.logspace(-3.0, 3.0, 13), (0.1, 1.0, 10.0))
+    got = validate._xi_reference(n, x, y)
+    assert got.shape == n.shape == (13, 15, 3)
+    with mp.workdps(40):
+        for ni, xi, yi, gi in zip(n.flat, x.flat, y.flat, got.flat):
+            z = mp.mpf(float(xi)) * float(yi)
+            ref = mp.mpf(float(yi)) ** (1 - int(ni)) * mp.exp(z) * mp.expint(int(ni), z)
+            assert abs(gi - ref) <= 1e-14 * ref, (ni, xi, yi)
