@@ -11,8 +11,20 @@ pair and the two best single links.  Ties resolve to the lowest index
 
 Gains carry a leading trial axis.  :func:`evaluate` gives the per-trial
 rates of every scheduler of a run on one batch, each picked from work done
-once per batch: the gain-max users and their single-link rates, and each
-base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
+once per batch: the gain-max users, their gains and single-link rates, and
+each base pair (A1, A2, A3, the exhaustive search) with its max-power rates.
+A pair link whose user is the gain-max one reuses that user's gain, and in
+an OPA rule its single-link rate: both links for A1, UL for A2, DL for A3.
+
+numpy pays per row, not per element, for fancy indexing with several index
+arrays and for reductions over short rows, and a batch has thousands of
+rows of a few users.  So every gather is an ``ndarray.take`` on the
+flattened gains with offsets built from row bases, cached per batch shape:
+a user's gain or rate per row, the pair's cross gain, A2's cross-gain
+column u* (and the search winner's), A3's row d*.  ``argmax`` over rows
+1 or 2 wide, and the least cross gain of short rows, are answered column
+by column.  Each gives numpy's bits and its first-index ties.
+
 The exhaustive search sweeps the DL users and keeps each UL user's best DL
 SINR, so it holds no (u, d) tensor and takes logs of K values, not K².
 ES-FDHD without ES-FD skips the search on a batch where FD can win no
@@ -27,7 +39,7 @@ import enum
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -109,11 +121,14 @@ def eta(pu, g_dl_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
     return g_dl_star * sigma0_sq / (pu * g_x_star + sigmaD_sq) - si_gain
 
 
-def _hd_rates(config, si, g_ul, g_dl):
-    """Full-power single-link rates of UL gains ``g_ul`` and DL gains
-    ``g_dl``: the FD rates with the other link's power off."""
-    return (log2_1p(sinr(config.pu_max, g_ul, 0.0, si, config.sigma0_sq)),
-            log2_1p(sinr(config.p0_max, g_dl, 0.0, 0.0, config.sigmaD_sq)))
+def _hd_ul(config, si, g_ul):
+    """Full-power UL rate of UL gains ``g_ul``: the FD rate with the DL off."""
+    return log2_1p(sinr(config.pu_max, g_ul, 0.0, si, config.sigma0_sq))
+
+
+def _hd_dl(config, g_dl):
+    """Full-power DL rate of DL gains ``g_dl``: the FD rate with the UL off."""
+    return log2_1p(sinr(config.p0_max, g_dl, 0.0, 0.0, config.sigmaD_sq))
 
 
 def _corner(r_fd, r_hd_ul, r_hd_dl, fast=False):
@@ -140,18 +155,68 @@ def _pair_at(config, si, ul, dl, gains, r_fd=None):
     return _Pair(ul, dl, gains, gamma, rates, rates[0] + rates[1] if r_fd is None else r_fd)
 
 
-def allocate(config, si, pair):
+def allocate(config, si, pair, hd_ul=None, hd_dl=None):
     """Binary power allocation of a ``_Pair``: ``(fast, fd, on_ul, r_hd_ul,
     r_hd_dl)``, where ``fast`` marks pairs whose two indicators settle
-    full-power FD outright."""
+    full-power FD outright.  ``hd_ul`` and ``hd_dl`` are the pair's
+    single-link rates where the caller has them already."""
     (g_ul, g_dl, g_x), p0, pu = pair.gains, config.p0_max, config.pu_max
     s0, sd = config.sigma0_sq, config.sigmaD_sq
     fast = (zeta(p0, g_ul, g_x, s0, sd, si) >= 0.0) & (eta(pu, g_dl, g_x, s0, sd, si) >= 0.0)
-    hd = _hd_rates(config, si, g_ul, g_dl)
-    return (fast, *_corner(pair.r_fd, *hd, fast), *hd)
+    if hd_ul is None:
+        hd_ul = _hd_ul(config, si, g_ul)
+    if hd_dl is None:
+        hd_dl = _hd_dl(config, g_dl)
+    return (fast, *_corner(pair.r_fd, hd_ul, hd_dl, fast), hd_ul, hd_dl)
 
 
 _PAIR_RULE = {**OPA_BASE, Scheduler.ES_FDHD: Scheduler.ES_FD}  # each corner rule's base pair
+
+# Offsets into flattened (n, k_u), (n, k_d) and (n, k_d, k_u) arrays: row i's
+# first entry in each, and in ``col`` the k_d entries of a cross-gain column
+# from its first.
+_Bases = namedtuple("_Bases", "ul dl x col")
+
+
+@lru_cache(maxsize=2)
+def _bases(n, k_d, k_u):
+    """The read-only ``_Bases`` of a batch of ``n`` rows, made on first use
+    and kept for the next batches of that shape: a run's chunks and its
+    shorter last one.  They are n long; an (n, k_d) table of column offsets
+    kept between batches raised the peak RSS of repeated ``validate
+    --quick`` runs by 2-4 MB, heap that the long-lived tables held."""
+    rows = np.arange(n)
+    bases = _Bases(rows * k_u, rows * k_d, rows * (k_d * k_u), np.arange(0, k_d * k_u, k_u))
+    for b in bases:
+        b.flags.writeable = False
+    return bases
+
+
+def _argmax(a):
+    """``np.argmax(a, axis=1)``: each row's first maximal index, NaN counting
+    as maximal.  numpy loops over the rows: on 4096 rows 1 or 2 wide that
+    costs 50-80 µs, where the answer column-wise costs 1-20 µs.  From 4
+    wide a column sweep is slower than numpy's loop, so numpy keeps those."""
+    if a.shape[1] == 1:
+        return np.zeros(len(a), np.intp)
+    if a.shape[1] == 2:
+        a0, a1 = a[:, 0], a[:, 1]
+        return ((a1 > a0) | ((a1 != a1) & (a0 == a0))).astype(np.intp)
+    return a.argmax(axis=1)
+
+
+def _row_min(a):
+    """``a.min(axis=1)`` of an (n, k) array.  While k is small next to n, an
+    ``np.minimum`` sweep over the columns skips numpy's per-row loop: one
+    sweep step costs about as much as 16 rows of that loop, and past 36
+    columns the sweep's strided passes fall out of cache."""
+    n, k = a.shape
+    if k > min(36, n // 16):
+        return a.min(axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, k):
+        np.minimum(out, a[:, j], out=out)
+    return out
 
 
 class _Batch:
@@ -159,22 +224,37 @@ class _Batch:
     done once, on first use, and dropped with the batch."""
 
     def __init__(self, config, si, g_ul, g_dl, g_x, schedulers=()):
-        self.config, self.si, self.g_ul, self.g_dl, self.g_x = config, si, g_ul, g_dl, g_x
-        self.idx, self.pairs, self.schedulers = np.arange(len(g_ul)), {}, schedulers
-        self.best = np.argmax(g_ul, axis=1), np.argmax(g_dl, axis=1)  # the gain-max users
+        self.config, self.si, self.pairs, self.schedulers = config, si, {}, schedulers
+        # C order, so that every gather is a take on a flat view
+        self.g_ul, self.g_dl, self.g_x = map(np.ascontiguousarray, (g_ul, g_dl, g_x))
+        self.bases = _bases(*self.g_x.shape)
+        self.best = _argmax(self.g_ul), _argmax(self.g_dl)  # the gain-max users
+
+    def at(self, a, users):
+        """``a[i, users[i]]`` of each row of an (n, k_u) or (n, k_d) array."""
+        base = self.bases.ul if a.shape[1] == self.g_ul.shape[1] else self.bases.dl  # equal if k_u = k_d
+        return a.reshape(-1).take(base + users)
+
+    def column(self, ul):
+        """Column ``ul[i]`` of each row's cross gains, as a fresh (n, k_d) array."""
+        return self.g_x.reshape(-1).take((self.bases.x + ul)[:, None] + self.bases.col)
+
+    @cached_property
+    def star(self):
+        """The gain-max users' gains ``(g_ul, g_dl)``."""
+        return self.at(self.g_ul, self.best[0]), self.at(self.g_dl, self.best[1])
 
     @cached_property
     def hd(self):
         """Full-power single-link rates of the gain-max users."""
-        ul, dl = self.best
-        return _hd_rates(self.config, self.si, self.g_ul[self.idx, ul], self.g_dl[self.idx, dl])
+        return _hd_ul(self.config, self.si, self.star[0]), _hd_dl(self.config, self.star[1])
 
     def users(self, rule):
         """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
         ``r_fd`` is the search's pair sum rate, else None.  A2 reads only column
         u* of each cross-gain matrix and A3 only row d*, in a gathered copy;
         the search reads every pair but keeps K-wide rows, never a K² tensor."""
-        config, si, g_ul, g_dl, g_x, idx = self.config, self.si, self.g_ul, self.g_dl, self.g_x, self.idx
+        config, si, g_ul, g_dl, g_x = self.config, self.si, self.g_ul, self.g_dl, self.g_x
         require_positive_powers(config)
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
@@ -185,27 +265,31 @@ class _Batch:
             for d in range(g_dl.shape[1]):
                 np.maximum(best, sinr(p0, g_dl[:, d, None], pu, g_x[:, d, :], sd, out=buf), out=best)
             sums = np.add(log2_1p(best, out=best), r_ul, out=best)
-            ul = np.argmax(sums, axis=1)
+            ul = _argmax(sums)
             # The DL user of the lexicographic (u, d) search: the first d whose
             # rounded sum ties, which need not be the first d of highest SINR.
-            col = g_x[idx, :, ul]  # a copy: the winner's pair sums are built in place
+            col = self.column(ul)  # the winner's pair sums are built in place
             log2_1p(sinr(p0, g_dl, pu, col, sd, out=col), out=col)
-            col += r_ul[idx, ul, None]
-            return ul, np.argmax(col, axis=1), sums[idx, ul]
+            col += self.at(r_ul, ul)[:, None]
+            return ul, _argmax(col), self.at(sums, ul)
         if rule is Scheduler.A3:
-            row = g_x[idx, self.best[1], :]  # a copy: the signal-to-leakage is built in place
-            return np.argmax(sinr(pu, g_ul, pu, row, s0, out=row), axis=1), self.best[1], None
+            dl = self.best[1]
+            row = g_x.reshape(-1, g_x.shape[2]).take(self.bases.dl + dl, axis=0)
+            return _argmax(sinr(pu, g_ul, pu, row, s0, out=row)), dl, None
         ul, dl = self.best
         if rule is Scheduler.A2:
-            col = g_x[idx, :, ul]
-            dl = np.argmax(sinr(p0, g_dl, pu, col, sd, out=col), axis=1)
+            col = self.column(ul)
+            dl = _argmax(sinr(p0, g_dl, pu, col, sd, out=col))
         return ul, dl, None
 
     def pair(self, rule):
-        """The ``_Pair`` of a base rule, made on first use."""
+        """The ``_Pair`` of a base rule, made on first use; a gain-max user's
+        gains are the ones gathered for :attr:`star`."""
         if rule not in self.pairs:
             ul, dl, r_fd = self.users(rule)
-            gains = self.g_ul[self.idx, ul], self.g_dl[self.idx, dl], self.g_x[self.idx, dl, ul]
+            gains = (self.star[0] if ul is self.best[0] else self.at(self.g_ul, ul),
+                     self.star[1] if dl is self.best[1] else self.at(self.g_dl, dl),
+                     self.g_x.reshape(-1).take(self.bases.x + dl * self.g_x.shape[2] + ul))
             self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd)
         return self.pairs[rule]
 
@@ -216,13 +300,13 @@ class _Batch:
         is exact up to log1p's few-ulp error, which the 1e-9 margin covers.
         The first 16 rows are bounded before the rest, so a batch where FD
         may win is told before a pass over all its cross gains."""
-        config, (ul, dl), hd = self.config, self.best, np.maximum(*self.hd)
+        config, (g_ul, g_dl), hd = self.config, self.star, np.maximum(*self.hd)
         p0, pu = config.p0_max, config.pu_max
+        _, k_d, k_u = self.g_x.shape
         for rows in (slice(0, 16), slice(16, None)):
-            idx = self.idx[rows]
-            bound = (log2_1p(sinr(pu, self.g_ul[idx, ul[rows]], p0, self.si, config.sigma0_sq))
-                     + log2_1p(sinr(p0, self.g_dl[idx, dl[rows]], pu, self.g_x[rows].min(axis=(1, 2)),
-                                    config.sigmaD_sq)))
+            least = _row_min(self.g_x[rows].reshape(-1, k_d * k_u))
+            bound = (log2_1p(sinr(pu, g_ul[rows], p0, self.si, config.sigma0_sq))
+                     + log2_1p(sinr(p0, g_dl[rows], pu, least, config.sigmaD_sq)))
             if not np.all(bound * (1.0 + 1e-9) < hd[rows]):  # a NaN bound may win
                 return True
         return False
@@ -234,18 +318,22 @@ class _Batch:
         require_positive_powers(self.config)
         if Scheduler.ES_FD in self.schedulers or self.fd_may_win():
             return self.pair(Scheduler.ES_FD)
-        n = len(self.idx)
+        n = len(self.g_ul)
         users, rates = np.zeros(n, np.intp), np.zeros(n)  # read by no HD row
         return _Pair(users, users, None, None, (rates, rates), np.full(n, -np.inf))
 
     def corner(self, scheduler):
         """``(pair, fd, on_ul, extras)`` of an OPA rule or ES-FDHD: its base pair,
-        its FD and HD-UL row masks, and the OPA rules' extra arrays."""
+        its FD and HD-UL row masks, and the OPA rules' extra arrays.  A pair
+        link whose user is the gain-max one takes its single-link rate from
+        :attr:`hd`: both links for A1, UL for A2, DL for A3."""
         if scheduler is Scheduler.ES_FDHD:
             pair = self.searched()
             return (pair, *_corner(pair.r_fd, *self.hd), {})
         pair = self.pair(OPA_BASE[scheduler])
-        fast, fd, on_ul, hd_ul, hd_dl = allocate(self.config, self.si, pair)
+        fast, fd, on_ul, hd_ul, hd_dl = allocate(
+            self.config, self.si, pair, self.hd[0] if pair.ul is self.best[0] else None,
+            self.hd[1] if pair.dl is self.best[1] else None)
         return pair, fd, on_ul, {"fast": fast, "pair_hd_ul": hd_ul, "pair_hd_dl": hd_dl}
 
     def rows(self, scheduler):
@@ -268,7 +356,9 @@ class _Batch:
 def evaluate(schedulers, config, g_ul, g_dl, g_x):
     """Per-trial arrays ``{scheduler: {name: array}}`` of ``schedulers`` on one
     batch: ``r_ul``, ``r_dl`` and FD flags, plus A1-A3's pair SINRs ``gamma_ul``
-    and ``gamma_dl``, and the OPA rules' ``fast``, ``pair_hd_ul``, ``pair_hd_dl``."""
+    and ``gamma_dl``, and the OPA rules' ``fast``, ``pair_hd_ul``, ``pair_hd_dl``.
+    Schedulers may share an array (the OPA rules' single-link rates of a
+    gain-max user), so treat them as read-only."""
     schedulers = [Scheduler(s) for s in schedulers]
     batch = _Batch(config, config.si_gain, g_ul, g_dl, g_x, schedulers)
     return {s: batch.rows(s) for s in schedulers}

@@ -60,23 +60,35 @@ class SweepPoint(NamedTuple):
     scheduler: Scheduler
 
 
+def _as_float(name, value):
+    """``float(value)``, or a ValueError naming ``name`` for an integer past a float's range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large: it overflows a float") from None
+
+
 def resolve_config(base_config, swept_parameter=None, value=None):
     """Build a SystemConfig from dB-domain settings, keyed as in
     :data:`BASE_CONFIG_DEFAULTS` (unknown keys raise a ValueError).
 
     ``k_users`` sets k_u = k_d together.  When ``pu_dbm_scale`` is set, the
     UL power follows pu_dbm = pu_dbm_scale * p0_dbm (a dBm-domain rule) and
-    any explicit pu_dbm is ignored.
+    any explicit pu_dbm is ignored.  A setting too large for a float raises
+    a ValueError that names it.
     """
     unknown = set(base_config) - set(BASE_CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
     settings = {**BASE_CONFIG_DEFAULTS, **base_config}
+    for key, setting in settings.items():  # all floats but the user counts: convert where an overflow has a name
+        if isinstance(setting, int) and key not in ("k_u", "k_d"):
+            settings[key] = _as_float(key, setting)
     if swept_parameter is not None:
         if swept_parameter == "k_users":
             settings["k_u"] = settings["k_d"] = value
         else:
-            settings[swept_parameter] = float(value)
+            settings[swept_parameter] = _as_float(swept_parameter, value)
     scale = settings.pop("pu_dbm_scale")
     if scale is not None:
         settings["pu_dbm"] = scale * settings["p0_dbm"]
@@ -291,8 +303,8 @@ def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, 
     values = tuple(values)
     if not values:
         raise ValueError("values must be non-empty")
-    diffs = [b - a for a, b in zip(values, values[1:])]
-    if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+    steps = list(zip(values, values[1:]))  # compared, not subtracted: an int past float range would overflow
+    if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
         raise ValueError("values must be strictly monotone")
     schedulers = _schedulers(schedulers)
     n_trials, seed, workers = _run_settings(n_trials, seed, workers)

@@ -163,12 +163,15 @@ def crit_binary_opa(quick=False):
     frac = np.linspace(0.0, 1.0, 51)
     worst_excess = -math.inf
     fast_count = 0
+    # log10 of p0_max, pu_max, s0, sd and si, uniform on [low, high), from one
+    # draw of five doubles: Generator.uniform's own low + (high - low) * u
+    # on the numbers of five scalar uniform draws, without its 12 µs of
+    # broadcasting.  Python's ** makes the powers, since numpy's array **
+    # differs from it in the last bit of about one power in four.
+    low, high = np.array([-1.0, -1.0, -3.0, -3.0, -12.0]), np.array([2.0, 2.0, 0.0, 0.0, 0.0])
+    span = high - low
     for _ in range(n_real):
-        p0_max = 10.0 ** rng.uniform(-1.0, 2.0)
-        pu_max = 10.0 ** rng.uniform(-1.0, 2.0)
-        s0 = 10.0 ** rng.uniform(-3.0, 0.0)
-        sd = 10.0 ** rng.uniform(-3.0, 0.0)
-        si = 10.0 ** rng.uniform(-12.0, 0.0)
+        p0_max, pu_max, s0, sd, si = [10.0 ** v for v in (low + span * rng.random(5)).tolist()]
         config = SystemConfig(p0_max, pu_max, s0, sd, si, 5, 5)
         ch = draw_realization(config, rng)
         pair = scheduling.select_a2(ch, config)

@@ -1,12 +1,14 @@
-"""The bytes of the data files a speed change must not move.
+"""The bytes of the data files and kernel arrays a speed change must not move.
 
 Each case runs the command line and compares the sha256 of its CSV with a
-digest recorded before the engine's last speed changes.  NEP 19 lets numpy's
-``Generator`` streams change between numpy versions, so a case skips when
-the numpy version that fixes its bits differs from the one it was recorded
-with.  ``analyze``'s oracle column comes from the package's own QAGS port
-(recorded when it came from scipy 1.17.1's ``quad``, which the port matches
-bit for bit), so no scipy version enters any digest.
+digest recorded before the engine's last speed changes.  The CSVs hold
+17-digit means, so the scheduling kernel's per-trial arrays get digests of
+their own, recorded before its gathers became flat-index takes.  NEP 19
+lets numpy's ``Generator`` streams change between numpy versions, so a case
+skips when the numpy version that fixes its bits differs from the one it
+was recorded with.  ``analyze``'s oracle column comes from the package's
+own QAGS port (recorded when it came from scipy 1.17.1's ``quad``, which
+the port matches bit for bit), so no scipy version enters any digest.
 """
 
 import hashlib
@@ -14,7 +16,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from fdsched import cli
+from fdsched import cli, sim
+from fdsched.model import config_from_db
+from fdsched.scheduling import Scheduler, evaluate
 
 RECORDED_WITH = {"numpy": "2.4.6"}
 
@@ -32,6 +36,7 @@ CASES = {
 }
 
 
+
 @pytest.mark.parametrize("name", CASES)
 def test_csv_digest_is_unchanged(name, tmp_path):
     argv, packages, digest = CASES[name]
@@ -42,3 +47,30 @@ def test_csv_digest_is_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of every per-trial array of all nine schedulers on one drawn block
+# at k_u = k_d = K, at 20 dB (HD only), 80 and 110 dB of SI cancellation;
+# ES-FDHD also alone, which bounds its search instead of sharing ES-FD's.
+KERNEL_DIGESTS = {
+    1: "5fceb760093fc282cd4704f0d17a8877b81bc058e6e35ffa28d1d8477bf9d509",
+    2: "421f20c7d8648fa2cc79849d43e1d897a7981c0737959af0c4faf93b58dff188",
+    5: "c32640a9b4fa44612b7af4f4003a46888c7a893fb32a51ec1ef66663af1bc2ab",
+    15: "3cbae662ca2496ab396669d9da127d17ef9ebbb5fd37d5e4c20f163be0597043",
+}
+
+
+@pytest.mark.parametrize("k", KERNEL_DIGESTS)
+def test_kernel_arrays_are_unchanged(k):
+    if np.__version__ != RECORDED_WITH["numpy"]:
+        pytest.skip(f"recorded with numpy {RECORDED_WITH['numpy']}, running {np.__version__}")
+    digest = hashlib.sha256()
+    for si_db in (20.0, 80.0, 110.0):
+        config = config_from_db(24.0, 23.0, si_db, k_u=k, k_d=k)
+        gains = sim._draw_block(config, np.random.default_rng(1000 + k))
+        for schedulers in (list(Scheduler), [Scheduler.ES_FDHD]):
+            for s, rows in evaluate(schedulers, config, *gains).items():
+                for key, values in rows.items():
+                    digest.update(f"{s.value}/{key}/{values.dtype.str}".encode())
+                    digest.update(np.ascontiguousarray(values).tobytes())
+    assert digest.hexdigest() == KERNEL_DIGESTS[k]

@@ -159,7 +159,10 @@ class TestSimulate:
         ({"p0_dbm": -4000.0}, "needs positive p0_max and pu_max"),
         ({"pu_dbm": -4000.0, "schedulers": ["es-fdhd"]}, "needs positive p0_max and pu_max"),
         ({"pu_dbm_scale": 1000.0}, "pu_dbm is too large"),
-    ], ids=[f"settings{i}" for i in range(12)])
+        ({"p0_dbm": 10**400}, "p0_dbm is too large"),
+        ({"sweep_parameter": "p0_dbm", "sweep_values": [10**400]}, "p0_dbm is too large"),
+        ({"pu_dbm_scale": 10**400}, "pu_dbm_scale is too large"),
+    ], ids=[f"settings{i}" for i in range(15)])
     def test_fractional_user_count_exits_2(self, tmp_path, capsys, settings, message):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps(settings))

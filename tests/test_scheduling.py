@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fdsched import scheduling
 from fdsched.model import (
-    ChannelRealization, SystemConfig, config_from_db, draw_realization, log2_1p, rates,
+    ChannelRealization, SystemConfig, config_from_db, draw_realization, log2_1p, rates, sinr,
 )
 from fdsched.scheduling import (
     OPA_BASE,
@@ -343,6 +344,68 @@ class TestSharedKernel:
             hd = ~out[s]["fd"]
             assert hd.all()
             assert np.any(hd & (out[s]["r_dl"] == 0.0)) and np.any(hd & (out[s]["r_ul"] == 0.0))
+
+
+class TestIndexPaths:
+    """The kernel reads its inputs through flat-index takes and answers
+    narrow row reductions column by column; each gives numpy's own result."""
+
+    @staticmethod
+    def _views(g_ul, g_dl, g_x):
+        """Non-contiguous arrays equal to the gains: Fortran order,
+        transposed copies and strided slices."""
+        strided = [np.repeat(g, 2, axis=-1)[..., ::2] for g in (g_ul, g_dl, g_x)]
+        return [
+            [np.asfortranarray(g) for g in (g_ul, g_dl, g_x)],
+            [np.ascontiguousarray(g_ul.T).T, np.ascontiguousarray(g_dl.T).T,
+             np.ascontiguousarray(g_x.transpose(2, 0, 1)).transpose(1, 2, 0)],
+            strided,
+            [g[::2] for g in (np.repeat(g_ul, 2, axis=0), np.repeat(g_dl, 2, axis=0), np.repeat(g_x, 2, axis=0))],
+        ]
+
+    @pytest.mark.parametrize("k_u,k_d", [(1, 1), (2, 2), (5, 5), (3, 4)])
+    @pytest.mark.parametrize("si_db", [20.0, 110.0])
+    def test_non_contiguous_inputs_give_the_contiguous_bytes(self, k_u, k_d, si_db):
+        config = config_from_db(24.0, 23.0, si_db, k_u=k_u, k_d=k_d)
+        gains = _exponential_block(config, np.random.default_rng(10 * k_u + k_d), n=300)
+        all_views = self._views(*gains)
+        # a K = 1 array in Fortran order, or transposed, is C-contiguous too
+        assert sum(not all(v.flags.c_contiguous for v in views) for views in all_views) == (
+            2 if k_u == k_d == 1 else 4)
+        for schedulers in (list(Scheduler), [Scheduler.ES_FDHD]):
+            expect = evaluate(schedulers, config, *gains)
+            for views in all_views:
+                got = evaluate(schedulers, config, *views)
+                for s in schedulers:
+                    for key, values in expect[s].items():
+                        assert got[s][key].tobytes() == values.tobytes(), (s, key)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_argmax_is_numpys(self, k):
+        rng = np.random.default_rng(k)
+        a = rng.choice([0.0, 1.0, 2.0, np.inf, -np.inf, np.nan], size=(2000, k))
+        got = scheduling._argmax(a)
+        assert got.dtype == np.intp
+        assert got.tolist() == np.argmax(a, axis=1).tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 16, 17, 100, 4096])
+    @pytest.mark.parametrize("k", [1, 4, 9, 36, 37])
+    def test_row_min_is_numpys(self, n, k):
+        a = np.random.default_rng(n + k).choice([0.0, 0.5, 2.0, np.inf, np.nan], size=(n, k))
+        assert scheduling._row_min(a).tobytes() == a.min(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 100])
+    def test_fd_may_win_on_short_batches(self, n):
+        # The bound of every row, from numpy's own min over the cross gains.
+        for si_db in (20.0, 60.0, 120.0):
+            config = config_from_db(24.0, 23.0, si_db, k_u=3, k_d=2)
+            gains = _exponential_block(config, np.random.default_rng(n), n=n)
+            batch = scheduling._Batch(config, config.si_gain, *gains)
+            (g_ul, g_dl), (hd_ul, hd_dl) = batch.star, batch.hd
+            bound = (log2_1p(sinr(config.pu_max, g_ul, config.p0_max, config.si_gain, config.sigma0_sq))
+                     + log2_1p(sinr(config.p0_max, g_dl, config.pu_max, gains[2].min(axis=(1, 2)),
+                                    config.sigmaD_sq)))
+            assert batch.fd_may_win() == bool(np.any(bound * (1.0 + 1e-9) >= np.maximum(hd_ul, hd_dl)))
 
 
 class TestBoundedSearch:

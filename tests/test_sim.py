@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fdsched import power, scheduling, sim
-from fdsched.model import SystemConfig, config_from_db, draw_realization
+from fdsched.model import ChannelRealization, SystemConfig, config_from_db, draw_realization
 from fdsched.sim import (
     BLOCK_SIZE,
     Scheduler,
@@ -224,6 +224,33 @@ class TestAgainstScalarPipeline:
         assert self._check(sched, base) == {"fd", "hd-ul", "hd-dl"}
 
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_exact_ties_at_small_k_go_to_index_0(self, k):
+        # Row 0 ties every comparison.  At K = 2, row 1 ties A2's DL SINRs
+        # (1/2 and 2/4 under UL user 0) and row 2 A3's UL signal-to-leakage
+        # ratios (1/2 and 2/4 toward DL user 0), with untied raw gains.
+        config = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, k, k)
+        rows = [([1.0] * k, [1.0] * k, [[1.0] * k] * k)]
+        if k == 2:
+            rows += [([1.0, 1.0], [1.0, 2.0], [[1.0, 5.0], [3.0, 5.0]]),
+                     ([1.0, 2.0], [1.0, 1.0], [[1.0, 3.0], [5.0, 5.0]])]
+        gains = [np.array([row[i] for row in rows]) for i in range(3)]
+        batch = scheduling._Batch(config, config.si_gain, *gains)
+        for rule, select, view in [(Scheduler.A1, select_a1, scheduling.select_a1),
+                                   (Scheduler.A2, select_a2, scheduling.select_a2),
+                                   (Scheduler.A3, select_a3, scheduling.select_a3),
+                                   (Scheduler.ES_FD, select_es, scheduling.select_es_fd)]:
+            pair = batch.pair(rule)
+            for i, (g_ul, g_dl, g_x) in enumerate(rows):
+                expect = select(config, g_ul, g_dl, g_x)[:2]
+                assert (pair.ul[i], pair.dl[i]) == expect, (rule, i)
+                s = view(ChannelRealization(g_ul, g_dl, g_x, config.si_gain), config)
+                assert (s.ul, s.dl) == expect, (rule, i)
+            assert (pair.ul[0], pair.dl[0]) == (0, 0)
+        if k == 2:
+            assert (batch.pair(Scheduler.A2).dl[1], batch.pair(Scheduler.A3).ul[2]) == (0, 0)
+
+
 class TestSharedDraws:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_multi_scheduler_run_matches_single_runs(self, workers):
@@ -293,6 +320,20 @@ class TestSharedDraws:
             run_sweep({}, "p0_dbm", (20.0, 4000.0), [Scheduler.A1], 100, seed=1)
         with pytest.raises(ValueError, match="pu_dbm is too large"):
             run_sweep({"pu_dbm_scale": 1000.0}, "p0_dbm", (20.0,), [Scheduler.A1], 100, seed=1)
+        assert draws == []
+
+    @pytest.mark.parametrize("base,values,name", [
+        ({}, [10**400], "p0_dbm"),
+        ({}, [20.0, 10**400], "p0_dbm"),
+        ({"pu_dbm_scale": 10**400}, [20.0], "pu_dbm_scale"),
+        ({"noise_figure_bs_db": 10**400}, [20.0], "noise_figure_bs_db"),
+        ({"bandwidth_hz": 10**400}, [20.0], "bandwidth_hz"),
+    ], ids=["swept", "swept-second", "scale", "noise-figure", "bandwidth"])
+    def test_an_integer_past_float_range_is_a_named_value_error(self, monkeypatch, base, values, name):
+        draws = []
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        with pytest.raises(ValueError, match=f"^{name} is too large"):
+            run_sweep(base, "p0_dbm", values, [Scheduler.A1], 10, seed=1)
         assert draws == []
 
     def test_es_tie_order_matches_scalar_search(self, monkeypatch):

@@ -1,7 +1,8 @@
 """Shared draws inside ``fdsched validate``: the Theorem 2 and Theorem 3
 triangles draw each block once for both, criterion 7(a) draws once for both
-SI levels, and no memo outlives one ``validate.run`` call.  And the xi_n
-reference of the special-functions criterion against 40-digit mpmath."""
+SI levels, and no memo outlives one ``validate.run`` call.  The xi_n
+reference of the special-functions criterion against 40-digit mpmath, and
+the binary-opa criterion's draws against its recorded detail string."""
 
 import mpmath as mp
 import numpy as np
@@ -72,3 +73,13 @@ def test_xi_reference_against_mpmath_expint():
             z = mp.mpf(float(xi)) * float(yi)
             ref = mp.mpf(float(yi)) ** (1 - int(ni)) * mp.exp(z) * mp.expint(int(ni), z)
             assert abs(gi - ref) <= 1e-14 * ref, (ni, xi, yi)
+
+
+def test_binary_opa_draws_the_recorded_realizations():
+    # The detail string of the quick run, recorded while each realization drew
+    # its five log-powers one scalar draw at a time: one vector draw must
+    # leave the stream, the powers and so every count and excess unchanged.
+    passed, detail = validate.crit_binary_opa(quick=True)
+    assert passed
+    assert detail == ("2000 realizations, worst grid excess 3.55e-15 (tol 1e-9), "
+                      "1273 fast-path cases all consistent")
