@@ -25,8 +25,10 @@ column u* (and the search winner's), A3's row d*.  ``argmax`` over rows
 1 or 2 wide, and the least cross gain of short rows, are answered column
 by column.  Each gives numpy's bits and its first-index ties.
 
-The exhaustive search sweeps the DL users and keeps each UL user's best DL
-SINR, so it holds no (u, d) tensor and takes logs of K values, not K².
+The exhaustive search keeps each UL user's best DL SINR, so it takes logs
+of K values, not K², and holds no (u, d) tensor of a whole batch: below
+``_TILE_FROM`` pairs a snapshot it sweeps the DL users over K-wide rows,
+from there it holds a tile of at most ``_TILE_PAIRS`` pairs (512 KB).
 ES-FDHD without ES-FD skips the search on a batch where FD can win no
 snapshot: where each snapshot's bound on the FD sum, u*'s UL rate plus d*'s
 DL rate under the least cross gain, is below its best single link by a 1e-9
@@ -146,13 +148,20 @@ def _powers(config, fd, on_ul):
 _Pair = namedtuple("_Pair", "ul dl gains gamma rates r_fd")
 
 
-def _pair_at(config, si, ul, dl, gains, r_fd=None):
+def _fd_ul(config, si, g_ul):
+    """FD UL ``(SINR, rate)`` of UL gains ``g_ul`` at maximum powers."""
+    gamma = sinr(config.pu_max, g_ul, config.p0_max, si, config.sigma0_sq)
+    return gamma, log2_1p(gamma)
+
+
+def _pair_at(config, si, ul, dl, gains, r_fd=None, fd_ul=None):
     """The ``_Pair`` of users ``ul``, ``dl`` with ``gains`` (arrays or 0-d
-    scalars); ``r_fd`` defaults to the sum of the rates."""
-    p0, pu = config.p0_max, config.pu_max
-    gamma = sinr(pu, gains[0], p0, si, config.sigma0_sq), sinr(p0, gains[1], pu, gains[2], config.sigmaD_sq)
-    rates = log2_1p(gamma[0]), log2_1p(gamma[1])
-    return _Pair(ul, dl, gains, gamma, rates, rates[0] + rates[1] if r_fd is None else r_fd)
+    scalars); ``r_fd`` defaults to the sum of the rates, and ``fd_ul`` to
+    the UL link's :func:`_fd_ul`."""
+    gamma_ul, r_ul = _fd_ul(config, si, gains[0]) if fd_ul is None else fd_ul
+    gamma_dl = sinr(config.p0_max, gains[1], config.pu_max, gains[2], config.sigmaD_sq)
+    rates = r_ul, log2_1p(gamma_dl)
+    return _Pair(ul, dl, gains, (gamma_ul, gamma_dl), rates, rates[0] + rates[1] if r_fd is None else r_fd)
 
 
 def allocate(config, si, pair, hd_ul=None, hd_dl=None):
@@ -219,6 +228,39 @@ def _row_min(a):
     return out
 
 
+_TILE_PAIRS = 1 << 16  # pairs per tile of the exhaustive search: a 512 KB buffer
+# Pairs per snapshot from which the tiles replace the sweep over the DL
+# users.  Measured on 4 MiB chunks of cross gains, the tiles took 0.5-0.8x
+# the sweep's time from K = 48 up, 0.9-1.0x at K = 24-32, and 1.3-3.4x at
+# K <= 16, where their max over a short DL axis pays numpy's per-row cost.
+# Around 1024 pairs, shapes with k_u <= 8 read 0.85-1.34x across runs.
+_TILE_FROM = 1024
+
+
+def _best_dl_sinr(p0, pu, sd, g_dl, g_x):
+    """Each row's best DL SINR of each UL user over the DL users, an
+    (n, k_u) array, NaN where some DL user's is.  Below ``_TILE_FROM`` pairs
+    a snapshot, a sweep over the DL users folds each (n, k_u) SINR slice
+    into a running maximum; from there, rows go in tiles of at most
+    ``_TILE_PAIRS`` pairs (one row if a row has more), each tile's SINRs
+    computed into one buffer and reduced over its DL users.  The float
+    operations are :func:`sinr`'s either way, and max is exact, so both
+    give the same bits."""
+    n, k_d, k_u = g_x.shape
+    if k_d * k_u < _TILE_FROM:
+        best, buf = np.full((n, k_u), -np.inf), np.empty((n, k_u))
+        for d in range(k_d):
+            np.maximum(best, sinr(p0, g_dl[:, d, None], pu, g_x[:, d, :], sd, out=buf), out=best)
+        return best
+    rows = max(_TILE_PAIRS // (k_d * k_u), 1)
+    best, buf = np.empty((n, k_u)), np.empty((min(rows, n), k_d, k_u))
+    for lo in range(0, n, rows):
+        tile = buf[:min(rows, n - lo)]
+        sinr(p0, g_dl[lo:lo + rows, :, None], pu, g_x[lo:lo + rows], sd, out=tile)
+        tile.max(axis=1, out=best[lo:lo + rows])
+    return best
+
+
 class _Batch:
     """A batch of snapshots and the work its schedulers share, each piece
     done once, on first use, and dropped with the batch."""
@@ -245,6 +287,12 @@ class _Batch:
         return self.at(self.g_ul, self.best[0]), self.at(self.g_dl, self.best[1])
 
     @cached_property
+    def fd_ul(self):
+        """FD ``(SINR, rate)`` of the gain-max UL user: A1's and A2's UL link
+        and the first term of ES-FDHD's bound."""
+        return _fd_ul(self.config, self.si, self.star[0])
+
+    @cached_property
     def hd(self):
         """Full-power single-link rates of the gain-max users."""
         return _hd_ul(self.config, self.si, self.star[0]), _hd_dl(self.config, self.star[1])
@@ -253,17 +301,16 @@ class _Batch:
         """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
         ``r_fd`` is the search's pair sum rate, else None.  A2 reads only column
         u* of each cross-gain matrix and A3 only row d*, in a gathered copy;
-        the search reads every pair but keeps K-wide rows, never a K² tensor."""
+        the search reads every pair but keeps each UL user's best DL SINR, never
+        a K² tensor of the batch."""
         config, si, g_ul, g_dl, g_x = self.config, self.si, self.g_ul, self.g_dl, self.g_x
         require_positive_powers(config)
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
-            r_ul = log2_1p(sinr(pu, g_ul, p0, si, s0))
-            # Sweep the DL users, keeping each UL user's best DL SINR: log2_1p and
-            # + r_ul are monotone, so its best pair sum is log2_1p of that SINR.
-            best, buf = np.full_like(r_ul, -np.inf), np.empty_like(r_ul)
-            for d in range(g_dl.shape[1]):
-                np.maximum(best, sinr(p0, g_dl[:, d, None], pu, g_x[:, d, :], sd, out=buf), out=best)
+            r_ul = _fd_ul(config, si, g_ul)[1]
+            # log2_1p and + r_ul are monotone, so each UL user's best pair sum
+            # is log2_1p of its best DL SINR.
+            best = _best_dl_sinr(p0, pu, sd, g_dl, g_x)
             sums = np.add(log2_1p(best, out=best), r_ul, out=best)
             ul = _argmax(sums)
             # The DL user of the lexicographic (u, d) search: the first d whose
@@ -290,7 +337,8 @@ class _Batch:
             gains = (self.star[0] if ul is self.best[0] else self.at(self.g_ul, ul),
                      self.star[1] if dl is self.best[1] else self.at(self.g_dl, dl),
                      self.g_x.reshape(-1).take(self.bases.x + dl * self.g_x.shape[2] + ul))
-            self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd)
+            self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd,
+                                        self.fd_ul if ul is self.best[0] else None)
         return self.pairs[rule]
 
     def fd_may_win(self):
@@ -300,13 +348,12 @@ class _Batch:
         is exact up to log1p's few-ulp error, which the 1e-9 margin covers.
         The first 16 rows are bounded before the rest, so a batch where FD
         may win is told before a pass over all its cross gains."""
-        config, (g_ul, g_dl), hd = self.config, self.star, np.maximum(*self.hd)
-        p0, pu = config.p0_max, config.pu_max
+        config, g_dl, hd = self.config, self.star[1], np.maximum(*self.hd)
         _, k_d, k_u = self.g_x.shape
         for rows in (slice(0, 16), slice(16, None)):
             least = _row_min(self.g_x[rows].reshape(-1, k_d * k_u))
-            bound = (log2_1p(sinr(pu, g_ul[rows], p0, self.si, config.sigma0_sq))
-                     + log2_1p(sinr(p0, g_dl[rows], pu, least, config.sigmaD_sq)))
+            bound = self.fd_ul[1][rows] + log2_1p(sinr(config.p0_max, g_dl[rows], config.pu_max, least,
+                                                       config.sigmaD_sq))
             if not np.all(bound * (1.0 + 1e-9) < hd[rows]):  # a NaN bound may win
                 return True
         return False

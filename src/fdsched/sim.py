@@ -8,7 +8,8 @@ of which other schedulers run.  That gives bit-identical results under any
 degree of parallelism.  A block's cross gains come last in its stream and
 are drawn and evaluated in row chunks of about ``CHUNK_BYTES``: the chunks
 continue the same stream, so the numbers are those of a whole-block draw,
-while memory stays bounded at any user count.
+while memory stays bounded at any user count.  Drawing stops at the last
+row a run uses, so a short last block draws only the cross gains it uses.
 
 The engine takes runs, each a config and its schedulers, whose configs
 share their user counts, the only settings a draw reads: each block is
@@ -35,7 +36,9 @@ from .model import RADIO_DEFAULTS, config_from_db, whole_number
 from .scheduling import OPA_BASE, Scheduler, evaluate
 
 BLOCK_SIZE = 4096
-CHUNK_BYTES = 8 << 20  # cross gains drawn and evaluated at a time, per worker; the kernel adds K-wide rows
+# Cross gains drawn and evaluated at a time, per worker; the kernel's pair
+# search adds a tile of at most 512 KB, or K-wide rows at small K.
+CHUNK_BYTES = 4 << 20
 
 SWEEPABLE_PARAMETERS = ("p0_dbm", "si_cancellation_db", "k_users")
 
@@ -110,13 +113,14 @@ def _chunk_rows(config):
     return min(max(CHUNK_BYTES // (8 * config.k_u * config.k_d), 1), BLOCK_SIZE)
 
 
-def _draw_block(config, rng):
+def _draw_block(config, rng, rows):
     """Draw one block's UL and DL gains (always BLOCK_SIZE rows) and the
-    cross gains of its first chunk of rows; the engine draws the rest from
-    ``rng`` in chunks of that size.  Single seam for doctored channels."""
+    cross gains of its first chunk of rows, stopped at the ``rows`` a run
+    uses of the block; the engine draws the rest from ``rng`` in chunks of
+    that size.  Single seam for doctored channels."""
     g_ul = rng.standard_exponential((BLOCK_SIZE, config.k_u))
     g_dl = rng.standard_exponential((BLOCK_SIZE, config.k_d))
-    g_x = rng.standard_exponential((_chunk_rows(config), config.k_d, config.k_u))
+    g_x = rng.standard_exponential((min(_chunk_rows(config), rows), config.k_d, config.k_u))
     return g_ul, g_dl, g_x
 
 
@@ -167,10 +171,11 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
     lock = threading.Lock()
 
     def one(j):
-        rng = _block_rng(seed, j)
-        g_ul, g_dl, g_x = _draw_block(runs[0][0], rng)
-        lo, rows = j * BLOCK_SIZE, len(g_x)
+        lo = j * BLOCK_SIZE
         take = min(BLOCK_SIZE, n_trials - lo)
+        rng = _block_rng(seed, j)
+        g_ul, g_dl, g_x = _draw_block(runs[0][0], rng, take)
+        rows = len(g_x)
         for start in range(0, take, rows):
             n = min(rows, take - start)
             if start:  # g_x is last in the stream: refill in place, stop at the last row used

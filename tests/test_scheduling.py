@@ -408,6 +408,34 @@ class TestIndexPaths:
             assert batch.fd_may_win() == bool(np.any(bound * (1.0 + 1e-9) >= np.maximum(hd_ul, hd_dl)))
 
 
+class TestTiledSearch:
+    """The search's best DL SINR per (row, UL user), from the sweep over the
+    DL users or from row tiles, is numpy's max over the whole SINR tensor."""
+
+    @pytest.mark.parametrize("n,k_d,k_u", [
+        (37, 4, 5),      # a sweep
+        (37, 31, 33),    # 1023 pairs: the last shape swept
+        (37, 32, 32),    # 1024 pairs: the first shape tiled, 64-row tiles
+        (130, 40, 30),   # 54-row tiles: 54 + 54 + 22
+        (37, 64, 64),    # 16-row tiles: 16 + 16 + 5
+        (7, 300, 300),   # a row past a tile's pairs: one row a tile
+    ])
+    @pytest.mark.parametrize("path", ["by-shape", "sweep", "tiles"])
+    def test_equals_the_max_over_every_pair(self, monkeypatch, n, k_d, k_u, path):
+        if path != "by-shape":
+            monkeypatch.setattr(scheduling, "_TILE_FROM", 1 if path == "tiles" else k_d * k_u + 1)
+        rng = np.random.default_rng(n + k_d)
+        g_dl, g_x = rng.standard_exponential((n, k_d)), rng.standard_exponential((n, k_d, k_u))
+        g_dl[:, 1], g_x[:, 1] = g_dl[:, 0], g_x[:, 0]  # DL users 0 and 1 tie everywhere
+        g_x[3, 2, 1] = np.nan   # one pair's SINR is NaN
+        g_dl[5, -1] = np.nan    # one DL user's SINR is NaN for every UL user
+        p0, pu, sd = 1.5, 0.8, 0.3
+        expect = (p0 * g_dl[:, :, None] / (pu * g_x + sd)).max(axis=1)
+        got = scheduling._best_dl_sinr(p0, pu, sd, g_dl, g_x)
+        assert got.tobytes() == expect.tobytes()
+        assert np.isnan(got[3, 1]) and np.isnan(got[5]).all() and np.isnan(got).sum() == k_u + 1
+
+
 class TestBoundedSearch:
     """ES-FDHD without ES-FD skips the search where FD can win no row, and
     gives the bytes it gives on the search it shares with ES-FD."""

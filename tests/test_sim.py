@@ -85,8 +85,8 @@ class TestModeBookkeeping:
         config = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
         real_draw = sim._draw_block
 
-        def quiet_draw(cfg, rng):
-            g_ul, g_dl, g_x = real_draw(cfg, rng)
+        def quiet_draw(cfg, rng, rows):
+            g_ul, g_dl, g_x = real_draw(cfg, rng, rows)
             return g_ul, g_dl, np.zeros_like(g_x)
 
         monkeypatch.setattr(sim, "_draw_block", quiet_draw)
@@ -187,7 +187,7 @@ class TestAgainstScalarPipeline:
         modes = set()
         for c, config in enumerate(REFERENCE_CONFIGS):
             arrays = sim._run_arrays([(config, [sched])], self.N, seed=20 + c)[0][sched]
-            g_ul, g_dl, g_x = sim._draw_block(config, sim._block_rng(20 + c, 0))
+            g_ul, g_dl, g_x = sim._draw_block(config, sim._block_rng(20 + c, 0), self.N)
             for i in range(self.N):
                 r_ul, r_dl, mode, lead = reference(sched, select, config, g_ul[i].tolist(),
                                                    g_dl[i].tolist(), g_x[i].tolist())
@@ -283,9 +283,9 @@ class TestSharedDraws:
         draws = []
         real_draw = sim._draw_block
 
-        def counting_draw(cfg, rng):
+        def counting_draw(cfg, rng, rows):
             draws.append(cfg.k_u)
-            return real_draw(cfg, rng)
+            return real_draw(cfg, rng, rows)
 
         monkeypatch.setattr(sim, "_draw_block", counting_draw)
         base, values = {"si_cancellation_db": 80.0}, (2, 3, 4)
@@ -308,14 +308,14 @@ class TestSharedDraws:
     def test_sweep_checks_everything_before_the_first_draw(self, monkeypatch, values,
                                                            n_trials, message):
         draws = []
-        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng, rows: draws.append(cfg.k_u))
         with pytest.raises(ValueError, match=message):
             run_sweep({}, "k_users", values, [Scheduler.A1], n_trials, seed=1)
         assert draws == []
 
     def test_sweep_to_an_overflowing_power_is_a_value_error(self, monkeypatch):
         draws = []
-        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng, rows: draws.append(cfg.k_u))
         with pytest.raises(ValueError, match="p0_dbm is too large"):
             run_sweep({}, "p0_dbm", (20.0, 4000.0), [Scheduler.A1], 100, seed=1)
         with pytest.raises(ValueError, match="pu_dbm is too large"):
@@ -331,7 +331,7 @@ class TestSharedDraws:
     ], ids=["swept", "swept-second", "scale", "noise-figure", "bandwidth"])
     def test_an_integer_past_float_range_is_a_named_value_error(self, monkeypatch, base, values, name):
         draws = []
-        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng, rows: draws.append(cfg.k_u))
         with pytest.raises(ValueError, match=f"^{name} is too large"):
             run_sweep(base, "p0_dbm", values, [Scheduler.A1], 10, seed=1)
         assert draws == []
@@ -345,7 +345,7 @@ class TestSharedDraws:
         # out of contention.  The reference is the plain-Python pair search.
         config = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
 
-        def tied_draw(cfg, rng):
+        def tied_draw(cfg, rng, rows):
             g_ul = rng.integers(1, 4, (BLOCK_SIZE, cfg.k_u)).astype(float)
             g_dl = rng.integers(1, 4, (BLOCK_SIZE, cfg.k_d)).astype(float)
             g_x = rng.choice([0.0, 50.0], (BLOCK_SIZE, cfg.k_d, cfg.k_u))
@@ -354,7 +354,7 @@ class TestSharedDraws:
         monkeypatch.setattr(sim, "_draw_block", tied_draw)
         n = 400
         (arrays,) = sim._run_arrays([(config, [Scheduler.ES_FD, Scheduler.ES_FDHD])], n, seed=71)
-        g_ul, g_dl, g_x = tied_draw(config, sim._block_rng(71, 0))
+        g_ul, g_dl, g_x = tied_draw(config, sim._block_rng(71, 0), n)
         split_ties = 0
         for i in range(n):
             for sched in (Scheduler.ES_FD, Scheduler.ES_FDHD):
@@ -393,9 +393,9 @@ class TestMultiConfigRuns:
             calls.append((tuple(schedulers), config, len(g_ul)))
             return real_evaluate(schedulers, config, g_ul, g_dl, g_x)
 
-        def counting_draw(config, rng):
+        def counting_draw(config, rng, rows):
             draws.append(config.k_u)
-            return real_draw(config, rng)
+            return real_draw(config, rng, rows)
 
         monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
         monkeypatch.setattr(sim, "_draw_block", counting_draw)
@@ -404,7 +404,8 @@ class TestMultiConfigRuns:
         # Two blocks drawn once; per chunk one kernel call per distinct
         # config, the equal configs' scheduler lists merged.
         chunks = -(-BLOCK_SIZE // sim._chunk_rows(runs[0][0])) + 1  # the 7-row block is one
-        assert chunks == (2 if k == 5 else 8)
+        rows = sim.CHUNK_BYTES // (8 * k * k)  # K = 5 fits a block in one chunk, K = 40 does not
+        assert chunks == (2 if k == 5 else -(-BLOCK_SIZE // rows) + 1) and (rows < BLOCK_SIZE) == (k == 40)
         assert draws == [k, k]
         assert len(calls) == 2 * chunks and sum(rows for *_, rows in calls) == 2 * n
         merged = (Scheduler.A2_OPA, Scheduler.ES_FDHD, Scheduler.HD_TDD)
@@ -427,7 +428,7 @@ class TestMultiConfigRuns:
     ], ids=["k_d", "k_u"])
     def test_other_user_counts_raise_before_the_first_draw(self, monkeypatch, other):
         draws = []
-        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng: draws.append(cfg.k_u))
+        monkeypatch.setattr(sim, "_draw_block", lambda cfg, rng, rows: draws.append(cfg.k_u))
         with pytest.raises(ValueError, match=r"share one \(k_u, k_d\)"):
             sim._run_arrays([(CFG, [Scheduler.A1]), (other, [Scheduler.A1])], 100, seed=1)
         with pytest.raises(ValueError, match=r"share one \(k_u, k_d\)"):
@@ -465,7 +466,9 @@ class TestChunkedDraws:
                     assert arrays[s][key].tobytes() == expected.tobytes(), (s, key, workers)
 
     def test_chunk_rows_bound_the_cross_gains(self):
-        assert sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=15, k_d=15)) == BLOCK_SIZE
+        k = math.isqrt(sim.CHUNK_BYTES // (8 * BLOCK_SIZE))  # the largest K with whole-block chunks
+        assert sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=k, k_d=k)) == BLOCK_SIZE
+        assert sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=k + 1, k_d=k + 1)) < BLOCK_SIZE
         for k_u, k_d in [(64, 64), (7, 300), (100, 100)]:
             rows = sim._chunk_rows(config_from_db(24.0, 23.0, 80.0, k_u=k_u, k_d=k_d))
             assert 1 <= rows < BLOCK_SIZE and 8 * rows * k_u * k_d <= sim.CHUNK_BYTES
@@ -473,17 +476,25 @@ class TestChunkedDraws:
 
     @pytest.mark.parametrize("n_trials", [100, BLOCK_SIZE + 7])
     def test_short_runs_evaluate_only_the_rows_they_use(self, monkeypatch, n_trials):
-        rows = []
-        real_evaluate = sim._evaluate_block
+        rows, drawn = [], []
+        real_evaluate, real_draw = sim._evaluate_block, sim._draw_block
 
         def counting_evaluate(schedulers, config, g_ul, g_dl, g_x):
             rows.append(len(g_ul))
             return real_evaluate(schedulers, config, g_ul, g_dl, g_x)
 
+        def counting_draw(config, rng, n):
+            gains = real_draw(config, rng, n)
+            drawn.append(len(gains[2]))
+            return gains
+
         monkeypatch.setattr(sim, "_evaluate_block", counting_evaluate)
+        monkeypatch.setattr(sim, "_draw_block", counting_draw)
         monkeypatch.setattr(sim, "CHUNK_BYTES", 1000 * 8 * 6 * 6)
         run_trials(SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 6, 6), "es-fdhd", n_trials, seed=65)
         assert sum(rows) == n_trials and max(rows) <= 1000
+        # a block's first chunk stops at the last row the run uses, as the later ones do
+        assert drawn == [min(1000, n_trials - lo) for lo in range(0, n_trials, BLOCK_SIZE)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_kernel_call_per_chunk_for_every_scheduler(self, monkeypatch, workers):

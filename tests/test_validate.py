@@ -23,9 +23,9 @@ def drawn_seeds(monkeypatch):
         current[:] = [seed]
         return real_rng(seed, block)
 
-    def draw_block(config, rng):
+    def draw_block(config, rng, rows):
         seeds.append(current[0])
-        return real_draw(config, rng)
+        return real_draw(config, rng, rows)
 
     monkeypatch.setattr(sim, "_block_rng", block_rng)
     monkeypatch.setattr(sim, "_draw_block", draw_block)
