@@ -32,11 +32,13 @@ sum of non-negative terms,
 The rate integral is taken over t = ln(1 + x) on [0, T], T the first of 8,
 16, ..., 512 where the integrand is exactly 0, by 16-point Gauss-Legendre
 panels, halved until successive estimates agree to 1e-9 bits.
-:func:`avg_rate_integral` is the public, generic path over any two scalar
-CDFs (adaptive QAGS, :mod:`fdsched.quadpack`, bit for bit the
-``scipy.integrate.quad`` of scipy 1.17.1) and the independent check of
-validate and of ``fdsched analyze``'s oracle column.  Nothing here loads
-scipy.
+:func:`avg_rate_integral` is the public, generic path over any two CDFs
+that work elementwise on float arrays (a global-adaptive 7/15-point
+Gauss-Kronrod rule) and the independent check of validate and of
+``fdsched analyze``'s oracle column.  The public ``cdf_sinr_*`` it is given
+are written from the CDF formulas themselves, never as 1 - S, so that
+check shares with the reroute only the one-candidate tails and the A1
+binomial logarithms.  Nothing here loads scipy.
 """
 
 import math
@@ -57,6 +59,7 @@ _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
 _RATE_TOL = 1e-9          # bits: error estimate allowed on either route
 _EPS4 = 4.0 * float(np.finfo(float).eps)  # compensated-sum error per unit gross size
 _MAX_PANELS = 4096        # narrowest Gauss-Legendre panel: T / 4096
+_ORACLE_MAX_PANELS = 500  # most Gauss-Kronrod panels of the rate-integral oracle
 _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
 
@@ -105,21 +108,22 @@ class QuadratureError(ArithmeticError):
 
 
 def _checked(x):
-    x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"CDF argument must be >= 0, got {x!r}")
+    """x as a float array (0-d for a scalar) whose elements are all >= 0."""
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0.0).all():
+        raise ValueError(f"CDF argument must be >= 0, got {float(x[~(x >= 0.0)][0])!r}")
     return x
 
 
-def _ul_tail(x, params, m=np):
+def _ul_tail(x, params):
     """e^{-a x}: the chance that one UL candidate's SINR exceeds x."""
-    return m.exp(-(params.p0_max * params.si_gain + params.sigma0_sq) / params.pu_max * x)
+    return np.exp(-(params.p0_max * params.si_gain + params.sigma0_sq) / params.pu_max * x)
 
 
-def _a2_tail(x, params, m=np):
+def _a2_tail(x, params):
     """e^{-a x} / (1 + b x): the chance that one DL candidate's SINR, given
     the chosen UL user's leakage, exceeds x."""
-    return m.exp(-params.sigmaD_sq / params.p0_max * x) / (1.0 + params.pu_max / params.p0_max * x)
+    return np.exp(-params.sigmaD_sq / params.p0_max * x) / (1.0 + params.pu_max / params.p0_max * x)
 
 
 def _best_of_sf(y, k):
@@ -130,8 +134,16 @@ def _best_of_sf(y, k):
 
 
 def _best_of_cdf(y, k):
-    """(1 - y)^k for one scalar y in [0, 1], from the same logarithm."""
-    return math.exp(k * math.log1p(-y)) if y < 1.0 else 0.0
+    """(1 - y)^k over arrays, from the same logarithm: all k candidates are
+    at most x (exactly 0 where y = 1)."""
+    with np.errstate(divide="ignore"):
+        return np.exp(k * np.log1p(-y))
+
+
+def _exp_floored(log_w):
+    """e^{log_w}, with every value below e^-700 taken as 0: exp is ~20x
+    slower where its result is subnormal or 0."""
+    return np.exp(np.maximum(log_w, _LOG_FLOOR)) * (log_w > _LOG_FLOOR)
 
 
 def _sf_ul(x, params):
@@ -148,13 +160,16 @@ def _sf_dl_a2(x, params):
 
 @lru_cache(maxsize=64)
 def _a1_terms(k_d):
-    """(k, k_d - k, log C(k_d, k)) for k = 1..k_d, the counts as floats and
-    each log that of the exact integer: the terms of the A1 DL survival sum."""
-    terms, binom = [], 1
+    """Read-only arrays of k, k_d - k and log C(k_d, k) for k = 1..k_d, each
+    log that of the exact integer: the terms of the A1 DL sums."""
+    log_comb, binom = [], 1
     for k in range(1, k_d + 1):
         binom = binom * (k_d - k + 1) // k
-        terms.append((float(k), float(k_d - k), log(binom)))
-    return tuple(terms)
+        log_comb.append(log(binom))
+    k = np.arange(1.0, k_d + 1.0)
+    terms = np.array([k, k_d - k, log_comb])
+    terms.setflags(write=False)
+    return terms
 
 
 def _sf_dl_a1(x, params):
@@ -162,93 +177,149 @@ def _sf_dl_a1(x, params):
     interference it will suffer) on an array of x >= 0: the finite sum of
     non-negative terms in the module docstring, with each binomial weight
     and each 1 - prod_{j<=k} j r / (1 + j r) taken from logarithms."""
-    k, k_rest, log_comb = map(np.array, zip(*_a1_terms(params.k_d)))
+    k, k_rest, log_comb = _a1_terms(params.k_d)
     x = np.asarray(x, dtype=float)[..., None]
     c = params.sigmaD_sq / params.p0_max * x
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
         neg_log_prod = np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
-    log_w = log_comb - k * c + k_rest * log_p
-    # Weights below e^-700 are dropped: exp is ~20x slower where its
-    # result is subnormal or 0.
-    w = np.exp(np.maximum(log_w, _LOG_FLOOR)) * (log_w > _LOG_FLOOR)
+    w = _exp_floored(log_comb - k * c + k_rest * log_p)
     return np.minimum(-(w * np.expm1(-neg_log_prod)).sum(axis=-1), 1.0)
 
 
 def cdf_sinr_ul(x, params):
     """CDF of the UL SINR when the UL user is the gain-max over k_u
-    candidates (the same law under A1 and A2): (1 - e^{-a x})^{k_u}."""
-    return _best_of_cdf(_ul_tail(_checked(x), params, math), params.k_u)
+    candidates (the same law under A1 and A2): (1 - e^{-a x})^{k_u}, for a
+    scalar or elementwise on an array of x >= 0."""
+    return _best_of_cdf(_ul_tail(_checked(x), params), params.k_u)
 
 
 def cdf_sinr_dl_a1(x, params):
     """CDF of the DL SINR when the DL user is the gain-max over k_d
-    candidates (selection ignores the interference it will suffer).
+    candidates (selection ignores the interference it will suffer), for a
+    scalar or elementwise on an array of x >= 0.
 
-    1 minus the finite non-negative sum of the module docstring, summed
-    term by term in scalar arithmetic.
+    With q = e^{-c} and r as in the module docstring, writing
+    1 - q e^{-r g} = (1 - q) + q (1 - e^{-r g}) and averaging the binomial
+    expansion of its k_d-th power over g gives non-negative terms,
+
+        F = sum_{k=0}^{k_d} C(k_d,k) q^k (1 - q)^{k_d-k} prod_{j<=k} j r / (1 + j r),
+
+    each taken from logarithms.
     """
-    x = _checked(x)
-    if x == 0.0:
-        return 0.0
+    x = _checked(x)[..., None]
+    k, k_rest, log_comb = _a1_terms(params.k_d)
     c = params.sigmaD_sq / params.p0_max * x
-    log_p = math.log(max(-math.expm1(-c), _TINY))
-    rho = params.p0_max / (params.pu_max * x)
-    sf = neg_log_prod = 0.0
-    log1p, exp, expm1 = math.log1p, math.exp, math.expm1
-    for k, k_rest, log_comb in _a1_terms(params.k_d):
-        neg_log_prod += log1p(rho / k)
-        log_w = log_comb - k * c + k_rest * log_p
-        if log_w > _LOG_FLOOR:
-            sf -= exp(log_w) * expm1(-neg_log_prod)
-    return max(0.0, 1.0 - sf)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
+        log_prod = -np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
+    f = (_exp_floored(params.k_d * log_p[..., 0])
+         + _exp_floored(log_comb - k * c + k_rest * log_p + log_prod).sum(axis=-1))
+    return np.minimum(f, 1.0)
 
 
 def cdf_sinr_dl_a2(x, params):
     """CDF of the DL SINR when the DL user maximizes SINR given the chosen
-    UL user's leakage: the stated alternating sum telescopes exactly into
+    UL user's leakage, for a scalar or elementwise on an array of x >= 0:
+    the stated alternating sum telescopes exactly into
     (1 - e^{-a x} / (1 + b x))^{k_d}."""
-    return _best_of_cdf(_a2_tail(_checked(x), params, math), params.k_d)
+    return _best_of_cdf(_a2_tail(_checked(x), params), params.k_d)
+
+
+# The 15-point Kronrod rule on [-1, 1] and the 7-point Gauss rule inside it
+# (QUADPACK's dqk15): the nodes x >= 0 from the outermost in, and their
+# weights in each rule (0 in the Gauss rule at the Kronrod-only nodes).
+_XK = (0.991455371120812639, 0.949107912342758525, 0.864864423359769073,
+       0.741531185599394440, 0.586087235467691130, 0.405845151377397167,
+       0.207784955007898468, 0.0)
+_WK = (0.022935322010529225, 0.063092092629978553, 0.104790010322250184,
+       0.140653259715525919, 0.169004726639267903, 0.190350578064785410,
+       0.204432940075298892, 0.209482141084727828)
+_WG = (0.0, 0.129484966168869693, 0.0, 0.279705391489276668,
+       0.0, 0.381830050505118945, 0.0, 0.417959183673469388)
+_GK_NODES = np.concatenate([np.negative(_XK[:-1]), _XK[::-1]])
+_GK_WEIGHTS = np.array([_WK[:-1] + _WK[::-1], _WG[:-1] + _WG[::-1]]).T
+
+
+def _kronrod_breakpoints(cutoff):
+    """The oracle's first panel edges: 0, 2^-40, 2^-36, ..., 2^-4, 1, 2, 4,
+    ..., cutoff.  A link of mean SNR s has its mass at t below about s, so
+    one panel on [0, cutoff] puts no node there at low SNR, and is wrong
+    while its error estimate reads ~0."""
+    return np.concatenate([[0.0], 2.0 ** np.arange(-40.0, -3.0, 4.0),
+                           2.0 ** np.arange(float(int(cutoff).bit_length()))])
+
+
+def _kronrod_panels(integrand, lo, hi):
+    """The 15-point Kronrod estimate on each panel [lo, hi] and its distance
+    from the embedded 7-point Gauss estimate, from one integrand call."""
+    half = (hi - lo) / 2.0
+    f = integrand((lo + half)[:, None] + half[:, None] * _GK_NODES)
+    kronrod, gauss = (f @ _GK_WEIGHTS * half[:, None]).T
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def _cdf_values(link, cdf, x):
+    """``cdf`` at the array x, broadcast to its shape; a value outside
+    [0, 1], NaN included, raises ``ValueError``."""
+    f = np.asarray(cdf(x), dtype=float)
+    if f.shape != x.shape:
+        f = np.broadcast_to(f, x.shape)
+    if not (f.min() >= 0.0 and f.max() <= 1.0):  # NaN fails both
+        bad = ~((f >= 0.0) & (f <= 1.0))
+        raise ValueError(f"{link} CDF value at x = {float(x[bad][0])!r} is "
+                         f"{float(f[bad][0])!r}, not in [0, 1]")
+    return f
 
 
 def avg_rate_integral(cdf_ul, cdf_dl):
     """Average sum rate from two SINR CDFs, integrated over t = ln(1 + x).
 
-    ``cdf_ul`` and ``cdf_dl`` are callables on [0, inf) with values in
-    [0, 1]; a value outside it (NaN included) raises ``ValueError``.  With
-    x = expm1(t) the weight dx/(1 + x) becomes dt, so the integrand is
-    2 - F_ul - F_dl, between 0 and 2.  The domain is cut at the first
-    T in 8, 16, ..., 512 where that integrand is exactly 0; for CDFs that
-    are monotone the rest of the tail is then exactly 0, so the cut adds
-    no error.  [0, T] is integrated by QAGS (:func:`quadpack.qags`) to an
-    absolute tolerance of 1e-9 bits.  Raises :class:`QuadratureError` with
-    the achieved error bound if that cannot be reached, or with an
-    infinite bound if the integrand is still positive at T = 512
-    (x ~ 1e222).
+    ``cdf_ul`` and ``cdf_dl`` are callables that work elementwise on a float
+    array of x >= 0 (a constant such as ``lambda x: 1.0`` broadcasts), with
+    values in [0, 1]; a value outside it (NaN included) raises
+    ``ValueError``.  With x = expm1(t) the weight dx/(1 + x) becomes dt, so
+    the integrand is 2 - F_ul - F_dl, between 0 and 2.  The domain is cut
+    at the first T in 8, 16, ..., 512 where that integrand is exactly 0;
+    for CDFs that are monotone the rest of the tail is then exactly 0, so
+    the cut adds no error.
+
+    [0, T] is integrated by a global-adaptive 7/15-point Gauss-Kronrod rule
+    (Piessens et al., *QUADPACK*, 1983, routine QAG; Gander & Gautschi,
+    BIT 40, 2000) started from the panels of :func:`_kronrod_breakpoints`.
+    Each round splits every panel whose |K15 - G7| exceeds its share, 1e-9
+    bits over the panel count, and passes all the round's nodes to each CDF
+    in one call; it stops once those differences add up to at most 1e-9
+    bits.  Raises :class:`QuadratureError` with their sum if a round would
+    take the count past 500 panels, or with an infinite bound if the
+    integrand is still positive at T = 512 (x ~ 1e222).
     """
     itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
 
     def integrand(t):
-        x = math.expm1(t)
-        f_ul = cdf_ul(x)
-        f_dl = cdf_dl(x)
-        if not (0.0 <= f_ul <= 1.0 and 0.0 <= f_dl <= 1.0):
-            link, bad = ("DL", f_dl) if 0.0 <= f_ul <= 1.0 else ("UL", f_ul)
-            raise ValueError(f"{link} CDF value at x = {x!r} is {bad!r}, not in [0, 1]")
-        return 2.0 - f_ul - f_dl
+        x = np.expm1(t)
+        return 2.0 - _cdf_values("UL", cdf_ul, x) - _cdf_values("DL", cdf_dl, x)
 
     cutoff = 8.0
-    while integrand(cutoff) > 0.0:
+    while integrand(np.array([cutoff]))[0] > 0.0:
         if cutoff >= 512.0:
             raise QuadratureError("integrand is still positive at ln(1+x) = 512",
                                   achieved=math.inf)
         cutoff *= 2.0
-    from . import quadpack  # compiled on first use: the simulator never integrates
-
-    val, err = quadpack.qags(integrand, 0.0, cutoff, itol / 2.0)
-    if err > itol:
-        raise QuadratureError("rate integral did not converge", achieved=err / LN2)
-    return val / LN2
+    edges = _kronrod_breakpoints(cutoff)
+    lo, hi = edges[:-1], edges[1:]
+    value, err = _kronrod_panels(integrand, lo, hi)
+    while err.sum() > itol:
+        split = err > itol / len(err)
+        if len(err) + np.count_nonzero(split) > _ORACLE_MAX_PANELS:
+            raise QuadratureError("rate integral did not converge", achieved=err.sum() / LN2)
+        mid = (lo[split] + hi[split]) / 2.0
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_value, new_err = _kronrod_panels(integrand, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        value = np.concatenate([value[~split], new_value])
+        err = np.concatenate([err[~split], new_err])
+    return fsum(value) / LN2
 
 
 @lru_cache(maxsize=1)

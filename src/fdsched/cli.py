@@ -241,7 +241,7 @@ def cmd_analyze(args):
             "oracle_bits": oracle, "abs_diff": diff, "flagged": flagged,
         })
 
-    # The oracle is the adaptive integral over the scalar CDFs, not the
+    # The oracle is the adaptive integral over the public CDFs, not the
     # closed forms' own quadrature reroute, so it still checks rerouted rows.
     def oracle(cdf_dl):
         return analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),

@@ -3,6 +3,7 @@ re-evaluation; CDF laws; the large-system approximation."""
 
 import json
 import math
+import re
 from math import comb
 from pathlib import Path
 
@@ -125,6 +126,26 @@ class TestCdfs:
 
         for x in (0.5, 2.0, 8.0):
             assert cdf_sinr_dl_a1(x, p) == pytest.approx(ref(x), abs=1e-9)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("k", [1, 5, 48])
+    def test_arrays_give_the_scalar_values(self, law, k):
+        # The oracle calls each CDF once on a round's nodes; any other
+        # caller may pass one float.  Both must give the same values and
+        # refuse the same arguments.
+        cdf = LAWS[law][1]
+        params = preset_params(k)
+        xs = np.concatenate([[0.0], np.logspace(-12.0, 15.0, 55)]).reshape(8, 7)
+        values = cdf(xs, params)
+        assert values.shape == xs.shape
+        scalars = np.array([[cdf(float(x), params) for x in row] for row in xs])
+        assert np.all(np.abs(values - scalars) <= 1e-15)
+        assert cdf(0.0, params) == 0.0 and values[0, 0] == 0.0
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError) as scalar:
+                cdf(bad, params)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+                cdf(np.array([1.0, bad, 2.0]), params)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
@@ -255,7 +276,7 @@ class TestRateIntegral:
 
     def test_two_unit_rayleigh_links(self):
         # Two independent unit-SNR Rayleigh links: 2 e E1(1) / ln 2.
-        single = lambda x: 1.0 - math.exp(-x)
+        single = lambda x: 1.0 - np.exp(-x)
         got = avg_rate_integral(single, single)
         assert got == pytest.approx(1.7206947645417719, abs=1e-9)
 
@@ -268,10 +289,10 @@ class TestRateIntegral:
     @pytest.mark.parametrize("bad, cdf", [
         # NaN on (1, 50) once counted as 0, since max(0, nan) is 0: 0.6686.
         (r"UL CDF value at x = .* is nan",
-         lambda x: math.nan if 1.0 < x < 50.0 else -math.expm1(-x)),
+         lambda x: np.where((1.0 < x) & (x < 50.0), np.nan, -np.expm1(-x))),
         # Stuck above 1, the integrand was clipped to 0 everywhere: 0.0.
         (r"UL CDF value at x = 2979\.95.* is 1\.5", lambda x: 1.5),
-        (r"UL CDF value at x = .* is -0\.2", lambda x: -0.2 if x < 1.0 else 1.0),
+        (r"UL CDF value at x = .* is -0\.2", lambda x: np.where(x < 1.0, -0.2, 1.0)),
     ], ids=["nan", "above-1", "below-0"])
     def test_rejects_cdf_values_outside_0_1(self, bad, cdf):
         with pytest.raises(ValueError, match=bad):
@@ -284,9 +305,46 @@ class TestRateIntegral:
         # One Rayleigh link of mean SNR s: e^{1/s} E1(1/s) / ln 2.  At 1e12
         # the integrand in x stays near 1/(1+x) out to x ~ 1e12.
         c = 1.0 / snr
-        got = avg_rate_integral(lambda x: -math.expm1(-c * x), _degenerate_cdf)
+        got = avg_rate_integral(lambda x: -np.expm1(-c * x), _degenerate_cdf)
         ref = float(mp.e ** mp.mpf(c) * mp.e1(mp.mpf(c)) / mp.log(2))
         assert got == pytest.approx(ref, abs=1e-9)
+
+    def test_analysis_grid_within_1e12_bits_of_reference(self):
+        # The oracle itself, not the closed forms, at every analysis-grid
+        # point of perfbench/reference.json (mpmath, 40 digits).  None may
+        # raise: the benchmark's analysis-grid ignores an oracle's errors.
+        points = [p for p in REFERENCE["points"] if p["set"] == "analysis-grid"]
+        assert len(points) == 120
+        for p in points:
+            params = preset_params(p["k"], float(p["si_db"]))
+            oracle = quad_rate(params, cdf_sinr_dl_a1 if p["alg"] == "a1" else cdf_sinr_dl_a2)
+            assert abs(oracle - float(p["rate_bits"])) <= 1e-12, (p["alg"], p["si_db"], p["k"])
+
+    @staticmethod
+    def _low_snr_link_error(snr):
+        # One Rayleigh link of mean SNR s, whose integrand in t lives below
+        # t ~ s, against e^{1/s} E1(1/s) / ln 2 at 40 digits.
+        got = avg_rate_integral(lambda x: -np.expm1(-x / snr), _degenerate_cdf)
+        c = 1.0 / mp.mpf(snr)
+        return abs(got - float(mp.e ** c * mp.e1(c) / mp.log(2)))
+
+    @pytest.mark.parametrize("snr", [1e-9, 1e-6, 1e-3])
+    def test_low_snr_link(self, snr):
+        assert self._low_snr_link_error(snr) <= 1e-12
+
+    @pytest.mark.parametrize("snr", [1e-9, 1e-6, 1e-3])
+    def test_low_snr_link_needs_the_breakpoints(self, monkeypatch, snr):
+        # Started from one panel on [0, T], no node sees the link's mass and
+        # the error estimate reads ~0: the rule is silently wrong by about
+        # the whole rate, s / ln 2.
+        monkeypatch.setattr(analysis, "_kronrod_breakpoints", lambda cutoff: np.array([0.0, cutoff]))
+        assert self._low_snr_link_error(snr) > 0.5 * snr
+
+    def test_reports_its_bound_when_the_panel_cap_is_hit(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_ORACLE_MAX_PANELS", 20)
+        with pytest.raises(QuadratureError) as err:
+            quad_rate(preset_params(15, 100.0), cdf_sinr_dl_a1)
+        assert analysis._RATE_TOL < err.value.achieved < math.inf
 
     def test_a2_at_preset_radio_point(self):
         # 24/23 dBm, 40 dB cancellation, K = 8: the A2 sum reroutes to the

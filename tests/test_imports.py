@@ -5,10 +5,10 @@ imports, and each resolves.
 
 numpy is the package's only runtime dependency: the third-party modules the
 sources import are exactly the ``dependencies`` of ``pyproject.toml``.  scipy
-(about half a second and 40 MB to import) is a test dependency only, and no
-command loads it: the rate integral behind ``analyze``'s oracle column runs
-on the package's own QAGS port, and ``validate``'s xi_n reference is a numpy
-double-exponential rule.  Each scipy check runs in a fresh interpreter: in
+(about half a second and 40 MB to import) is no dependency at all, and where
+it is installed no command loads it: the rate integral behind ``analyze``'s
+oracle column is a numpy Gauss-Kronrod rule, and ``validate``'s xi_n
+reference is a numpy double-exponential rule.  Each scipy check runs in a fresh interpreter: in
 pytest's own process other tests have already imported scipy.
 """
 
