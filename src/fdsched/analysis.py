@@ -259,6 +259,28 @@ def _kronrod_panels(integrand, lo, hi):
     return kronrod, np.abs(kronrod - gauss)
 
 
+def _kronrod_rule(integrand, edges, tol):
+    """``(value, abserr)`` of ``integrand`` (elementwise on a float array)
+    over the panels between ``edges``.  Each round splits every panel whose
+    |K15 - G7| exceeds its share, ``tol`` over the panel count, in one
+    integrand call.  The rule stops once those differences, summed into
+    abserr, are at most ``tol``, or where a round would pass
+    ``_ORACLE_MAX_PANELS`` panels."""
+    lo, hi = edges[:-1], edges[1:]
+    value, err = _kronrod_panels(integrand, lo, hi)
+    while err.sum() > tol:
+        split = err > tol / len(err)
+        if len(err) + np.count_nonzero(split) > _ORACLE_MAX_PANELS:
+            break
+        mid = (lo[split] + hi[split]) / 2.0
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        new_value, new_err = _kronrod_panels(integrand, new_lo, new_hi)
+        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
+        value = np.concatenate([value[~split], new_value])
+        err = np.concatenate([err[~split], new_err])
+    return fsum(value), float(err.sum())
+
+
 def _cdf_values(link, cdf, x):
     """``cdf`` at the array x, broadcast to its shape; a value outside
     [0, 1], NaN included, raises ``ValueError``."""
@@ -284,15 +306,13 @@ def avg_rate_integral(cdf_ul, cdf_dl):
     for CDFs that are monotone the rest of the tail is then exactly 0, so
     the cut adds no error.
 
-    [0, T] is integrated by a global-adaptive 7/15-point Gauss-Kronrod rule
-    (Piessens et al., *QUADPACK*, 1983, routine QAG; Gander & Gautschi,
-    BIT 40, 2000) started from the panels of :func:`_kronrod_breakpoints`.
-    Each round splits every panel whose |K15 - G7| exceeds its share, 1e-9
-    bits over the panel count, and passes all the round's nodes to each CDF
-    in one call; it stops once those differences add up to at most 1e-9
-    bits.  Raises :class:`QuadratureError` with their sum if a round would
-    take the count past 500 panels, or with an infinite bound if the
-    integrand is still positive at T = 512 (x ~ 1e222).
+    [0, T] is integrated to 1e-9 bits by :func:`_kronrod_rule`, a
+    global-adaptive 7/15-point Gauss-Kronrod rule (Piessens et al.,
+    *QUADPACK*, 1983, routine QAG; Gander & Gautschi, BIT 40, 2000) started
+    from the panels of :func:`_kronrod_breakpoints`; each round passes all
+    its nodes to each CDF in one call.  Raises :class:`QuadratureError` with
+    the rule's error estimate if it stops at 500 panels, or with an
+    infinite bound if the integrand is still positive at T = 512 (x ~ 1e222).
     """
     itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
 
@@ -306,20 +326,10 @@ def avg_rate_integral(cdf_ul, cdf_dl):
             raise QuadratureError("integrand is still positive at ln(1+x) = 512",
                                   achieved=math.inf)
         cutoff *= 2.0
-    edges = _kronrod_breakpoints(cutoff)
-    lo, hi = edges[:-1], edges[1:]
-    value, err = _kronrod_panels(integrand, lo, hi)
-    while err.sum() > itol:
-        split = err > itol / len(err)
-        if len(err) + np.count_nonzero(split) > _ORACLE_MAX_PANELS:
-            raise QuadratureError("rate integral did not converge", achieved=err.sum() / LN2)
-        mid = (lo[split] + hi[split]) / 2.0
-        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        new_value, new_err = _kronrod_panels(integrand, new_lo, new_hi)
-        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
-        value = np.concatenate([value[~split], new_value])
-        err = np.concatenate([err[~split], new_err])
-    return fsum(value) / LN2
+    value, abserr = _kronrod_rule(integrand, _kronrod_breakpoints(cutoff), itol)
+    if abserr > itol:
+        raise QuadratureError("rate integral did not converge", achieved=abserr / LN2)
+    return value / LN2
 
 
 @lru_cache(maxsize=1)
