@@ -29,16 +29,16 @@ sum of non-negative terms,
 
     S = sum_k C(K,k) q^k (1 - q)^{K-k} (1 - prod_{j<=k} j r / (1 + j r)).
 
-The rate integral is taken over t = ln(1 + x) on [0, T], T the first of 8,
-16, ..., 512 where the integrand is exactly 0, by 16-point Gauss-Legendre
-panels, halved until successive estimates agree to 1e-9 bits.
+Both integrands, S_ul + S_dl for the reroute and 2 - F_ul - F_dl for
+:func:`avg_rate_integral`, go through one rule over t = ln(1 + x) on
+[0, T], T the first of 8, 16, ..., 512 where the integrand is exactly 0: a
+global-adaptive 7/15-point Gauss-Kronrod rule, to 1e-9 bits.
 :func:`avg_rate_integral` is the public, generic path over any two CDFs
-that work elementwise on float arrays (a global-adaptive 7/15-point
-Gauss-Kronrod rule) and the independent check of validate and of
-``fdsched analyze``'s oracle column.  The public ``cdf_sinr_*`` it is given
-are written from the CDF formulas themselves, never as 1 - S, so that
-check shares with the reroute only the one-candidate tails and the A1
-binomial logarithms.  Nothing here loads scipy.
+that work elementwise on float arrays, and the independent check of
+validate and of ``fdsched analyze``'s oracle column.  The public
+``cdf_sinr_*`` it is given are written from the CDF formulas themselves,
+never as 1 - S, so that check shares with the reroute only the rule, the
+one-candidate tails and the A1 binomial logarithms.  Nothing here loads scipy.
 """
 
 import math
@@ -58,8 +58,7 @@ _POLE_EPS = 1e-9          # relative pole distance that routes to the rate integ
 _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
 _RATE_TOL = 1e-9          # bits: error estimate allowed on either route
 _EPS4 = 4.0 * float(np.finfo(float).eps)  # compensated-sum error per unit gross size
-_MAX_PANELS = 4096        # narrowest Gauss-Legendre panel: T / 4096
-_ORACLE_MAX_PANELS = 500  # most Gauss-Kronrod panels of the rate-integral oracle
+_MAX_PANELS = 500         # most Gauss-Kronrod panels of a rate integral
 _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
 
@@ -265,12 +264,12 @@ def _kronrod_rule(integrand, edges, tol):
     |K15 - G7| exceeds its share, ``tol`` over the panel count, in one
     integrand call.  The rule stops once those differences, summed into
     abserr, are at most ``tol``, or where a round would pass
-    ``_ORACLE_MAX_PANELS`` panels."""
+    ``_MAX_PANELS`` panels."""
     lo, hi = edges[:-1], edges[1:]
     value, err = _kronrod_panels(integrand, lo, hi)
     while err.sum() > tol:
         split = err > tol / len(err)
-        if len(err) + np.count_nonzero(split) > _ORACLE_MAX_PANELS:
+        if len(err) + np.count_nonzero(split) > _MAX_PANELS:
             break
         mid = (lo[split] + hi[split]) / 2.0
         new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
@@ -294,6 +293,23 @@ def _cdf_values(link, cdf, x):
     return f
 
 
+def _integrate(integrand):
+    """The rate integral, in bits, of ``integrand`` (elementwise on a float
+    array of t = ln(1 + x)), cut off, integrated and checked as
+    :func:`avg_rate_integral` describes."""
+    itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
+    cutoff = 8.0
+    while integrand(np.array([cutoff]))[0] > 0.0:
+        if cutoff >= 512.0:
+            raise QuadratureError("integrand is still positive at ln(1+x) = 512",
+                                  achieved=math.inf)
+        cutoff *= 2.0
+    value, abserr = _kronrod_rule(integrand, _kronrod_breakpoints(cutoff), itol)
+    if abserr > itol:
+        raise QuadratureError("rate integral did not converge", achieved=abserr / LN2)
+    return value / LN2
+
+
 def avg_rate_integral(cdf_ul, cdf_dl):
     """Average sum rate from two SINR CDFs, integrated over t = ln(1 + x).
 
@@ -314,74 +330,23 @@ def avg_rate_integral(cdf_ul, cdf_dl):
     the rule's error estimate if it stops at 500 panels, or with an
     infinite bound if the integrand is still positive at T = 512 (x ~ 1e222).
     """
-    itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
-
     def integrand(t):
         x = np.expm1(t)
         return 2.0 - _cdf_values("UL", cdf_ul, x) - _cdf_values("DL", cdf_dl, x)
 
-    cutoff = 8.0
-    while integrand(np.array([cutoff]))[0] > 0.0:
-        if cutoff >= 512.0:
-            raise QuadratureError("integrand is still positive at ln(1+x) = 512",
-                                  achieved=math.inf)
-        cutoff *= 2.0
-    value, abserr = _kronrod_rule(integrand, _kronrod_breakpoints(cutoff), itol)
-    if abserr > itol:
-        raise QuadratureError("rate integral did not converge", achieved=abserr / LN2)
-    return value / LN2
-
-
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    """16-point Gauss-Legendre nodes and weights on [0, 1], made on first
-    use (the eigenvalue solve costs the simulator's processes ~1 MB)."""
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+    return _integrate(integrand)
 
 
 def _rate_by_quadrature(params, sf_dl=None):
     """The rate integral of S_ul plus the survival function ``sf_dl`` (None:
-    UL only): the closed forms' oracle and route around cancellation.
-
-    Starting from 8 panels, every panel whose estimate and the sum over its
-    halves differ by more than its share (width / T) of 1e-9 bits is halved,
-    until the differences of all panels add up to at most 1e-9 bits.
-    Raises :class:`QuadratureError` if a panel gets narrower than T / 4096.
-    """
-    nodes, weights = _gauss_legendre()
-
+    UL only), by the rule of :func:`avg_rate_integral`: the closed forms'
+    route around poles, cancellation and large user counts.  Raises
+    :class:`QuadratureError` as :func:`avg_rate_integral` does."""
     def integrand(t):
         x = np.expm1(t)
         return _sf_ul(x, params) if sf_dl is None else _sf_ul(x, params) + sf_dl(x, params)
 
-    def panels(lo, width):
-        return integrand(lo[:, None] + nodes * width) @ weights * width
-
-    cutoffs = 2.0 ** np.arange(3, 10)   # 8, 16, ..., 512
-    alive = integrand(cutoffs) > 0.0
-    if alive[-1]:
-        raise QuadratureError("integrand is still positive at ln(1+x) = 512", achieved=math.inf)
-    cutoff = cutoffs[alive.argmin()]
-    width = cutoff / 8.0
-    lo = np.arange(8) * width
-    coarse = panels(lo, width)
-    total = spent = 0.0
-    while True:
-        width /= 2.0
-        halves = panels(np.concatenate([lo, lo + width]), width).reshape(2, -1)
-        fine = halves.sum(axis=0)
-        err = np.abs(fine - coarse)
-        if spent + err.sum() <= _RATE_TOL * LN2:
-            return float(total + fine.sum()) / LN2
-        done = err <= _RATE_TOL * LN2 * 2.0 * width / cutoff
-        total += fine[done].sum()
-        spent += err[done].sum()
-        if width <= cutoff / _MAX_PANELS:
-            raise QuadratureError("panel halving did not converge",
-                                  achieved=err[~done].sum() / LN2)
-        lo = np.concatenate([lo[~done], lo[~done] + width])
-        coarse = halves[:, ~done].ravel()
+    return _integrate(integrand)
 
 
 def _ul_terms(params):

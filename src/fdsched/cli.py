@@ -241,8 +241,8 @@ def cmd_analyze(args):
             "oracle_bits": oracle, "abs_diff": diff, "flagged": flagged,
         })
 
-    # The oracle is the adaptive integral over the public CDFs, not the
-    # closed forms' own quadrature reroute, so it still checks rerouted rows.
+    # The oracle integrates the public CDFs, not the survival laws the closed
+    # forms reroute to; sharing only their rule, it still checks rerouted rows.
     def oracle(cdf_dl):
         return analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
                                           lambda x: cdf_dl(x, params))

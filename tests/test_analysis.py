@@ -199,6 +199,20 @@ class TestRateRule:
         oracle = avg_rate_integral(lambda x: cdf_sinr_ul(x, p), _degenerate_cdf)
         assert _rate_by_quadrature(p) == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("snr", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("k", [1, 48])
+    def test_low_snr_link(self, k, snr):
+        # k Rayleigh UL candidates of mean SNR s, whose integrand in t lives
+        # below t ~ s, where the reroute once put no node and read ~0: the
+        # UL-only reroute at k = 1, the closed form's large-K route at 48.
+        p = AnalyticalParams(1.0, snr, 1.0, 1.0, 0.0, k, k)
+        got = _rate_by_quadrature(p) if k == 1 else avg_rate_ul_closed(p)
+        with mp.workdps(80):  # the alternating sum cancels ~2^k
+            c = 1 / mp.mpf(snr)
+            ref = mp.fsum(comb(k, j) * (-1) ** (j + 1) * mp.e ** (j * c) * mp.e1(j * c)
+                          for j in range(1, k + 1)) / mp.log(2)
+        assert abs(got - float(ref)) <= 1e-12
+
     def test_reports_panels_that_do_not_converge(self, monkeypatch):
         monkeypatch.setattr(analysis, "_MAX_PANELS", 16)
         with pytest.raises(QuadratureError) as err:
@@ -341,7 +355,7 @@ class TestRateIntegral:
         assert self._low_snr_link_error(snr) > 0.5 * snr
 
     def test_reports_its_bound_when_the_panel_cap_is_hit(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_ORACLE_MAX_PANELS", 20)
+        monkeypatch.setattr(analysis, "_MAX_PANELS", 20)
         with pytest.raises(QuadratureError) as err:
             quad_rate(preset_params(15, 100.0), cdf_sinr_dl_a1)
         assert analysis._RATE_TOL < err.value.achieved < math.inf

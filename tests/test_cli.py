@@ -288,9 +288,10 @@ class TestAnalyze:
         assert all(float(r["abs_diff"]) <= 1e-9 for r in rows)
 
     def test_oracle_is_the_adaptive_integral_at_rerouted_points(self, tmp_path):
-        # At K = 30 both closed forms reroute to the Gauss-Legendre rule, so
-        # an oracle computed by that same rule would read abs_diff = 0 and
-        # check nothing; the column must come from avg_rate_integral.
+        # At K = 30 both closed forms reroute to the rate integral of the
+        # survival laws, so an oracle computed from those same laws would
+        # read abs_diff = 0 and check nothing; the column must come from
+        # avg_rate_integral over the public CDFs.
         out = tmp_path / "an.csv"
         assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--k", "30",
                         "--out", str(out)]) == 0
@@ -305,6 +306,29 @@ class TestAnalyze:
                                                   lambda x: cdf_dl(x, params))
             assert float(rows[quantity]["oracle_bits"]) == expected
             assert float(rows[quantity]["abs_diff"]) <= 1e-9
+
+    def test_low_snr_rerouted_rows_match_the_oracle(self, tmp_path):
+        # At -150 dBm every link's mass lies below t ~ 1e-5, where the
+        # reroute once put no node and read 0 bits against an oracle of
+        # 8.1e-6 to 2.8e-5 bits.
+        out = tmp_path / "an.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--k", "48", "--p0-dbm", "-150",
+                        "--pu-dbm", "-150", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(float(r["oracle_bits"]) > 1e-6 for r in rows)
+        assert all(float(r["abs_diff"]) <= 1e-12 for r in rows)
+
+    def test_oracle_catches_a_wrong_survival_law(self, tmp_path, monkeypatch):
+        # The reroute and the oracle share one quadrature rule, so the
+        # oracle checks the reroute only through its independent CDFs: a
+        # survival law off by a relative 1e-6 must show in abs_diff.
+        sf_dl_a2 = analysis._sf_dl_a2
+        monkeypatch.setattr(analysis, "_sf_dl_a2", lambda x, p: sf_dl_a2(x, p) * (1.0 + 1e-6))
+        out = tmp_path / "an.csv"
+        assert run_cli(["analyze", "--alg", "a2", "--k", "48", "--out", str(out)]) == 0
+        row = {r["quantity"]: r for r in read_csv(out)}["avg_rate_a2"]
+        assert float(row["abs_diff"]) > 1e-7
 
     def test_pole_point_flagged(self, tmp_path):
         out = tmp_path / "an.csv"

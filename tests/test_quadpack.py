@@ -36,7 +36,7 @@ def scipy_quad(f, a, b, epsabs, points=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         return integrate.quad(f, a, b, epsabs=epsabs, epsrel=0.0, points=points,
-                              limit=analysis._ORACLE_MAX_PANELS)
+                              limit=analysis._MAX_PANELS)
 
 
 def _scalar(f):
@@ -107,7 +107,7 @@ def test_extrapolated_integrals_match_scipy(name, epsabs):
 
 
 def test_rate_integral_reports_its_bound_when_the_limit_is_hit(monkeypatch, rule_calls):
-    monkeypatch.setattr(analysis, "_ORACLE_MAX_PANELS", 20)
+    monkeypatch.setattr(analysis, "_MAX_PANELS", 20)
     with pytest.raises(QuadratureError) as err:
         _grid_oracle("a1", 80, 30)
     (_, _, tol, (_, abserr)), = rule_calls
