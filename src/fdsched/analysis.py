@@ -31,8 +31,11 @@ sum of non-negative terms,
 
 Both integrands, S_ul + S_dl for the reroute and 2 - F_ul - F_dl for
 :func:`avg_rate_integral`, go through one rule over t = ln(1 + x) on
-[0, T], T the first of 8, 16, ..., 512 where the integrand is exactly 0: a
-global-adaptive 7/15-point Gauss-Kronrod rule, to 1e-9 bits.
+[0, T], T the first of 8, 16, ..., 512 where the integrand is exactly 0
+(all seven probed in one call): a global-adaptive 7/15-point
+Gauss-Kronrod rule that splits each panel it flags in four, to 1e-9 bits.
+Each of its rounds is one integrand call, so numpy's fixed cost per call
+is paid per round, not per panel.
 :func:`avg_rate_integral` is the public, generic path over any two CDFs
 that work elementwise on float arrays, and the independent check of
 validate and of ``fdsched analyze``'s oracle column.  The public
@@ -59,6 +62,7 @@ _CLOSED_RATE_MAX_K = 40   # closed rate forms are never attempted beyond this
 _RATE_TOL = 1e-9          # bits: error estimate allowed on either route
 _EPS4 = 4.0 * float(np.finfo(float).eps)  # compensated-sum error per unit gross size
 _MAX_PANELS = 500         # most Gauss-Kronrod panels of a rate integral
+_CUTOFFS = 2.0 ** np.arange(3.0, 10.0)  # t = ln(1 + x) cut-off candidates 8, 16, ..., 512
 _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
 
@@ -250,34 +254,33 @@ def _kronrod_breakpoints(cutoff):
 
 
 def _kronrod_panels(integrand, lo, hi):
-    """The 15-point Kronrod estimate on each panel [lo, hi] and its distance
-    from the embedded 7-point Gauss estimate, from one integrand call."""
+    """The panel table ``(lo, hi, K15, |K15 - G7|)``, a (4, n) array: the
+    15-point Kronrod estimate on each panel [lo, hi] and its distance from
+    the embedded 7-point Gauss estimate, from one integrand call."""
     half = (hi - lo) / 2.0
     f = integrand((lo + half)[:, None] + half[:, None] * _GK_NODES)
     kronrod, gauss = (f @ _GK_WEIGHTS * half[:, None]).T
-    return kronrod, np.abs(kronrod - gauss)
+    return np.array([lo, hi, kronrod, np.abs(kronrod - gauss)])
 
 
 def _kronrod_rule(integrand, edges, tol):
     """``(value, abserr)`` of ``integrand`` (elementwise on a float array)
     over the panels between ``edges``.  Each round splits every panel whose
-    |K15 - G7| exceeds its share, ``tol`` over the panel count, in one
-    integrand call.  The rule stops once those differences, summed into
-    abserr, are at most ``tol``, or where a round would pass
-    ``_MAX_PANELS`` panels."""
-    lo, hi = edges[:-1], edges[1:]
-    value, err = _kronrod_panels(integrand, lo, hi)
-    while err.sum() > tol:
-        split = err > tol / len(err)
-        if len(err) + np.count_nonzero(split) > _MAX_PANELS:
+    |K15 - G7| exceeds its share, ``tol`` over the panel count, into four
+    equal parts, all evaluated in one integrand call.  The rule stops once
+    those differences, summed into abserr, are at most ``tol``, or where a
+    round would pass ``_MAX_PANELS`` panels."""
+    table = _kronrod_panels(integrand, edges[:-1], edges[1:])
+    while table[3].sum() > tol:
+        split = table[3] > tol / table.shape[1]
+        if table.shape[1] + 3 * np.count_nonzero(split) > _MAX_PANELS:
             break
-        mid = (lo[split] + hi[split]) / 2.0
-        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
-        new_value, new_err = _kronrod_panels(integrand, new_lo, new_hi)
-        lo, hi = np.concatenate([lo[~split], new_lo]), np.concatenate([hi[~split], new_hi])
-        value = np.concatenate([value[~split], new_value])
-        err = np.concatenate([err[~split], new_err])
-    return fsum(value), float(err.sum())
+        lo, hi = table[:2, split]
+        mid = (lo + hi) / 2.0
+        quarters = np.array([lo, (lo + mid) / 2.0, mid, (mid + hi) / 2.0, hi])
+        new = _kronrod_panels(integrand, quarters[:-1].ravel(), quarters[1:].ravel())
+        table = np.concatenate([table[:, ~split], new], axis=1)
+    return fsum(table[2]), float(table[3].sum())
 
 
 def _cdf_values(link, cdf, x):
@@ -296,14 +299,15 @@ def _cdf_values(link, cdf, x):
 def _integrate(integrand):
     """The rate integral, in bits, of ``integrand`` (elementwise on a float
     array of t = ln(1 + x)), cut off, integrated and checked as
-    :func:`avg_rate_integral` describes."""
+    :func:`avg_rate_integral` describes.  The cut-off probe is one
+    integrand call on all of ``_CUTOFFS``; T is the first candidate where
+    the integrand is not positive, the same T as probing them in order."""
     itol = _RATE_TOL * LN2  # tolerance on the raw (nats-scaled) integral
-    cutoff = 8.0
-    while integrand(np.array([cutoff]))[0] > 0.0:
-        if cutoff >= 512.0:
-            raise QuadratureError("integrand is still positive at ln(1+x) = 512",
-                                  achieved=math.inf)
-        cutoff *= 2.0
+    positive = integrand(_CUTOFFS) > 0.0
+    if positive.all():
+        raise QuadratureError("integrand is still positive at ln(1+x) = 512",
+                              achieved=math.inf)
+    cutoff = _CUTOFFS[positive.argmin()]
     value, abserr = _kronrod_rule(integrand, _kronrod_breakpoints(cutoff), itol)
     if abserr > itol:
         raise QuadratureError("rate integral did not converge", achieved=abserr / LN2)
@@ -320,15 +324,18 @@ def avg_rate_integral(cdf_ul, cdf_dl):
     the integrand is 2 - F_ul - F_dl, between 0 and 2.  The domain is cut
     at the first T in 8, 16, ..., 512 where that integrand is exactly 0;
     for CDFs that are monotone the rest of the tail is then exactly 0, so
-    the cut adds no error.
+    the cut adds no error.  The seven candidates are probed in one call, so
+    each CDF is evaluated, and its values checked, at every candidate, those
+    past T included.
 
     [0, T] is integrated to 1e-9 bits by :func:`_kronrod_rule`, a
     global-adaptive 7/15-point Gauss-Kronrod rule (Piessens et al.,
     *QUADPACK*, 1983, routine QAG; Gander & Gautschi, BIT 40, 2000) started
-    from the panels of :func:`_kronrod_breakpoints`; each round passes all
-    its nodes to each CDF in one call.  Raises :class:`QuadratureError` with
-    the rule's error estimate if it stops at 500 panels, or with an
-    infinite bound if the integrand is still positive at T = 512 (x ~ 1e222).
+    from the panels of :func:`_kronrod_breakpoints`; each round splits every
+    panel it flags in four and passes all its nodes to each CDF in one
+    call.  Raises :class:`QuadratureError` with the rule's error estimate
+    if it stops at 500 panels, or with an infinite bound if the integrand
+    is still positive at T = 512 (x ~ 1e222).
     """
     def integrand(t):
         x = np.expm1(t)

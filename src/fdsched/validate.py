@@ -189,9 +189,11 @@ def crit_binary_opa(quick=False):
             return False, f"opa returned a non-maximal corner ({chosen} < {corner_best})"
         p0_grid = frac[:, None] * p0_max
         pu_grid = frac[None, :] * pu_max
+        # The grid's best rate in nats, then bits: dividing by ln 2 is
+        # monotone, so this is the largest of the grid's rates in bits.
         grid = (np.log1p(pu_grid * g0 / (p0_grid * si + s0))
-                + np.log1p(p0_grid * gd / (pu_grid * gx + sd))) / LN2
-        excess = float(grid.max()) - corner_best
+                + np.log1p(p0_grid * gd / (pu_grid * gx + sd)))
+        excess = float(grid.max()) / LN2 - corner_best
         worst_excess = max(worst_excess, excess)
         if excess > 1e-9:
             return False, f"grid beat the corners by {excess:.3e}"

@@ -356,9 +356,80 @@ class TestRateIntegral:
 
     def test_reports_its_bound_when_the_panel_cap_is_hit(self, monkeypatch):
         monkeypatch.setattr(analysis, "_MAX_PANELS", 20)
+        panels, live, live_counts = analysis._kronrod_panels, [], []
+
+        def spy(integrand, lo, hi):
+            # The live panels: those evaluated that no later panel lies in.
+            live[:] = [(a, b) for a, b in live if not ((a <= lo) & (hi <= b)).any()]
+            live.extend(zip(lo, hi))
+            live_counts.append(len(live))
+            return panels(integrand, lo, hi)
+
+        monkeypatch.setattr(analysis, "_kronrod_panels", spy)
         with pytest.raises(QuadratureError) as err:
             quad_rate(preset_params(15, 100.0), cdf_sinr_dl_a1)
         assert analysis._RATE_TOL < err.value.achieved < math.inf
+        # From its 16 first panels the rule stops before a split, since
+        # each panel split in four adds 3; from one panel on [0, T] it
+        # splits up to the cap, and no round may leave more live panels.
+        assert live_counts == [16]
+        live.clear()
+        live_counts.clear()
+        monkeypatch.setattr(analysis, "_kronrod_breakpoints", lambda cutoff: np.array([0.0, cutoff]))
+        with pytest.raises(QuadratureError) as err:
+            quad_rate(preset_params(15, 100.0), cdf_sinr_dl_a1)
+        assert analysis._RATE_TOL < err.value.achieved < math.inf
+        assert len(live_counts) > 2 and max(live_counts) <= 20
+
+    @staticmethod
+    def _sequential_cutoff(integrand):
+        # The cut-off probe as it was: one integrand call per candidate 8,
+        # 16, ..., 512 in order, up to the first where it is not positive;
+        # None where it is positive at all seven.
+        cutoff = 8.0
+        while integrand(np.array([cutoff]))[0] > 0.0:
+            if cutoff >= 512.0:
+                return None
+            cutoff *= 2.0
+        return cutoff
+
+    @pytest.mark.parametrize("zero_from", [8.0, 16.0, 64.0, 512.0, math.inf])
+    def test_cutoff_probe_is_one_call(self, monkeypatch, zero_from):
+        # A step integrand, positive below t = zero_from and 0 from there.
+        # The rule is stubbed, so every integrand call is a probe.
+        def step(t):
+            return np.where(t < zero_from, 1.0, 0.0)
+
+        def integrand(t):
+            probes.append(t)
+            return step(t)
+
+        def rule(integrand, edges, tol):
+            cutoffs.append(edges[-1])
+            return 0.0, 0.0
+
+        probes, cutoffs = [], []
+        monkeypatch.setattr(analysis, "_kronrod_rule", rule)
+        want = self._sequential_cutoff(step)
+        if want is None:
+            with pytest.raises(QuadratureError) as err:
+                analysis._integrate(integrand)
+            assert err.value.achieved == math.inf
+            assert cutoffs == []
+        else:
+            assert analysis._integrate(integrand) == 0.0
+            assert cutoffs == [want]
+        assert len(probes) == 1
+
+    def test_rejects_a_nan_cdf_value_past_the_cutoff(self):
+        # The integrand is e^{-x}, exactly 0 from t = 8 (x ~ 2980), so T = 8,
+        # while the CDF is NaN from x = 1e10 (t ~ 23) on.  Probed one
+        # candidate at a time, the rule stopped at T = 8, never saw the NaN
+        # and returned the unit-SNR link's rate; probed at all seven
+        # candidates at once, the CDF is checked at t = 32 too.
+        cdf = lambda x: np.where(x < 1e10, -np.expm1(-x), np.nan)
+        with pytest.raises(ValueError, match=r"UL CDF value at x = .* is nan"):
+            avg_rate_integral(cdf, _degenerate_cdf)
 
     def test_a2_at_preset_radio_point(self):
         # 24/23 dBm, 40 dB cancellation, K = 8: the A2 sum reroutes to the

@@ -1,5 +1,5 @@
-"""The rate integral's Gauss-Kronrod rule against scipy's ``quad``, and its
-failure path.
+"""The rate integral's Gauss-Kronrod rule against scipy's ``quad``, its
+round budget on the analysis grid, and its failure path.
 
 ``analysis._kronrod_rule`` is QUADPACK's QAG (a global-adaptive 7/15-point
 Gauss-Kronrod rule) in numpy, so on any integrand its value must lie within
@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from fdsched import analysis
-from fdsched.analysis import AnalyticalParams, QuadratureError, avg_rate_integral
+from fdsched.analysis import (
+    AnalyticalParams,
+    QuadratureError,
+    avg_rate_a1,
+    avg_rate_a2,
+    avg_rate_integral,
+)
 from fdsched.model import config_from_db
 
 REFERENCE = json.loads(
@@ -45,6 +51,33 @@ def _scalar(f):
 
 
 @pytest.fixture
+def rounds(monkeypatch):
+    """``[probe calls, rounds]`` of every rate integral run: the integrand
+    calls before the rule's first panel table, and the panel tables it
+    makes, the first panels' included."""
+    records = []
+    panels, integrate = analysis._kronrod_panels, analysis._integrate
+
+    def panels_spy(integrand, lo, hi):
+        records[-1][1] += 1
+        return panels(integrand, lo, hi)
+
+    def integrate_spy(integrand):
+        record = [0, 0]
+        records.append(record)
+
+        def counted(t):
+            record[0] += record[1] == 0
+            return integrand(t)
+
+        return integrate(counted)
+
+    monkeypatch.setattr(analysis, "_kronrod_panels", panels_spy)
+    monkeypatch.setattr(analysis, "_integrate", integrate_spy)
+    return records
+
+
+@pytest.fixture
 def rule_calls(monkeypatch):
     """Every ``(integrand, edges, tol, (value, abserr))`` the rate integral runs."""
     calls = []
@@ -59,11 +92,15 @@ def rule_calls(monkeypatch):
     return calls
 
 
+def _grid_params(si_db, k):
+    """An analysis-grid point (24/23 dBm, the radio point of
+    perfbench/reference.json)."""
+    return AnalyticalParams.from_config(config_from_db(24, 23, float(si_db), k_u=k, k_d=k))
+
+
 def _grid_oracle(alg, si_db, k):
-    """The rate-integral oracle at an analysis-grid point (24/23 dBm, the
-    radio point of perfbench/reference.json)."""
-    params = AnalyticalParams.from_config(
-        config_from_db(24, 23, float(si_db), k_u=k, k_d=k))
+    """The rate-integral oracle at an analysis-grid point."""
+    params = _grid_params(si_db, k)
     cdf_dl = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
     return avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
                              lambda x: cdf_dl(x, params))
@@ -92,6 +129,24 @@ def test_grid_oracles_match_scipy(rule_calls):
         assert abserr <= tol, point
         want, want_err = scipy_quad(_scalar(f), edges[0], edges[-1], tol, points=edges[1:-1])
         assert abs(value - want) <= tol + want_err, point
+
+
+def test_grid_integrals_take_one_probe_and_at_most_four_rounds(rounds):
+    # The 120 analysis-grid oracles, then the 63 closed forms there that
+    # reroute to the rate integral.
+    for point in GRID:
+        _grid_oracle(*point)
+    assert len(rounds) == len(GRID)
+    integrals = list(zip(GRID, rounds))
+    for alg, si_db, k in GRID:
+        closed = avg_rate_a1 if alg == "a1" else avg_rate_a2
+        n_before = len(rounds)
+        route = closed(_grid_params(si_db, k)).route
+        assert len(rounds) == n_before + (route != "closed")
+        integrals += [((alg, si_db, k, route), r) for r in rounds[n_before:]]
+    assert len(integrals) == 120 + 63
+    for point, (probes, n_rounds) in integrals:
+        assert probes == 1 and n_rounds <= 4, point
 
 
 @needs_scipy
