@@ -11,6 +11,15 @@ continue the same stream, so the numbers are those of a whole-block draw,
 while memory stays bounded at any user count.  Drawing stops at the last
 row a run uses, so a short last block draws only the cross gains it uses.
 
+Each chunk's per-trial results go to a sink as they arrive.  Where only
+aggregates are returned (:func:`run_trials`, :func:`run_sweep`, and so
+``simulate`` and ``validate``), the sink reduces them at once and keeps 8
+bytes a trial and scheduler: the per-trial sum rate, which the two-pass
+standard deviation reads.  The mean rates are summed node by node over
+numpy's own pairwise-summation tree, so they are the bits of ``ndarray.sum``
+over the whole per-trial arrays, at any worker count.  Per-trial arrays are
+kept only where they are returned (:func:`run_coupled`).
+
 The engine takes runs, each a config and its schedulers, whose configs
 share their user counts, the only settings a draw reads: each block is
 drawn once for all of them (once per sweep point in a sweep), and each
@@ -24,6 +33,7 @@ implementation to agree with; the test suite checks the engine against a
 plain-Python brute-force enumeration of every pair and power corner.
 """
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -148,16 +158,135 @@ def _run_settings(n_trials, seed, workers):
     return settings
 
 
-def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
+_LEAF = 128  # numpy's pairwise sum adds a range of at most this many floats in one loop
+
+
+def _halve(length):
+    """Where numpy's pairwise sum splits a range longer than ``_LEAF``."""
+    half = length // 2
+    return half - half % 8
+
+
+@functools.lru_cache(maxsize=256)  # runs of one trial count cut their chunks alike
+def _cover(lo, hi, n_trials):
+    """Trials [lo, hi) over the pairwise-summation tree of n_trials: the
+    largest nodes inside them, and the leaves they only enter, each as
+    (heap index, start, length) with the root at (1, 0, n_trials)."""
+    whole, parts = [], []
+
+    def walk(node, start, length):
+        if lo <= start and start + length <= hi:
+            whole.append((node, start, length))
+        elif length <= _LEAF:
+            parts.append((node, start, length))
+        else:
+            half = _halve(length)
+            if lo < start + half:
+                walk(2 * node, start, half)
+            if hi > start + half:
+                walk(2 * node + 1, start + half, length - half)
+
+    walk(1, 0, n_trials)
+    return tuple(whole), tuple(parts)
+
+
+class _Store:
+    """Sink that keeps each scheduler's per-trial arrays (only ``keys``, when
+    given), every chunk's rows at its offset."""
+
+    def __init__(self, n_trials, keys=None):
+        self.n_trials, self.keys = n_trials, keys
+        self.arrays = {}
+        self.lock = threading.Lock()
+
+    def take(self, lo, chunk):
+        for s, block in chunk.items():
+            if self.keys is not None:
+                block = {k: block[k] for k in self.keys}
+            with self.lock:  # the first chunk to finish allocates the outputs
+                dest = self.arrays.get(s)
+                if dest is None:
+                    dest = self.arrays[s] = {k: np.empty(self.n_trials, v.dtype)
+                                             for k, v in block.items()}
+            for k, v in block.items():
+                dest[k][lo:lo + len(v)] = v
+
+    def result(self, s):
+        return self.arrays[s]
+
+
+class _Reduced(NamedTuple):
+    """What :func:`_aggregate` reads of one scheduler's run."""
+
+    sum_ul: float          # the r_ul sum, as ``ndarray.sum`` adds it
+    sum_dl: float
+    r_sum: np.ndarray      # r_ul + r_dl per trial
+    fd_count: int
+
+
+class _Reduce:
+    """Sink that reduces each chunk as it arrives, to 8 bytes a trial and
+    scheduler: r_ul + r_dl per trial (the two-pass std reads it), an FD
+    count, and the r_ul and r_dl sums of the nodes of numpy's pairwise
+    summation tree over n_trials.  The sum of a node's range is the node's
+    value in the whole array's sum, since the tree depends on lengths alone;
+    a node whose children are both in is added up at once, and a leaf that
+    straddles chunks waits for its rows.  The sums are those of
+    ``ndarray.sum`` over the stored arrays, whatever order chunks come in."""
+
+    def __init__(self, schedulers, n_trials):
+        self.schedulers = list(schedulers)
+        self.n_trials = n_trials
+        self.r_sum = np.empty((len(self.schedulers), n_trials))
+        self.fd = np.zeros(len(self.schedulers), np.int64)
+        self.sums = {}    # heap index of a node -> its r_ul sums, then its r_dl sums
+        self.leaves = {}  # heap index of a leaf partly in -> [its rows so far, rows missing]
+        self.lock = threading.Lock()
+
+    def take(self, lo, chunk):
+        blocks = [chunk[s] for s in self.schedulers]
+        rates = np.array([b["r_ul"] for b in blocks] + [b["r_dl"] for b in blocks])
+        hi = lo + rates.shape[1]
+        np.add(rates[:len(blocks)], rates[len(blocks):], out=self.r_sum[:, lo:hi])
+        fd = [np.count_nonzero(b["fd"]) for b in blocks]  # cheaper than one call on a stack
+        whole, parts = _cover(lo, hi, self.n_trials)
+        done = [(node, np.add.reduce(rates[:, start - lo:start - lo + length], axis=1))
+                for node, start, length in whole]
+        with self.lock:
+            self.fd += fd
+            for node, start, length in parts:
+                a, b = max(lo, start), min(hi, start + length)
+                leaf = self.leaves.get(node)
+                if leaf is None:
+                    leaf = self.leaves[node] = [np.empty((len(rates), length)), length]
+                leaf[0][:, a - start:b - start] = rates[:, a - lo:b - lo]
+                leaf[1] -= b - a
+                if not leaf[1]:
+                    done.append((node, np.add.reduce(self.leaves.pop(node)[0], axis=1)))
+            for node, sums in done:
+                while node > 1 and node ^ 1 in self.sums:  # the sibling is in: add up the parent
+                    sums = sums + self.sums.pop(node ^ 1)  # (IEEE addition commutes)
+                    node >>= 1
+                self.sums[node] = sums
+
+    def result(self, s):
+        i = self.schedulers.index(s)
+        total = self.sums[1]
+        return _Reduced(total[i], total[len(self.schedulers) + i], self.r_sum[i], int(self.fd[i]))
+
+
+def _run_arrays(runs, n_trials, seed, workers=1, keys=None, reduce=False):
     """Per-trial arrays of ``(config, schedulers)`` runs whose configs share
     (k_u, k_d): one ``{scheduler: {name: array}}`` per run, in the order
     given (repeated schedulers collapse); ``keys`` limits the arrays kept.
+    With ``reduce=True`` the entries are :class:`_Reduced` instead, and no
+    per-trial array but the sum rate is kept (:class:`_Reduce`).
 
     Each block is drawn once for every run and evaluated a chunk of
     cross-gain rows at a time, in one kernel call per distinct config with
     the schedulers of every run at it (runs at equal configs share their
-    arrays); the rows go straight into output arrays at their offset, so
-    the result is the same for any worker count.
+    results); each chunk goes to that config's sink with its offset, so the
+    result is the same for any worker count.
     """
     runs = [(config, _schedulers(schedulers)) for config, schedulers in runs]
     n_trials, seed, workers = _run_settings(n_trials, seed, workers)
@@ -166,9 +295,9 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
     calls = {config: {} for config, _ in runs}  # distinct config -> the schedulers of every run at it
     for config, schedulers in runs:
         calls[config].update(dict.fromkeys(schedulers))
-    out = {}
+    sinks = {config: _Reduce(schedulers, n_trials) if reduce else _Store(n_trials, keys)
+             for config, schedulers in calls.items()}
     n_blocks = -(-n_trials // BLOCK_SIZE)
-    lock = threading.Lock()
 
     def one(j):
         lo = j * BLOCK_SIZE
@@ -181,18 +310,8 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
             if start:  # g_x is last in the stream: refill in place, stop at the last row used
                 g_x = rng.standard_exponential(out=g_x[:n])
             for config, schedulers in calls.items():
-                chunk = _evaluate_block(list(schedulers), config, g_ul[start:start + n],
-                                        g_dl[start:start + n], g_x[:n])
-                for s, block in chunk.items():
-                    if keys is not None:
-                        block = {k: block[k] for k in keys}
-                    with lock:  # the first chunk to finish allocates the outputs
-                        dest = out.get((config, s))
-                        if dest is None:
-                            dest = out[config, s] = {k: np.empty(n_trials, v.dtype)
-                                                     for k, v in block.items()}
-                    for k, v in block.items():
-                        dest[k][lo + start:lo + start + n] = v
+                sinks[config].take(lo + start, _evaluate_block(
+                    list(schedulers), config, g_ul[start:start + n], g_dl[start:start + n], g_x[:n]))
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -200,16 +319,23 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None):
     else:
         for j in range(n_blocks):
             one(j)
-    return [{s: out[config, s] for s in schedulers} for config, schedulers in runs]
+    return [{s: sinks[config].result(s) for s in schedulers} for config, schedulers in runs]
 
 
-def _aggregate(arrays):
-    r_ul = arrays["r_ul"]
-    r_dl = arrays["r_dl"]
-    n_trials = len(r_ul)
-    mean_ul = float(r_ul.sum() / n_trials)
-    mean_dl = float(r_dl.sum() / n_trials)
-    r_sum = r_ul + r_dl
+def _reduce_arrays(arrays):
+    """``{scheduler: per-trial arrays}`` through :class:`_Reduce` as one chunk."""
+    n_trials = len(next(iter(arrays.values()))["r_ul"])
+    sink = _Reduce(arrays, n_trials)
+    sink.take(0, arrays)
+    return {s: sink.result(s) for s in arrays}
+
+
+def _aggregate(reduced):
+    """The TrialStats of one scheduler's :class:`_Reduced` run."""
+    r_sum = reduced.r_sum
+    n_trials = len(r_sum)
+    mean_ul = float(reduced.sum_ul / n_trials)
+    mean_dl = float(reduced.sum_dl / n_trials)
     std_error = float(r_sum.std(ddof=1) / math.sqrt(n_trials)) if n_trials > 1 else 0.0
     return TrialStats(
         mean_sum_rate=mean_ul + mean_dl,
@@ -217,26 +343,25 @@ def _aggregate(arrays):
         mean_dl_rate=mean_dl,
         std_error=std_error,
         n_trials=n_trials,
-        fd_fraction=float(arrays["fd"].mean()),
+        fd_fraction=reduced.fd_count / n_trials,
     )
-
-
-_STATS_KEYS = ("r_ul", "r_dl", "fd")
 
 
 def _run_stats(runs, n_trials, seed, workers=1):
     """One ``{scheduler: TrialStats}`` per run of :func:`_run_arrays`, on
-    shared draws, keeping only the per-trial arrays the aggregates read."""
-    arrays = _run_arrays(runs, n_trials, seed, workers, keys=_STATS_KEYS)
-    return [{s: _aggregate(a) for s, a in run.items()} for run in arrays]
+    shared draws, each chunk reduced as it arrives (:class:`_Reduce`): 8
+    bytes a trial and scheduler, not the per-trial arrays."""
+    reduced = _run_arrays(runs, n_trials, seed, workers, reduce=True)
+    return [{s: _aggregate(r) for s, r in run.items()} for run in reduced]
 
 
 def run_trials(config, scheduler, n_trials, seed, workers=1):
     """Monte Carlo aggregate of one scheduler over n_trials snapshots.
 
     Bit-identical output for identical (config, scheduler, n_trials, seed)
-    no matter how many workers run the blocks, because every block's rows
-    land at the block's offset before the (fixed-order) reduction.
+    no matter how many workers run the blocks: each chunk is reduced as it
+    arrives, at its offset in one fixed summation tree, and only the
+    per-trial sum rates (8 bytes a trial) are kept for the standard error.
     """
     scheduler = Scheduler(scheduler)
     return _run_stats([(config, [scheduler])], n_trials, seed, workers)[0][scheduler]
@@ -259,7 +384,7 @@ def run_coupled(config, schedulers, n_trials, seed, workers=1):
     violations = dominance_violations(arrays)
     if violations:
         raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
-    stats = {s: _aggregate(a) for s, a in arrays.items()}
+    stats = {s: _aggregate(r) for s, r in _reduce_arrays(arrays).items()}
     return stats, arrays
 
 
@@ -298,8 +423,9 @@ def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, 
     monotone.  The settings and every point's config are checked before
     the first draw.  Sweep value i is simulated once for all schedulers,
     with the seed derived from (seed, i): each block is drawn once and
-    evaluated by every scheduler, and the point's per-trial arrays are freed
-    before the next point is drawn.  Rows come back scheduler-major: every
+    evaluated by every scheduler, and each chunk is reduced as it arrives,
+    so a point keeps 8 bytes a trial and scheduler, freed before the next
+    point is drawn.  Rows come back scheduler-major: every
     value of ``schedulers[0]`` in sweep order, then the next scheduler.
     """
     if swept_parameter not in SWEEPABLE_PARAMETERS:

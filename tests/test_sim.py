@@ -4,6 +4,8 @@ one realization at a time."""
 
 import math
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -525,6 +527,165 @@ class TestChunkedDraws:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+def _stored_stats(arrays):
+    """TrialStats of whole per-trial arrays, by numpy's own reductions."""
+    r_ul, r_dl = arrays["r_ul"], arrays["r_dl"]
+    n = len(r_ul)
+    mean_ul, mean_dl = float(r_ul.sum() / n), float(r_dl.sum() / n)
+    std_error = float((r_ul + r_dl).std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return sim.TrialStats(mean_ul + mean_dl, mean_ul, mean_dl, std_error, n, float(arrays["fd"].mean()))
+
+
+def _node_range(n, node):
+    """(start, length) of a heap-indexed node of the pairwise tree over n."""
+    start, length = 0, n
+    for bit in bin(node)[3:]:
+        half = sim._halve(length)
+        start, length = (start, half) if bit == "0" else (start + half, length - half)
+    return start, length
+
+
+# Lengths below 8, off multiples of 8, about one leaf, and 4096·k ± 1.
+_TREE_LENGTHS = [1, 2, 3, 5, 7, 8, 9, 13, 127, 128, 129, 255, 257, 1000, 1024, 4095, 4096,
+                 4097, 8191, 8193, 12287, 12289, 65536, 100_003, 2 ** 17 + 5]
+
+
+def _wide_rates(n, seed):
+    """Four rows of n positive floats over 16 decades, so that summing them
+    in another order moves the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_exponential((4, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (4, n))
+
+
+class TestStreamedReduction:
+    """Each chunk is reduced as it arrives, to the bits of numpy's reductions
+    over the whole per-trial arrays."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097,
+                                   3 * BLOCK_SIZE - 1, 3 * BLOCK_SIZE + 1, 100_003])
+    @pytest.mark.parametrize("rows", [None, 100], ids=["whole-blocks", "100-row-chunks"])
+    def test_stats_equal_those_of_the_stored_arrays(self, monkeypatch, n, rows):
+        config = SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 3, 4)
+        if rows is not None:  # leaves of 128 trials straddle up to three chunks
+            monkeypatch.setattr(sim, "CHUNK_BYTES", rows * 8 * 3 * 4)
+            assert sim._chunk_rows(config) == rows
+        for workers in (1, 4):
+            (stored,) = sim._run_arrays([(config, list(Scheduler))], n, seed=90, workers=workers)
+            (streamed,) = sim._run_stats([(config, list(Scheduler))], n, seed=90, workers=workers)
+            reduced = sim._reduce_arrays(stored)
+            for s in Scheduler:
+                assert streamed[s] == _stored_stats(stored[s]), (s, workers)
+                assert sim._aggregate(reduced[s]) == streamed[s], (s, workers)
+
+    @pytest.mark.parametrize("n", _TREE_LENGTHS)
+    def test_tree_sums_equal_ndarray_sum(self, n):
+        # Chunks of random sizes arrive in random order; every sum the sink
+        # holds, part way and at the end, is ndarray.sum over its range.
+        values = _wide_rates(n, n)
+        schedulers = [Scheduler.A1, Scheduler.HD_TDD]
+        rng = np.random.default_rng(n + 1)
+        cuts = sorted({int(c) for c in rng.integers(1, n, size=40)}) if n > 1 else []
+        chunks = list(zip([0] + cuts, cuts + [n]))
+        rng.shuffle(chunks)
+        sink = sim._Reduce(schedulers, n)
+        for count, (lo, hi) in enumerate(chunks, 1):
+            sink.take(lo, {s: {"r_ul": values[i, lo:hi], "r_dl": values[2 + i, lo:hi],
+                               "fd": values[i, lo:hi] > 1.0} for i, s in enumerate(schedulers)})
+            if count == len(chunks) // 2 or count == len(chunks):
+                for node, sums in sink.sums.items():
+                    start, length = _node_range(n, node)
+                    expected = [row[start:start + length].copy().sum() for row in values]
+                    assert sums.tolist() == expected, (n, node)
+        assert list(sink.sums) == [1] and not sink.leaves
+        for i, s in enumerate(schedulers):
+            got = sink.result(s)
+            assert (got.sum_ul, got.sum_dl) == (values[i].sum(), values[2 + i].sum())
+            assert got.r_sum.tobytes() == (values[i] + values[2 + i]).tobytes()
+            assert got.fd_count == np.count_nonzero(values[i] > 1.0)
+
+    def test_threads_that_switch_often_give_the_same_stats(self):
+        # More workers than cores, a short switch interval and 65 blocks whose
+        # edges split leaves: a lost update to the shared node sums, leaf
+        # buffers or FD counts would move a sum or leave a leaf unfinished.
+        runs, n = [(SystemConfig(1.0, 1.0, 1e-9, 0.03, 1e-8, 2, 2), ["a1", "a2"])], 64 * BLOCK_SIZE + 1001
+        (serial,) = sim._run_stats(runs, n, seed=95)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert sim._run_stats(runs, n, seed=95, workers=8) == [serial]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_siblings_handed_in_together_are_added_up(self):
+        # Two threads hand in the two 128-trial halves of a 256-trial tree at
+        # once, and each yields while it looks for the other's half: the lock
+        # must keep both from missing it, or the root is never formed.
+        class Yielding(dict):
+            def __contains__(self, node):
+                found = super().__contains__(node)
+                time.sleep(0.01)
+                return found
+
+        values = _wide_rates(256, 7)
+        schedulers = [Scheduler.A1, Scheduler.A2]
+        sink = sim._Reduce(schedulers, 256)
+        sink.sums = Yielding()
+        threads = [threading.Thread(target=sink.take, args=(lo, {
+            s: {"r_ul": values[i, lo:lo + 128], "r_dl": values[2 + i, lo:lo + 128],
+                "fd": values[i, lo:lo + 128] > 1.0} for i, s in enumerate(schedulers)}))
+            for lo in (0, 128)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert list(sink.sums) == [1]
+        assert sink.sums[1].tolist() == [row.sum() for row in values]
+
+    def test_the_data_tells_summation_orders_apart(self):
+        # The sums above would catch a numpy that added in another order:
+        # left to right, or with the first element split off as a reduction
+        # seeded with it does.  Below 8 elements numpy adds left to right.
+        rows = [row for n in _TREE_LENGTHS if n > 8 for row in _wide_rates(n, n)]
+        split_first = sum(row[0] + row[1:].sum() != row.sum() for row in rows)
+        in_order = sum(np.cumsum(row)[-1] != row.sum() for row in rows)
+        assert split_first >= len(rows) // 4 and in_order >= len(rows) // 2
+
+    def test_tree_splits_as_numpy_does(self):
+        assert [sim._halve(n) for n in (129, 136, 255, 256, 4097, 100_003)] == [
+            64, 64, 120, 128, 2048, 50000]
+        whole, parts = sim._cover(100, 4196, 8192)  # a 4096-row chunk off the leaves' grid
+        assert all(_node_range(8192, node) == (start, length) for node, start, length in whole + parts)
+        assert [start for _, start, _ in parts] == [0, 4096]
+        assert sum(length for *_, length in whole) == 4096 - 128
+
+    def test_reducing_run_keeps_8_bytes_a_trial_and_scheduler(self):
+        # fig4's eight schedulers at K = 2, 20 dB, 2**17 trials: storing r_ul,
+        # r_dl and fd (17 B a trial and scheduler) peaked at 19.9 MB traced;
+        # the sum rates alone take 8.4 MB, plus one std temporary and a chunk.
+        config = config_from_db(24.0, 23.0, 20.0, k_u=2, k_d=2)
+        schedulers = ["a1", "a2", "a3", "a1-opa", "a2-opa", "a3-opa", "es-fdhd", "hd-tdd"]
+        tracemalloc.start()
+        try:
+            sim._run_stats([(config, schedulers)], 2 ** 17, seed=91)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6
+
+    def test_aggregate_runs_once_per_run_and_scheduler(self, monkeypatch):
+        calls = []
+        real = sim._aggregate
+        monkeypatch.setattr(sim, "_aggregate", lambda reduced: calls.append(1) or real(reduced))
+        run_sweep({"k_u": 3, "k_d": 3}, "p0_dbm", (20.0, 24.0), ["a1", "es-fdhd", "hd-tdd"], 500, seed=92)
+        assert len(calls) == 6
+        run_coupled(CFG, [Scheduler.A2_OPA, Scheduler.ES_FDHD], 500, seed=93)
+        assert len(calls) == 8
+        sim._run_stats([(CFG, ["a1"]), (CFG, ["a1", "a2"])], 500, seed=94)
+        assert len(calls) == 11
 
 
 class TestInputChecks:
