@@ -29,6 +29,11 @@ sum of non-negative terms,
 
     S = sum_k C(K,k) q^k (1 - q)^{K-k} (1 - prod_{j<=k} j r / (1 + j r)).
 
+Its cost grows linearly with K.  Both A1 DL laws, this one and the CDF
+below, are evaluated in blocks of rows of x, each block's (rows, K)
+temporaries holding about 2^13 floats, so their memory is one block at any
+K and the values are those of one call on all of x.
+
 Both integrands, S_ul + S_dl for the reroute and 2 - F_ul - F_dl for
 :func:`avg_rate_integral`, go through one rule over t = ln(1 + x) on
 [0, T], T the first of 8, 16, ..., 512 where the integrand is exactly 0
@@ -65,6 +70,7 @@ _MAX_PANELS = 500         # most Gauss-Kronrod panels of a rate integral
 _CUTOFFS = 2.0 ** np.arange(3.0, 10.0)  # t = ln(1 + x) cut-off candidates 8, 16, ..., 512
 _TINY = np.finfo(float).tiny
 _LOG_FLOOR = -700.0       # A1 binomial weights below e^-700 count as 0
+_A1_BLOCK = 2 ** 13       # floats (64 KiB) in each (rows, k_d) temporary of the A1 DL laws
 
 
 @dataclass(frozen=True)
@@ -164,24 +170,44 @@ def _sf_dl_a2(x, params):
 @lru_cache(maxsize=64)
 def _a1_terms(k_d):
     """Read-only arrays of k, k_d - k and log C(k_d, k) for k = 1..k_d, each
-    log that of the exact integer: the terms of the A1 DL sums."""
+    log that of the exact integer: the terms of the A1 DL sums.  The
+    integers are built for k <= k_d / 2 only and their logs mirrored, since
+    C(k_d, k) = C(k_d, k_d - k)."""
     log_comb, binom = [], 1
-    for k in range(1, k_d + 1):
+    for k in range(1, k_d // 2 + 1):
         binom = binom * (k_d - k + 1) // k
         log_comb.append(log(binom))
+    log_comb += log_comb[:(k_d - 1) // 2][::-1] + [0.0]
     k = np.arange(1.0, k_d + 1.0)
     terms = np.array([k, k_d - k, log_comb])
     terms.setflags(write=False)
     return terms
 
 
-def _sf_dl_a1(x, params):
-    """Survival function of the A1 DL SINR (gain-max over k_d, blind to the
-    interference it will suffer) on an array of x >= 0: the finite sum of
-    non-negative terms in the module docstring, with each binomial weight
-    and each 1 - prod_{j<=k} j r / (1 + j r) taken from logarithms."""
+def _by_row_blocks(law, x, params):
+    """``law(x, params)`` for an A1 DL law that works on x[..., None]
+    against the k_d terms, evaluated on the flattened x in blocks of rows
+    whose (rows, k_d) temporaries hold about ``_A1_BLOCK`` floats each (one
+    row when k_d is larger), and written back in x's shape.  Memory is thus
+    one block at any k_d, and each temporary stays in cache and, at 64 KiB,
+    under glibc's first 128 KiB mmap threshold: larger blocks had a fresh
+    process fault their pages in again on most calls.  Each row's cumsum,
+    sum and exp stand alone, so the values are bit for bit those of one
+    call on all of x, which is what an x of at most one block gets."""
+    rows = max(1, _A1_BLOCK // params.k_d)
+    if x.size <= rows:
+        return law(x, params)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, rows):
+        out[start:start + rows] = law(flat[start:start + rows], params)
+    return out.reshape(x.shape)
+
+
+def _sf_dl_a1_rows(x, params):
+    """:func:`_sf_dl_a1` in one call on all of x."""
     k, k_rest, log_comb = _a1_terms(params.k_d)
-    x = np.asarray(x, dtype=float)[..., None]
+    x = x[..., None]
     c = params.sigmaD_sq / params.p0_max * x
     with np.errstate(divide="ignore"):
         log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
@@ -190,11 +216,34 @@ def _sf_dl_a1(x, params):
     return np.minimum(-(w * np.expm1(-neg_log_prod)).sum(axis=-1), 1.0)
 
 
+def _sf_dl_a1(x, params):
+    """Survival function of the A1 DL SINR (gain-max over k_d, blind to the
+    interference it will suffer) on an array of x >= 0: the finite sum of
+    non-negative terms in the module docstring, with each binomial weight
+    and each 1 - prod_{j<=k} j r / (1 + j r) taken from logarithms.  Its
+    cost grows linearly with k_d; its memory is one row block
+    (:func:`_by_row_blocks`)."""
+    return _by_row_blocks(_sf_dl_a1_rows, np.asarray(x, dtype=float), params)
+
+
 def cdf_sinr_ul(x, params):
     """CDF of the UL SINR when the UL user is the gain-max over k_u
     candidates (the same law under A1 and A2): (1 - e^{-a x})^{k_u}, for a
     scalar or elementwise on an array of x >= 0."""
     return _best_of_cdf(_ul_tail(_checked(x), params), params.k_u)
+
+
+def _cdf_dl_a1_rows(x, params):
+    """:func:`cdf_sinr_dl_a1` in one call on all of x, already checked."""
+    x = x[..., None]
+    k, k_rest, log_comb = _a1_terms(params.k_d)
+    c = params.sigmaD_sq / params.p0_max * x
+    with np.errstate(divide="ignore"):
+        log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
+        log_prod = -np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
+    f = (_exp_floored(params.k_d * log_p[..., 0])
+         + _exp_floored(log_comb - k * c + k_rest * log_p + log_prod).sum(axis=-1))
+    return np.minimum(f, 1.0)
 
 
 def cdf_sinr_dl_a1(x, params):
@@ -208,17 +257,10 @@ def cdf_sinr_dl_a1(x, params):
 
         F = sum_{k=0}^{k_d} C(k_d,k) q^k (1 - q)^{k_d-k} prod_{j<=k} j r / (1 + j r),
 
-    each taken from logarithms.
+    each taken from logarithms.  Its cost grows linearly with k_d; its
+    memory is one row block (:func:`_by_row_blocks`).
     """
-    x = _checked(x)[..., None]
-    k, k_rest, log_comb = _a1_terms(params.k_d)
-    c = params.sigmaD_sq / params.p0_max * x
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.maximum(-np.expm1(-c), _TINY))
-        log_prod = -np.cumsum(np.log1p(params.p0_max / (params.pu_max * x) / k), axis=-1)
-    f = (_exp_floored(params.k_d * log_p[..., 0])
-         + _exp_floored(log_comb - k * c + k_rest * log_p + log_prod).sum(axis=-1))
-    return np.minimum(f, 1.0)
+    return _by_row_blocks(_cdf_dl_a1_rows, _checked(x), params)
 
 
 def cdf_sinr_dl_a2(x, params):

@@ -4,6 +4,7 @@ re-evaluation; CDF laws; the large-system approximation."""
 import json
 import math
 import re
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -185,6 +186,81 @@ class TestSurvivalLaws:
 
         for x in (0.5, 2.0, 8.0, 1e4):
             assert _sf_dl_a1(x, p) == pytest.approx(ref(x), rel=1e-12)
+
+
+class TestA1RowBlocks:
+    """The A1 DL laws' binomial terms, and their row blocks of about
+    ``_A1_BLOCK`` floats, with the values of one call on all of x."""
+
+    KERNELS = [(_sf_dl_a1, analysis._sf_dl_a1_rows), (cdf_sinr_dl_a1, analysis._cdf_dl_a1_rows)]
+
+    @pytest.mark.parametrize("k_d", [1, 2, 3, 4, 5, 10, 11, 64, 1000, 1001])
+    def test_binomial_logs_are_those_of_the_exact_integers(self, k_d):
+        k, k_rest, log_comb = analysis._a1_terms(k_d)
+        assert k.tolist() == list(range(1, k_d + 1))
+        assert k_rest.tolist() == [k_d - j for j in range(1, k_d + 1)]
+        assert log_comb.tolist() == [math.log(comb(k_d, j)) for j in range(1, k_d + 1)]
+
+    @staticmethod
+    def _blocked_and_one_call(monkeypatch, x, k_d, block):
+        """Each law on x with ``_A1_BLOCK`` = block against its one-call
+        kernel, and the sizes of the kernel calls the law made."""
+        monkeypatch.setattr(analysis, "_A1_BLOCK", block)
+        params = preset_params(k_d)
+        for law, kernel in TestA1RowBlocks.KERNELS:
+            sizes = []
+
+            def spy(rows, p, kernel=kernel):
+                sizes.append(rows.size)
+                return kernel(rows, p)
+
+            monkeypatch.setattr(analysis, kernel.__name__, spy)
+            blocked = law(x, params)
+            monkeypatch.setattr(analysis, kernel.__name__, kernel)
+            yield blocked, kernel(np.asarray(x, dtype=float), params), sizes
+
+    @pytest.mark.parametrize("n", [7, 8, 9, 25])
+    def test_block_edges(self, monkeypatch, n):
+        # k_d = 5 and 40-float blocks: 8 rows a block.
+        x = np.concatenate([[0.0], np.logspace(-12.0, 13.0, n - 1)])
+        for blocked, whole, sizes in self._blocked_and_one_call(monkeypatch, x, 5, 40):
+            assert blocked.shape == x.shape and np.array_equal(blocked, whole)
+            assert sizes == ([n] if n <= 8 else [8] * (n // 8) + [n % 8] * (n % 8 > 0))
+
+    def test_panel_nodes_keep_their_shape(self, monkeypatch):
+        x = np.expm1(np.linspace(0.0, 40.0, 4 * 15)).reshape(4, 15)
+        for blocked, whole, sizes in self._blocked_and_one_call(monkeypatch, x, 5, 40):
+            assert blocked.shape == (4, 15) and np.array_equal(blocked, whole)
+            assert sizes == [8] * 7 + [4]
+
+    def test_scalar_is_one_call(self, monkeypatch):
+        for blocked, whole, sizes in self._blocked_and_one_call(monkeypatch, 3.0, 5, 40):
+            assert np.shape(blocked) == () and blocked == whole
+            assert sizes == [1]
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 15)])
+    def test_a_row_larger_than_a_block_is_a_block(self, monkeypatch, shape):
+        x = np.expm1(np.linspace(0.0, 40.0, math.prod(shape))).reshape(shape)
+        for blocked, whole, sizes in self._blocked_and_one_call(monkeypatch, x, 64, 40):
+            assert np.shape(blocked) == shape and np.array_equal(blocked, whole)
+            assert sizes == [1] * x.size
+
+    def test_large_k_memory_is_one_block(self):
+        # tracemalloc sees numpy's buffers.  One call on a rule round's
+        # nodes would make (nodes, 10^4) temporaries of up to 20 MB each.
+        params = preset_params(10_000)
+        analysis._a1_terms(params.k_d)  # cached: not counted
+        peaks = []
+        tracemalloc.start()
+        try:
+            avg_rate_a1(params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            avg_rate_integral(lambda x: cdf_sinr_ul(x, params), lambda x: cdf_sinr_dl_a1(x, params))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 4e6, peaks
 
 
 class TestRateRule:
