@@ -18,6 +18,7 @@ error, 3 internal numerical failure.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -134,6 +135,15 @@ def _write_manifest(out_path, command, resolved):
     return path
 
 
+def _emit(args, command, rows, header, settings):
+    """Write ``rows`` to ``--out`` (default ``<command>.<format>``) and its manifest."""
+    out = args.out or f"{command}.{settings['format']}"
+    _write_rows(out, rows, header, settings["format"])
+    _write_manifest(out, command, settings)
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
+
+
 def _load_config_file(path):
     try:
         data = json.loads(Path(path).read_text())
@@ -196,21 +206,9 @@ def cmd_simulate(args):
                            settings["workers"])
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
-    rows = [{
-        "value": float(point.value),
-        "scheduler": point.scheduler.value,
-        "mean_sum_rate": point.stats.mean_sum_rate,
-        "mean_ul_rate": point.stats.mean_ul_rate,
-        "mean_dl_rate": point.stats.mean_dl_rate,
-        "std_error": point.stats.std_error,
-        "fd_fraction": point.stats.fd_fraction,
-        "n_trials": point.stats.n_trials,
-    } for point in points]
-    out = args.out or f"simulate.{settings['format']}"
-    _write_rows(out, rows, header, settings["format"])
-    _write_manifest(out, "simulate", settings)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    rows = [{"value": float(point.value), "scheduler": point.scheduler.value,
+             **dataclasses.asdict(point.stats)} for point in points]
+    return _emit(args, "simulate", rows, header, settings)
 
 
 def cmd_analyze(args):
@@ -258,11 +256,7 @@ def cmd_analyze(args):
     if asym is not None:
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)
 
-    out = args.out or f"analyze.{settings['format']}"
-    _write_rows(out, rows, header, settings["format"])
-    _write_manifest(out, "analyze", settings)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _emit(args, "analyze", rows, header, settings)
 
 
 def cmd_validate(args):

@@ -12,13 +12,13 @@ while memory stays bounded at any user count.  Drawing stops at the last
 row a run uses, so a short last block draws only the cross gains it uses.
 
 Each chunk's per-trial results go to a sink as they arrive.  Where only
-aggregates are returned (:func:`run_trials`, :func:`run_sweep`, and so
-``simulate`` and ``validate``), the sink reduces them at once and keeps 8
-bytes a trial and scheduler: the per-trial sum rate, which the two-pass
-standard deviation reads.  The mean rates are summed node by node over
-numpy's own pairwise-summation tree, so they are the bits of ``ndarray.sum``
-over the whole per-trial arrays, at any worker count.  Per-trial arrays are
-kept only where they are returned (:func:`run_coupled`).
+aggregates are returned (:func:`run_trials`, :func:`run_sweep`), the sink
+reduces them at once and keeps 8 bytes a trial and scheduler: the
+per-trial sum rate, which the two-pass standard deviation reads.  The mean
+rates are summed node by node over numpy's own pairwise-summation tree, so
+they are the bits of ``ndarray.sum`` over the whole per-trial arrays, at any
+worker count.  :func:`run_coupled`, the one function that returns per-trial
+arrays, stores them and takes its stats from ``ndarray.sum`` of them.
 
 The engine takes runs, each a config and its schedulers, whose configs
 share their user counts, the only settings a draw reads: each block is
@@ -191,18 +191,16 @@ def _cover(lo, hi, n_trials):
 
 
 class _Store:
-    """Sink that keeps each scheduler's per-trial arrays (only ``keys``, when
-    given), every chunk's rows at its offset."""
+    """Sink that keeps each scheduler's per-trial arrays, every chunk's rows
+    at its offset."""
 
-    def __init__(self, n_trials, keys=None):
-        self.n_trials, self.keys = n_trials, keys
+    def __init__(self, n_trials):
+        self.n_trials = n_trials
         self.arrays = {}
         self.lock = threading.Lock()
 
     def take(self, lo, chunk):
         for s, block in chunk.items():
-            if self.keys is not None:
-                block = {k: block[k] for k in self.keys}
             with self.lock:  # the first chunk to finish allocates the outputs
                 dest = self.arrays.get(s)
                 if dest is None:
@@ -275,12 +273,12 @@ class _Reduce:
         return _Reduced(total[i], total[len(self.schedulers) + i], self.r_sum[i], int(self.fd[i]))
 
 
-def _run_arrays(runs, n_trials, seed, workers=1, keys=None, reduce=False):
+def _run_arrays(runs, n_trials, seed, workers=1, reduce=False):
     """Per-trial arrays of ``(config, schedulers)`` runs whose configs share
     (k_u, k_d): one ``{scheduler: {name: array}}`` per run, in the order
-    given (repeated schedulers collapse); ``keys`` limits the arrays kept.
-    With ``reduce=True`` the entries are :class:`_Reduced` instead, and no
-    per-trial array but the sum rate is kept (:class:`_Reduce`).
+    given (repeated schedulers collapse).  With ``reduce=True`` the entries
+    are :class:`_Reduced` instead, and no per-trial array but the sum rate
+    is kept (:class:`_Reduce`).
 
     Each block is drawn once for every run and evaluated a chunk of
     cross-gain rows at a time, in one kernel call per distinct config with
@@ -295,7 +293,7 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None, reduce=False):
     calls = {config: {} for config, _ in runs}  # distinct config -> the schedulers of every run at it
     for config, schedulers in runs:
         calls[config].update(dict.fromkeys(schedulers))
-    sinks = {config: _Reduce(schedulers, n_trials) if reduce else _Store(n_trials, keys)
+    sinks = {config: _Reduce(schedulers, n_trials) if reduce else _Store(n_trials)
              for config, schedulers in calls.items()}
     n_blocks = -(-n_trials // BLOCK_SIZE)
 
@@ -320,14 +318,6 @@ def _run_arrays(runs, n_trials, seed, workers=1, keys=None, reduce=False):
         for j in range(n_blocks):
             one(j)
     return [{s: sinks[config].result(s) for s in schedulers} for config, schedulers in runs]
-
-
-def _reduce_arrays(arrays):
-    """``{scheduler: per-trial arrays}`` through :class:`_Reduce` as one chunk."""
-    n_trials = len(next(iter(arrays.values()))["r_ul"])
-    sink = _Reduce(arrays, n_trials)
-    sink.take(0, arrays)
-    return {s: sink.result(s) for s in arrays}
 
 
 def _aggregate(reduced):
@@ -375,16 +365,18 @@ def run_coupled(config, schedulers, n_trials, seed, workers=1):
 
     Each block is drawn once and evaluated by every scheduler, so the
     comparison is coupled by construction.  The per-realization chain is
-    asserted: ES-FDHD dominates ES-FD and every OPA-enhanced selector, and
-    each OPA-enhanced selector dominates both single-link HD corner rates
-    of its scheduled pair.  Returns ({scheduler: TrialStats},
-    {scheduler: per-trial arrays}).
+    asserted (a RuntimeError lists its violations): ES-FDHD dominates ES-FD
+    and every OPA-enhanced selector, and each OPA-enhanced selector both
+    single-link HD corner rates of its pair.  Returns ({scheduler: TrialStats},
+    {scheduler: per-trial arrays}), the stats by numpy's sums of the arrays.
     """
     (arrays,) = _run_arrays([(config, schedulers)], n_trials, seed, workers)
     violations = dominance_violations(arrays)
     if violations:
         raise RuntimeError("per-realization dominance violated: " + "; ".join(violations))
-    stats = {s: _aggregate(r) for s, r in _reduce_arrays(arrays).items()}
+    stats = {s: _aggregate(_Reduced(a["r_ul"].sum(), a["r_dl"].sum(), a["r_ul"] + a["r_dl"],
+                                    np.count_nonzero(a["fd"])))
+             for s, a in arrays.items()}
     return stats, arrays
 
 

@@ -216,10 +216,10 @@ def crit_dominance_chain(quick=False):
         Scheduler.ES_FDHD, Scheduler.ES_FD,
         Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA,
     ]
-    (arrays,) = sim._run_arrays([(config, schedulers)], n, seed=77)
-    violations = sim.dominance_violations(arrays)
-    if violations:
-        return False, "; ".join(violations)
+    try:
+        _, arrays = sim.run_coupled(config, schedulers, n, seed=77)
+    except RuntimeError as exc:  # the engine's own check of the chain
+        return False, str(exc)
     top = arrays[Scheduler.ES_FDHD]["r_ul"] + arrays[Scheduler.ES_FDHD]["r_dl"]
     es = arrays[Scheduler.ES_FD]["r_ul"] + arrays[Scheduler.ES_FD]["r_dl"]
     margin = float(np.min(top - es))
@@ -242,9 +242,8 @@ def crit_cdf_laws(quick=False):
     n = 30_000 if quick else 100_000
     params = AnalyticalParams(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
     checks = []
-    keys = ("gamma_ul", "gamma_dl")
-    a1 = sim._run_arrays([(params, [Scheduler.A1])], n, seed=31, keys=keys)[0][Scheduler.A1]
-    a2 = sim._run_arrays([(params, [Scheduler.A2])], n, seed=32, keys=keys)[0][Scheduler.A2]
+    a1 = sim.run_coupled(params, [Scheduler.A1], n, seed=31)[1][Scheduler.A1]
+    a2 = sim.run_coupled(params, [Scheduler.A2], n, seed=32)[1][Scheduler.A2]
     checks.append(("ul sinr (a1 run)", _sup_distance(a1["gamma_ul"], analysis._sf_ul, params)))
     checks.append(("ul sinr (a2 run)", _sup_distance(a2["gamma_ul"], analysis._sf_ul, params)))
     checks.append(("dl sinr under a1", _sup_distance(a1["gamma_dl"], analysis._sf_dl_a1, params)))

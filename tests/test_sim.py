@@ -572,12 +572,11 @@ class TestStreamedReduction:
             monkeypatch.setattr(sim, "CHUNK_BYTES", rows * 8 * 3 * 4)
             assert sim._chunk_rows(config) == rows
         for workers in (1, 4):
-            (stored,) = sim._run_arrays([(config, list(Scheduler))], n, seed=90, workers=workers)
+            coupled, stored = run_coupled(config, list(Scheduler), n, seed=90, workers=workers)
             (streamed,) = sim._run_stats([(config, list(Scheduler))], n, seed=90, workers=workers)
-            reduced = sim._reduce_arrays(stored)
             for s in Scheduler:
                 assert streamed[s] == _stored_stats(stored[s]), (s, workers)
-                assert sim._aggregate(reduced[s]) == streamed[s], (s, workers)
+                assert coupled[s] == streamed[s], (s, workers)
 
     @pytest.mark.parametrize("n", _TREE_LENGTHS)
     def test_tree_sums_equal_ndarray_sum(self, n):
@@ -811,10 +810,9 @@ class TestCoupling:
             run_coupled(CFG, [Scheduler.ES_FDHD], 100, seed=1)
 
     def test_sinr_samples_shape_and_sign(self):
-        keys = ("gamma_ul", "gamma_dl")
-        (run,) = sim._run_arrays([(CFG, [Scheduler.A1])], 5_000, seed=35, keys=keys)
-        assert tuple(run[Scheduler.A1]) == keys
-        for gamma in run[Scheduler.A1].values():
+        _, arrays = run_coupled(CFG, [Scheduler.A1], 5_000, seed=35)
+        for key in ("gamma_ul", "gamma_dl"):
+            gamma = arrays[Scheduler.A1][key]
             assert gamma.shape == (5_000,) and np.all(gamma >= 0)
 
 
