@@ -50,6 +50,7 @@ _SIM_DEFAULTS = {
 }
 
 _ALGS = ("a1", "a2")
+_FORMATS = ("csv", "json")
 
 _ANALYZE_DEFAULTS = {**RADIO_DEFAULTS, "format": "csv", "algs": [], "asymptotic": False}
 
@@ -179,6 +180,8 @@ def _resolve(args, defaults):
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if settings["format"] not in _FORMATS:
+        raise FlagError(f"format must be one of {list(_FORMATS)}, got {settings['format']!r}")
     return settings
 
 
@@ -214,9 +217,11 @@ def cmd_simulate(args):
 def cmd_analyze(args):
     settings = _resolve(args, _ANALYZE_DEFAULTS)
     algs = settings["algs"]
+    if not isinstance(settings["asymptotic"], bool):
+        raise FlagError(f"asymptotic must be true or false, got {settings['asymptotic']!r}")
     if not algs and not settings["asymptotic"]:
         raise FlagError("nothing to analyze: pass --alg a1 / --alg a2 and/or --asymptotic")
-    if not set(algs) <= set(_ALGS):
+    if not isinstance(algs, list) or not all(alg in _ALGS for alg in algs):
         raise FlagError(f"algs must be taken from {list(_ALGS)}, got {algs!r}")
     if args.k is not None:
         if args.k_u is not None or args.k_d is not None:
@@ -279,7 +284,7 @@ def _add_common_radio_flags(p, with_scale):
                    help=f"noise bandwidth in Hz (default {RADIO_DEFAULTS['bandwidth_hz']:g})")
     p.add_argument("--kd", dest="k_d", type=int, help="number of DL candidate terminals")
     p.add_argument("--ku", dest="k_u", type=int, help="number of UL candidate terminals")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
+    p.add_argument("--format", choices=_FORMATS, help="output format (default csv)")
     p.add_argument("--out", help="output path (manifest written alongside)")
     p.add_argument("--config", help="JSON settings file (or a previous manifest); flags override it")
 
@@ -313,7 +318,7 @@ def build_parser():
     p_an.set_defaults(func=cmd_analyze)
 
     p_val = sub.add_parser("validate", help="run the acceptance criteria")
-    p_val.add_argument("--quick", action="store_true", help="reduced-size suite (about 3 s)")
+    p_val.add_argument("--quick", action="store_true", help="reduced-size suite (about 1 s)")
     p_val.add_argument("--only", action="append",
                        choices=[name for name, _ in validate.CRITERIA],
                        help="run a subset of criteria (repeatable)")

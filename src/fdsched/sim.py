@@ -35,7 +35,9 @@ plain-Python brute-force enumeration of every pair and power corner.
 
 import functools
 import math
+import numbers
 import threading
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -74,7 +76,9 @@ class SweepPoint(NamedTuple):
 
 
 def _as_float(name, value):
-    """``float(value)``, or a ValueError naming ``name`` for an integer past a float's range."""
+    """``float(value)`` of a real number that is not a bool, or a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -87,15 +91,16 @@ def resolve_config(base_config, swept_parameter=None, value=None):
 
     ``k_users`` sets k_u = k_d together.  When ``pu_dbm_scale`` is set, the
     UL power follows pu_dbm = pu_dbm_scale * p0_dbm (a dBm-domain rule) and
-    any explicit pu_dbm is ignored.  A setting too large for a float raises
-    a ValueError that names it.
+    any explicit pu_dbm is ignored.  A setting that is not a number (a
+    bool included), or is too large for a float, raises a ValueError that
+    names it.
     """
     unknown = set(base_config) - set(BASE_CONFIG_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown base_config keys: {sorted(unknown)}")
     settings = {**BASE_CONFIG_DEFAULTS, **base_config}
-    for key, setting in settings.items():  # all floats but the user counts: convert where an overflow has a name
-        if isinstance(setting, int) and key not in ("k_u", "k_d"):
+    for key, setting in settings.items():  # all floats but the user counts and an unset scale
+        if key not in ("k_u", "k_d") and not (key == "pu_dbm_scale" and setting is None):
             settings[key] = _as_float(key, setting)
     if swept_parameter is not None:
         if swept_parameter == "k_users":
@@ -142,6 +147,8 @@ def _schedulers(schedulers):
     if isinstance(schedulers, str):  # a bare name would be read letter by letter
         name = getattr(schedulers, "value", schedulers)
         raise ValueError(f"schedulers must be a sequence, e.g. [{name!r}], not the bare name {name!r}")
+    if not isinstance(schedulers, Iterable):
+        raise ValueError(f"schedulers must be a sequence of names, got {schedulers!r}")
     schedulers = [Scheduler(s) for s in schedulers]
     if not schedulers:
         raise ValueError("at least one scheduler is required")
@@ -423,15 +430,17 @@ def run_sweep(base_config, swept_parameter, values, schedulers, n_trials, seed, 
     if swept_parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"swept_parameter must be one of {SWEEPABLE_PARAMETERS}, "
                          f"got {swept_parameter!r}")
+    if not isinstance(values, Iterable):
+        raise ValueError(f"values must be a sequence, got {values!r}")
     values = tuple(values)
     if not values:
         raise ValueError("values must be non-empty")
+    schedulers = _schedulers(schedulers)
+    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
+    configs = [resolve_config(base_config, swept_parameter, value) for value in values]  # each a number
     steps = list(zip(values, values[1:]))  # compared, not subtracted: an int past float range would overflow
     if not (all(a < b for a, b in steps) or all(a > b for a, b in steps)):
         raise ValueError("values must be strictly monotone")
-    schedulers = _schedulers(schedulers)
-    n_trials, seed, workers = _run_settings(n_trials, seed, workers)
-    configs = [resolve_config(base_config, swept_parameter, value) for value in values]
     points = [_run_stats([(config, schedulers)], n_trials, derived_trial_seed(seed, i), workers)[0]
               for i, config in enumerate(configs)]
     return [SweepPoint(value, stats[s], s) for s in schedulers for value, stats in zip(values, points)]

@@ -263,6 +263,67 @@ class TestSimulate:
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, settings, message", [
+    ("simulate", {"si_cancellation_db": "80"}, "si_cancellation_db must be a number, got '80'"),
+    ("simulate", {"bandwidth_hz": "1e7"}, "bandwidth_hz must be a number, got '1e7'"),
+    ("simulate", {"p0_dbm": None}, "p0_dbm must be a number, got None"),
+    ("simulate", {"p0_dbm": True}, "p0_dbm must be a number, got True"),
+    ("simulate", {"pu_dbm_scale": "0.95"}, "pu_dbm_scale must be a number, got '0.95'"),
+    ("simulate", {"sweep_parameter": "p0_dbm", "sweep_values": 5}, "values must be a sequence, got 5"),
+    ("simulate", {"sweep_parameter": "p0_dbm", "sweep_values": [1, "a"]},
+     "p0_dbm must be a number, got 'a'"),
+    ("simulate", {"schedulers": 5}, "schedulers must be a sequence of names, got 5"),
+    ("analyze", {"p0_dbm": "24", "algs": ["a1"]}, "p0_dbm must be a number, got '24'"),
+    ("analyze", {"algs": 5}, "algs must be taken from ['a1', 'a2'], got 5"),
+    ("analyze", {"algs": ["a1"], "asymptotic": "false"}, "asymptotic must be true or false"),
+], ids=["si-str", "bandwidth-str", "p0-null", "p0-true", "scale-str", "sweep-values-int",
+        "sweep-value-str", "schedulers-int", "analyze-p0-str", "analyze-algs-int",
+        "analyze-asymptotic-str"])
+def test_mistyped_setting_exits_2(tmp_path, capsys, command, settings, message):
+    # Each of these used to crash with a TypeError, or to run on a wrong value.
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(settings))
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", str(config), "--out", str(out)]
+                   + (["--trials", "10"] if command == "simulate" else [])) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--trials", "10"], ["analyze", "--alg", "a1"]])
+def test_format_from_a_settings_file_is_checked(tmp_path, capsys, monkeypatch, command):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps({"format": "xml"}))
+    monkeypatch.chdir(tmp_path)  # where the default output would go
+    assert run_cli(command + ["--config", str(config)]) == 2
+    assert "format must be one of ['csv', 'json'], got 'xml'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["settings.json"]
+
+
+@pytest.mark.parametrize("content, message", [
+    ([{"trials": 10}], "does not hold a settings object"),
+    ({"trials": 10, "bogus": 1}, "--config: unknown keys ['bogus']"),
+], ids=["list", "unknown-key"])
+def test_settings_file_shape_exits_2(tmp_path, capsys, content, message):
+    config = tmp_path / "settings.json"
+    config.write_text(json.dumps(content))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(params):
+        raise analysis.QuadratureError("forced failure", achieved=1.0)
+
+    monkeypatch.setattr(analysis, "avg_rate_a1", fail)
+    out = tmp_path / "x.csv"
+    assert run_cli(["analyze", "--alg", "a1", "--out", str(out)]) == 3
+    assert "numerical failure: forced failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAnalyze:
     def test_closed_forms_against_oracle_columns(self, tmp_path):
         out = tmp_path / "an.csv"

@@ -809,6 +809,12 @@ class TestCoupling:
         with pytest.raises(RuntimeError, match="injected"):
             run_coupled(CFG, [Scheduler.ES_FDHD], 100, seed=1)
 
+    def test_opa_corner_violation_is_reported(self):
+        ones, zeros = np.ones(3), np.zeros(3)
+        arrays = {Scheduler.A2_OPA: {"r_ul": zeros, "r_dl": ones, "pair_hd_ul": ones + 0.5,
+                                     "pair_hd_dl": ones}}
+        assert dominance_violations(arrays) == ["a2-opa < pair_hd_ul on 3 trials"]
+
     def test_sinr_samples_shape_and_sign(self):
         _, arrays = run_coupled(CFG, [Scheduler.A1], 5_000, seed=35)
         for key in ("gamma_ul", "gamma_dl"):

@@ -83,3 +83,14 @@ def test_binary_opa_draws_the_recorded_realizations():
     assert passed
     assert detail == ("2000 realizations, worst grid excess 3.55e-15 (tol 1e-9), "
                       "1273 fast-path cases all consistent")
+
+
+def test_unknown_criterion_is_refused():
+    with pytest.raises(ValueError, match=r"unknown criteria: \['nope'\]"):
+        validate.run(names=["nope"], echo=None)
+
+
+def test_dominance_chain_reports_the_engine_check(monkeypatch):
+    monkeypatch.setattr(sim, "dominance_violations", lambda arrays: ["injected"])
+    assert validate.crit_dominance_chain(quick=True) == (
+        False, "per-realization dominance violated: injected")
