@@ -3,7 +3,8 @@
 Each case runs the command line and compares the sha256 of its CSV with a
 digest recorded before the engine's last speed changes.  The CSVs hold
 17-digit means, so the scheduling kernel's per-trial arrays get digests of
-their own, recorded before its gathers became flat-index takes.  NEP 19
+their own, recorded before its gathers became flat-index takes, and so do
+the engine's stored arrays over blocks cut into chunks.  NEP 19
 lets numpy's ``Generator`` streams change between numpy versions, so a case
 skips when the numpy version that fixes its bits differs from the one it
 was recorded with.  ``analyze``'s closed-form columns are digested without
@@ -128,3 +129,31 @@ def test_kernel_arrays_are_unchanged(k):
 def test_large_k_kernel_arrays_are_unchanged():
     _skip_other_numpy()
     assert _kernel_digest(64, (80.0, 110.0), 200, 1064) == LARGE_K_DIGEST
+
+
+# sha256 of ``sim.run_coupled``'s per-trial arrays on two blocks and 7 rows
+# of a third, at k_u = k_d = K and 20, 50, 60 and 90 dB of SI cancellation,
+# for ES-FDHD alone and with fig4's schedulers: the engine's chunked path,
+# which the kernel digests above skip.  K = 12 splits a block into chunks
+# of 3640 and 456 rows.  Recorded before ES-FDHD's bound took one min over
+# a chunk's cross gains; the digest is the same on 1 and 2 workers.
+ENGINE_DIGESTS = {
+    8: "f24886c47ea605f9748ada6a5b150f226e20819571259d08bd3ab4ab545fef88",
+    12: "dcb6bc38128f1b207078f3a8409796f192c6a1a4804c5db84460d5ffa1019598",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", ENGINE_DIGESTS)
+def test_engine_arrays_are_unchanged(k, workers):
+    _skip_other_numpy()
+    digest = hashlib.sha256()
+    for si_db in (20.0, 50.0, 60.0, 90.0):
+        config = config_from_db(24.0, 23.0, si_db, k_u=k, k_d=k)
+        for schedulers in ([Scheduler.ES_FDHD], cli._PRESETS["fig4"]["schedulers"]):
+            _, arrays = sim.run_coupled(config, schedulers, 2 * sim.BLOCK_SIZE + 7, 2000 + k, workers)
+            for s, out in arrays.items():
+                for key, values in out.items():
+                    digest.update(f"{s.value}/{key}/{values.dtype.str}".encode())
+                    digest.update(values.tobytes())
+    assert digest.hexdigest() == ENGINE_DIGESTS[k]
