@@ -185,10 +185,32 @@ def _resolve(args, defaults):
     return settings
 
 
+# The flags, by dest, that each sweep parameter sets on every point.
+_SWEPT_FLAGS = {"p0_dbm": {"p0_dbm": "--p0-dbm"},
+                "si_cancellation_db": {"si_cancellation_db": "--si-db"},
+                "k_users": {"k_u": "--ku", "k_d": "--kd"}}
+
+
+def _refuse_overridden_flags(args, settings):
+    """Refuse a command-line flag whose value the sweep or the pu_dbm_scale
+    rule replaces: the run would ignore it and its manifest record it.
+    Values from a preset or a settings file stay allowed, since a manifest
+    holds every key."""
+    # Compared, not looked up: a settings file may hold an unhashable value.
+    flags = next((dests for parameter, dests in _SWEPT_FLAGS.items()
+                  if settings["sweep_parameter"] == parameter), {})
+    for dest, flag in flags.items():
+        if getattr(args, dest) is not None:
+            raise FlagError(f"{flag} has no effect: the sweep over {settings['sweep_parameter']} sets it")
+    if args.pu_dbm is not None and settings["pu_dbm_scale"] is not None:
+        raise FlagError("--pu-dbm has no effect: pu_dbm_scale sets pu_dbm = pu_dbm_scale * p0_dbm")
+
+
 def cmd_simulate(args):
     settings = _resolve(args, _SIM_DEFAULTS)
     if not settings["schedulers"]:
         raise FlagError("no schedulers to run")
+    _refuse_overridden_flags(args, settings)
     if settings["workers"] is None:
         settings["workers"] = os.cpu_count() or 1
     if settings["sweep_parameter"] is None:

@@ -251,6 +251,32 @@ class TestSimulate:
         rows = json.loads(out.read_text())
         assert isinstance(rows, list) and rows[0]["scheduler"] == "a1"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--preset", "fig3", "--si-db", "50"], "--si-db has no effect: the sweep over si_cancellation_db"),
+        (["--preset", "fig2", "--p0-dbm", "5"], "--p0-dbm has no effect: the sweep over p0_dbm"),
+        (["--preset", "fig4", "--ku", "7"], "--ku has no effect: the sweep over k_users"),
+        (["--preset", "fig4", "--kd", "7"], "--kd has no effect: the sweep over k_users"),
+        (["--preset", "fig2", "--pu-dbm", "10"], "--pu-dbm has no effect: pu_dbm_scale sets pu_dbm"),
+        (["--pu-dbm-scale", "0.9", "--pu-dbm", "10"], "--pu-dbm has no effect: pu_dbm_scale sets pu_dbm"),
+    ], ids=["fig3-si", "fig2-p0", "fig4-ku", "fig4-kd", "fig2-pu", "scale-pu"])
+    def test_flag_the_run_overrides_exits_2(self, tmp_path, capsys, flags, message):
+        # Each used to run the plain preset and record the unused value.
+        out = tmp_path / "x.csv"
+        assert run_cli(["simulate", *flags, "--trials", "10", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overridden_values_from_a_settings_file_still_load(self, tmp_path):
+        # A manifest holds every key, so a file may set what the sweep replaces;
+        # a DL power flag without a sweep is the one-point sweep's value.
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({"si_cancellation_db": 50.0, "pu_dbm": 10.0}))
+        for flags in (["--preset", "fig3", "--config", str(config)],
+                      ["--preset", "fig2", "--config", str(config)], ["--p0-dbm", "5"]):
+            assert run_cli(["simulate", *flags, "--trials", "10", "--workers", "1",
+                            "--out", str(tmp_path / "x.csv")]) == 0
+        assert [row["value"] for row in read_csv(tmp_path / "x.csv")] == ["5"]
+
     def test_bad_flag_value_exits_2(self, tmp_path, capsys):
         rc = run_cli(["simulate", "--scheduler", "a1", "--trials", "0",
                       "--out", str(tmp_path / "x.csv")])
