@@ -32,7 +32,9 @@ from there it holds a tile of at most ``_TILE_PAIRS`` pairs (512 KB).
 ES-FDHD without ES-FD skips the search on a batch where FD can win no
 snapshot: where each snapshot's bound on the FD sum, u*'s UL rate plus d*'s
 DL rate under the least cross gain, is below its best single link by a 1e-9
-margin.
+margin.  The first 16 snapshots take their own least cross gain; the rest
+take the least of them all, one flat min, and their own only where that
+looser bound reaches a best single link.
 The scalar ``select_*`` functions and :mod:`fdsched.power` are
 batch-of-one views of the same code, and return a :class:`Schedule`.
 """
@@ -341,42 +343,48 @@ class _Batch:
                                         self.fd_ul if ul is self.best[0] else None)
         return self.pairs[rule]
 
+    @cached_property
     def fd_may_win(self):
         """Whether FD may win ES-FDHD's corner on some row: whether a row's
         bound on every pair's sum rate, u*'s UL rate plus d*'s DL rate under
         the row's least cross gain, reaches its best single link.  The bound
         is exact up to log1p's few-ulp error, which the 1e-9 margin covers.
-        The first 16 rows are bounded before the rest, so a batch where FD
-        may win is told before a pass over all its cross gains."""
+        The first 16 rows are bounded first, so a batch where FD may win is
+        told before a pass over all its cross gains.  The rest are bounded
+        under the least cross gain of them all, one flat min: the DL SINR
+        falls as the cross gain grows and every rounded step is monotone, so
+        that bound is at least each row's own, and if it is below every
+        row's best single link FD can win no row.  Only where it is not
+        does each row take its own least cross gain."""
         config, g_dl, hd = self.config, self.star[1], np.maximum(*self.hd)
         _, k_d, k_u = self.g_x.shape
-        for rows in (slice(0, 16), slice(16, None)):
-            least = _row_min(self.g_x[rows].reshape(-1, k_d * k_u))
+
+        def below(rows, least):  # whether no row's bound under cross gain `least` reaches its best link
             bound = self.fd_ul[1][rows] + log2_1p(sinr(config.p0_max, g_dl[rows], config.pu_max, least,
                                                        config.sigmaD_sq))
-            if not np.all(bound * (1.0 + 1e-9) < hd[rows]):  # a NaN bound may win
-                return True
-        return False
+            return np.all(bound * (1.0 + 1e-9) < hd[rows])  # a NaN bound may win
 
-    def searched(self):
-        """The exhaustive search's ``_Pair`` for ES-FDHD.  Unless ES-FD is
-        evaluated too, it is skipped if FD can win no row: each row then gets
-        sum rate -inf and goes to the HD corner it would take after a search."""
-        require_positive_powers(self.config)
-        if Scheduler.ES_FD in self.schedulers or self.fd_may_win():
-            return self.pair(Scheduler.ES_FD)
-        n = len(self.g_ul)
-        users, rates = np.zeros(n, np.intp), np.zeros(n)  # read by no HD row
-        return _Pair(users, users, None, None, (rates, rates), np.full(n, -np.inf))
+        head, rest = slice(0, 16), slice(16, None)
+        if not below(head, _row_min(self.g_x[head].reshape(-1, k_d * k_u))):
+            return True
+        if below(rest, self.g_x[rest].min(initial=np.inf)):  # inf past a short batch's head
+            return False
+        return not below(rest, _row_min(self.g_x[rest].reshape(-1, k_d * k_u)))
 
     def corner(self, scheduler):
         """``(pair, fd, on_ul, extras)`` of an OPA rule or ES-FDHD: its base pair,
         its FD and HD-UL row masks, and the OPA rules' extra arrays.  A pair
         link whose user is the gain-max one takes its single-link rate from
-        :attr:`hd`: both links for A1, UL for A2, DL for A3."""
+        :attr:`hd`: both links for A1, UL for A2, DL for A3.  Unless ES-FD is
+        evaluated too, ES-FDHD searches no pair where FD can win no row
+        (:attr:`fd_may_win`): its pair is then None, and every row takes the
+        gain-max users' better single link, as it would after a search."""
         if scheduler is Scheduler.ES_FDHD:
-            pair = self.searched()
-            return (pair, *_corner(pair.r_fd, *self.hd), {})
+            require_positive_powers(self.config)
+            if Scheduler.ES_FD in self.schedulers or self.fd_may_win:
+                pair = self.pair(Scheduler.ES_FD)
+                return (pair, *_corner(pair.r_fd, *self.hd), {})
+            return None, np.zeros(len(self.g_ul), dtype=bool), self.hd[0] >= self.hd[1], {}
         pair = self.pair(OPA_BASE[scheduler])
         fast, fd, on_ul, hd_ul, hd_dl = allocate(
             self.config, self.si, pair, self.hd[0] if pair.ul is self.best[0] else None,
@@ -396,8 +404,10 @@ class _Batch:
                     **gamma}
         pair, fd, on_ul, extras = self.corner(scheduler)
         hd_ul, hd_dl = self.hd
-        return {"r_ul": np.where(fd, pair.rates[0], np.where(on_ul, hd_ul, 0.0)),
-                "r_dl": np.where(fd, pair.rates[1], np.where(on_ul, 0.0, hd_dl)), "fd": fd, **extras}
+        r_ul, r_dl = np.where(on_ul, hd_ul, 0.0), np.where(on_ul, 0.0, hd_dl)
+        if pair is not None:
+            r_ul, r_dl = np.where(fd, pair.rates[0], r_ul), np.where(fd, pair.rates[1], r_dl)
+        return {"r_ul": r_ul, "r_dl": r_dl, "fd": fd, **extras}
 
 
 def evaluate(schedulers, config, g_ul, g_dl, g_x):
@@ -449,7 +459,8 @@ def select_es_fdhd(ch, config):
     """Best of the exhaustive FD pairing and the two full-power single-link
     half-duplex corners.  Tie preference: FD, then HD-UL, then HD-DL.  The
     pairs are searched only if an upper bound on their sum rate (see
-    :meth:`_Batch.fd_may_win`) reaches the better single link."""
+    :attr:`_Batch.fd_may_win`) reaches the better single link; else the
+    better single link is the answer, as it would be after a search."""
     return _select(Scheduler.ES_FDHD, ch, config)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -405,7 +406,7 @@ class TestIndexPaths:
             bound = (log2_1p(sinr(config.pu_max, g_ul, config.p0_max, config.si_gain, config.sigma0_sq))
                      + log2_1p(sinr(config.p0_max, g_dl, config.pu_max, gains[2].min(axis=(1, 2)),
                                     config.sigmaD_sq)))
-            assert batch.fd_may_win() == bool(np.any(bound * (1.0 + 1e-9) >= np.maximum(hd_ul, hd_dl)))
+            assert batch.fd_may_win == bool(np.any(bound * (1.0 + 1e-9) >= np.maximum(hd_ul, hd_dl)))
 
 
 class TestTiledSearch:
@@ -446,6 +447,64 @@ class TestBoundedSearch:
         ch = draw_realization(config, np.random.default_rng(72))
         assert select_es_fdhd(ch, config).mode is not DuplexMode.FD
         assert search_rows == []
+
+    def test_weak_si_decides_once_from_the_head_and_one_flat_min(self, monkeypatch, search_rows):
+        # fig4's 20 dB at K = 8: no row can win FD, which the head's 16 rows
+        # and one min over the rest's cross gains settle.
+        config = config_from_db(24.0, 23.0, 20.0, k_u=8, k_d=8)
+        gains = _exponential_block(config, np.random.default_rng(1020), n=4096)
+        rows, decisions = [], []
+        row_min, decide = scheduling._row_min, scheduling._Batch.fd_may_win.func
+
+        def count_rows(a):
+            rows.append(len(a))
+            return row_min(a)
+
+        def count_decisions(batch):
+            decisions.append(len(batch.g_ul))
+            return decide(batch)
+
+        spy = cached_property(count_decisions)
+        spy.__set_name__(scheduling._Batch, "fd_may_win")
+        monkeypatch.setattr(scheduling._Batch, "fd_may_win", spy)
+        monkeypatch.setattr(scheduling, "_row_min", count_rows)
+        monkeypatch.setattr(scheduling, "_best_dl_sinr", lambda *args: pytest.fail("the pairs were searched"))
+        assert not evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]["fd"].any()
+        assert sum(rows) <= 16 and decisions == [4096] and search_rows == []
+        batch = scheduling._Batch(config, config.si_gain, *gains, [Scheduler.ES_FDHD])
+        batch.rows(Scheduler.ES_FDHD)
+        assert batch.corner(Scheduler.ES_FDHD)[0] is None  # no pair: every row is half duplex
+        assert decisions == [4096, 4096]
+
+    # How fd_may_win decides, by the rows it bounds one by one (``_row_min``)
+    # and the rows searched after it.
+    BOUND_PATHS = {
+        "head wins": ((16,), (4096,)),
+        "flat min rules FD out": ((16,), ()),
+        "per-row min rules FD out": ((16, 4080), ()),
+        "a row past the head wins": ((16, 4080), (4096,)),
+    }
+
+    def test_every_bound_path_gives_the_shared_bytes(self, monkeypatch, search_rows):
+        rows, paths = [], set()
+        row_min = scheduling._row_min
+
+        def count_rows(a):
+            rows.append(len(a))
+            return row_min(a)
+
+        monkeypatch.setattr(scheduling, "_row_min", count_rows)
+        for si_db in range(20, 101, 10):
+            config = config_from_db(24.0, 23.0, float(si_db), k_u=8, k_d=8)
+            gains = _exponential_block(config, np.random.default_rng(1000 + si_db), n=4096)
+            rows.clear()
+            search_rows.clear()
+            alone = evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+            paths.add((tuple(rows), tuple(search_rows)))
+            shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+            for key, values in shared.items():
+                assert alone[key].tobytes() == values.tobytes(), (si_db, key)
+        assert paths == set(self.BOUND_PATHS.values())
 
     def test_strong_si_searches_every_row_once(self, search_rows):
         config = config_from_db(24.0, 23.0, 120.0, k_u=5, k_d=5)
