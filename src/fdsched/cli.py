@@ -42,7 +42,7 @@ _SIM_DEFAULTS = {
     **BASE_CONFIG_DEFAULTS,
     "trials": 100_000,
     "seed": 0,
-    "workers": None,  # resolved to the core count
+    "workers": None,  # resolved to the available CPUs
     "format": "csv",
     "sweep_parameter": None,
     "sweep_values": None,
@@ -206,13 +206,21 @@ def _refuse_overridden_flags(args, settings):
         raise FlagError("--pu-dbm has no effect: pu_dbm_scale sets pu_dbm = pu_dbm_scale * p0_dbm")
 
 
+def _available_cpus():
+    """The CPUs this process may run on: its affinity mask where the OS keeps
+    one (``taskset`` narrows it below the machine's count), else the count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_simulate(args):
     settings = _resolve(args, _SIM_DEFAULTS)
     if not settings["schedulers"]:
         raise FlagError("no schedulers to run")
     _refuse_overridden_flags(args, settings)
     if settings["workers"] is None:
-        settings["workers"] = os.cpu_count() or 1
+        settings["workers"] = _available_cpus()
     if settings["sweep_parameter"] is None:
         if settings["sweep_values"] is not None:
             raise FlagError("sweep_values needs a sweep_parameter")
@@ -287,7 +295,10 @@ def cmd_analyze(args):
 
 
 def cmd_validate(args):
-    _, all_passed = validate.run(names=args.only or None, quick=args.quick)
+    workers = _available_cpus() if args.workers is None else args.workers
+    if workers < 1:
+        raise FlagError("--workers must be >= 1")
+    _, all_passed = validate.run(names=args.only or None, quick=args.quick, workers=workers)
     return 0 if all_passed else 1
 
 
@@ -326,7 +337,8 @@ def build_parser():
                        help="scheduler to run (repeatable); presets define their own set")
     p_sim.add_argument("--trials", type=int, help="Monte Carlo trials per sweep point (default 100000)")
     p_sim.add_argument("--seed", type=int, help="master seed (default 0)")
-    p_sim.add_argument("--workers", type=int, help="parallel workers (default: core count)")
+    p_sim.add_argument("--workers", type=int,
+                       help="parallel workers (default: the CPUs this process may run on)")
     _add_common_radio_flags(p_sim, with_scale=True)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -344,6 +356,9 @@ def build_parser():
     p_val.add_argument("--only", action="append",
                        choices=[name for name, _ in validate.CRITERIA],
                        help="run a subset of criteria (repeatable)")
+    p_val.add_argument("--workers", type=int,
+                       help="threads of the Monte Carlo criteria (default: the CPUs this process "
+                            "may run on); no detail string depends on it")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

@@ -1,12 +1,18 @@
 """Desk-scale verification suite behind ``fdsched validate``.
 
-Each criterion is one function returning (passed, detail).  The same
-functions back tests/test_acceptance.py, so the CLI table and the pytest
-suite can never drift apart.  ``quick=True`` shrinks the Monte Carlo sizes
-(statistical tolerances scale with them automatically) so the whole table
-finishes within seconds.  The Theorem 2 and 3 triangles share their Monte
-Carlo draws: whichever triangle criterion runs first carries the Monte
-Carlo time of both.
+Each criterion is one function of ``quick`` and ``workers`` returning
+(passed, detail).  The same functions back tests/test_acceptance.py, so the
+CLI table and the pytest suite can never drift apart.  ``quick=True``
+shrinks the Monte Carlo sizes (statistical tolerances scale with them
+automatically) so the whole table finishes within seconds.  ``workers`` is
+the thread count of the engine calls of the triangles, dominance-chain,
+cdf-laws and trend-reproductions; the other criteria run no engine call
+of their own and ignore it.  Engine results are bit-identical under any
+worker count, so no detail string depends on it.  The Theorem 2 and 3
+triangles share their Monte Carlo draws: whichever triangle criterion runs
+first carries the Monte Carlo time of both.  binary-opa evaluates its power
+grids in batches, elementwise, so each grid keeps the bits it has alone,
+and still reports the first failing realization in draw order.
 """
 
 import filecmp
@@ -34,6 +40,7 @@ class CriterionResult:
 
 
 _DE_STEP = 1.0 / 64.0  # step of the xi_n reference's exp-sinh rule
+_XI_BLOCK = 32         # reference points a pass: (32, 513) temporaries of 131 KB
 
 
 def _xi_reference(n, x, y):
@@ -46,16 +53,28 @@ def _xi_reference(n, x, y):
 
     summed over the 513 nodes s = -4.5, ..., 3.5.  Takes arrays (or scalars)
     and returns one reference per element.  Over the special-functions grid
-    it is within 3.9e-16 relative of 40-digit mpmath ``expint``."""
+    it is within 3.9e-16 relative of 40-digit mpmath ``expint``.
+
+    The points go through the rule ``_XI_BLOCK`` at a time, so that its
+    (points, nodes) temporaries stay small whatever the input's size; each
+    point's sum is one row's, so the blocks do not move its bits."""
     n, x, y = (np.asarray(v, dtype=float) for v in (n, x, y))
     s = np.arange(-288, 225) * _DE_STEP
     u = np.exp(np.pi / 2.0 * np.sinh(s))
     weights = np.pi / 2.0 * np.cosh(s) * u * _DE_STEP
-    f = np.exp(-(x * y)[..., None] * u - n[..., None] * np.log1p(u))
-    return y ** (1.0 - n) * (f * weights).sum(axis=-1)
+    log1p_u = np.log1p(u)
+    xy = x * y
+    shape = np.broadcast_shapes(xy.shape, n.shape)
+    xy, n_flat = (np.broadcast_to(v, shape).ravel() for v in (xy, n))
+    sums = np.empty(xy.size)
+    for lo in range(0, xy.size, _XI_BLOCK):
+        block = slice(lo, lo + _XI_BLOCK)
+        f = np.exp(-xy[block, None] * u - n_flat[block, None] * log1p_u)
+        sums[block] = (f * weights).sum(axis=-1)
+    return y ** (1.0 - n) * sums.reshape(shape)
 
 
-def crit_special_functions(quick=False):
+def crit_special_functions(quick=False, workers=1):
     """xi_n vs quadrature over the full grid; the xi_1 identity vs Ei."""
     grid = [(n, x, y) for n in range(1, 16)
             for x in np.logspace(-3.0, 3.0, 13) for y in (0.1, 1.0, 10.0)]
@@ -93,22 +112,22 @@ _TRIANGLE_POINTS_A2 = [
 
 
 @functools.cache
-def _triangle_stats(quick):
+def _triangle_stats(quick, workers):
     """``{(scheduler, K, point): TrialStats}`` of both triangles, whose runs at
-    one (K, point) share a seed and so one engine call.  :func:`run` clears
-    this memo, so no run reuses another's work."""
+    one (K, point) share a seed and so one engine call on ``workers``
+    threads.  :func:`run` clears this memo, so no run reuses another's work."""
     n_mc = 100_000 if quick else 1_000_000
     rules = (Scheduler.A1, Scheduler.A2)
     stats = {}
     for k in (1, 2, 5):
         for i, points in enumerate(zip(_TRIANGLE_POINTS_A1, _TRIANGLE_POINTS_A2)):
             runs = [(AnalyticalParams(*p, k, k), [s]) for p, s in zip(points, rules)]
-            for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i)):
+            for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i, workers=workers)):
                 stats[s, k, i] = run[s]
     return stats
 
 
-def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, quick):
+def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, quick, workers):
     worst_quad = 0.0
     worst_z = 0.0
     for k_users in (1, 2, 5):
@@ -128,7 +147,7 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
                 )
             if expect_flag and i == pole_index and not closed.flagged:
                 return False, f"K={k_users} point {i}: pole not flagged"
-            stats = _triangle_stats(quick)[scheduler, k_users, i]
+            stats = _triangle_stats(quick, workers)[scheduler, k_users, i]
             z = abs(closed.value - stats.mean_sum_rate) / stats.std_error
             worst_z = max(worst_z, z)
             if z > 3.0:
@@ -139,30 +158,87 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
     return True, f"worst quadrature rel {worst_quad:.2e}; worst MC z-score {worst_z:.2f}"
 
 
-def crit_theorem2_triangle(quick=False):
+def crit_theorem2_triangle(quick=False, workers=1):
     """A1 closed form vs rate integral (1e-6) vs Monte Carlo (3 SE)."""
     return _triangle(
         analysis.avg_rate_a1, analysis.cdf_sinr_dl_a1, Scheduler.A1,
-        _TRIANGLE_POINTS_A1, pole_index=2, expect_flag=False, quick=quick,
+        _TRIANGLE_POINTS_A1, pole_index=2, expect_flag=False, quick=quick, workers=workers,
     )
 
 
-def crit_theorem3_triangle(quick=False):
+def crit_theorem3_triangle(quick=False, workers=1):
     """A2 closed form vs rate integral vs Monte Carlo, incl. the p0=pu pole."""
     return _triangle(
         analysis.avg_rate_a2, analysis.cdf_sinr_dl_a2, Scheduler.A2,
-        _TRIANGLE_POINTS_A2, pole_index=2, expect_flag=True, quick=quick,
+        _TRIANGLE_POINTS_A2, pole_index=2, expect_flag=True, quick=quick, workers=workers,
     )
 
 
-def crit_binary_opa(quick=False):
+# Realizations whose 51 x 51 power grids are evaluated in one numpy pass:
+# two (16, 51, 51) float64 buffers of 333 KB each, reused from batch to
+# batch, stay in a core's L2 cache (2 MiB a core on a Xeon host).  One
+# realization a pass pays numpy's per-call cost on 2601 cells; a few
+# hundred a pass make buffers of megabytes, which leave L2.
+_GRID_BATCH = 16
+_GRID_FRAC = np.linspace(0.0, 1.0, 51)  # each power's grid, as fractions of its maximum
+
+
+def _grid_maxima(links, a, b):
+    """Each realization's best 51 x 51 power-grid sum rate, in nats.
+
+    ``links`` holds one realization a row: p0_max, pu_max, s0, sd, si and
+    the scheduled pair's g0, gd, gx.  ``a`` and ``b`` are buffers of shape
+    (at least len(links), 51, 51).  Every cell goes through the multiplies,
+    adds, divides and log1p of its realization's own grid, elementwise, and
+    max is exact, so each maximum has the bits of the grid evaluated alone."""
+    n = len(links)
+    a, b = a[:n], b[:n]
+    p0_max, pu_max, s0, sd, si, g0, gd, gx = (v[:, None, None] for v in links.T)
+    p0 = _GRID_FRAC[:, None] * p0_max   # (n, 51, 1)
+    pu = _GRID_FRAC[None, :] * pu_max   # (n, 1, 51)
+    np.divide(pu * g0, p0 * si + s0, out=a)
+    np.divide(p0 * gd, pu * gx + sd, out=b)
+    np.log1p(a, out=a)
+    np.log1p(b, out=b)
+    np.add(a, b, out=a)
+    return a.max(axis=(1, 2))
+
+
+def crit_binary_opa(quick=False, workers=1):
     """Corner allocation is never beaten by a 51x51 power grid; fast-path
-    decisions always agree with corner enumeration."""
+    decisions always agree with corner enumeration.
+
+    Each realization is drawn and decided on its own, through the scalar
+    views the criterion checks.  Its grid is evaluated later, in one pass
+    with those of up to ``_GRID_BATCH`` realizations (:func:`_grid_maxima`),
+    which keeps each grid's maximum bit for bit.  A corner or fast-path
+    failure first checks the grids still pending, so the failure reported
+    is that of the first failing realization in draw order; within one
+    realization the checks run corner, grid, fast path."""
     n_real = 2_000 if quick else 10_000
     rng = np.random.default_rng(20240817)
-    frac = np.linspace(0.0, 1.0, 51)
     worst_excess = -math.inf
     fast_count = 0
+    links = np.empty((_GRID_BATCH, 8))
+    a, b = np.empty((2, _GRID_BATCH, 51, 51))
+    pending = []  # (best corner rate, fast-path failure or None) of each grid not yet checked
+
+    def check_grids():
+        """The first failure among the pending realizations, or None."""
+        nonlocal worst_excess
+        maxima = _grid_maxima(links[:len(pending)], a, b).tolist()
+        for (corner_best, fast_failure), nats in zip(pending, maxima):
+            # The grid's best rate in nats, then bits: dividing by ln 2 is
+            # monotone, so this is the largest of the grid's rates in bits.
+            excess = nats / LN2 - corner_best
+            worst_excess = max(worst_excess, excess)
+            if excess > 1e-9:
+                return f"grid beat the corners by {excess:.3e}"
+            if fast_failure:
+                return fast_failure
+        pending.clear()
+        return None
+
     # log10 of p0_max, pu_max, s0, sd and si, uniform on [low, high), from one
     # draw of five doubles: Generator.uniform's own low + (high - low) * u
     # on the numbers of five scalar uniform draws, without its 12 µs of
@@ -186,28 +262,26 @@ def crit_binary_opa(quick=False):
         corner_best = max(r_fd, r_hd_ul, r_hd_dl)
         chosen = {"fd": r_fd, "hd-ul": r_hd_ul, "hd-dl": r_hd_dl}[decision.mode.value]
         if chosen < corner_best - 1e-12:
-            return False, f"opa returned a non-maximal corner ({chosen} < {corner_best})"
-        p0_grid = frac[:, None] * p0_max
-        pu_grid = frac[None, :] * pu_max
-        # The grid's best rate in nats, then bits: dividing by ln 2 is
-        # monotone, so this is the largest of the grid's rates in bits.
-        grid = (np.log1p(pu_grid * g0 / (p0_grid * si + s0))
-                + np.log1p(p0_grid * gd / (pu_grid * gx + sd)))
-        excess = float(grid.max()) / LN2 - corner_best
-        worst_excess = max(worst_excess, excess)
-        if excess > 1e-9:
-            return False, f"grid beat the corners by {excess:.3e}"
+            return False, check_grids() or (
+                f"opa returned a non-maximal corner ({chosen} < {corner_best})")
+        fast_failure = None
         if decision.fast_path:
             fast_count += 1
             if r_fd < max(r_hd_ul, r_hd_dl) - 1e-9:
-                return False, "fast path disagreed with corner enumeration"
+                fast_failure = "fast path disagreed with corner enumeration"
+        links[len(pending)] = (p0_max, pu_max, s0, sd, si, g0, gd, gx)
+        pending.append((corner_best, fast_failure))
+        if (fast_failure or len(pending) == _GRID_BATCH) and (failure := check_grids()):
+            return False, failure
+    if pending and (failure := check_grids()):
+        return False, failure
     return True, (
         f"{n_real} realizations, worst grid excess {worst_excess:.2e} "
         f"(tol 1e-9), {fast_count} fast-path cases all consistent"
     )
 
 
-def crit_dominance_chain(quick=False):
+def crit_dominance_chain(quick=False, workers=1):
     """Per-realization ordering of ES-FDHD, ES-FD, OPA selectors, and the
     scheduled pair's HD corner rates, on coupled draws."""
     n = 2_000 if quick else 10_000
@@ -217,7 +291,7 @@ def crit_dominance_chain(quick=False):
         Scheduler.A1_OPA, Scheduler.A2_OPA, Scheduler.A3_OPA,
     ]
     try:
-        _, arrays = sim.run_coupled(config, schedulers, n, seed=77)
+        _, arrays = sim.run_coupled(config, schedulers, n, seed=77, workers=workers)
     except RuntimeError as exc:  # the engine's own check of the chain
         return False, str(exc)
     top = arrays[Scheduler.ES_FDHD]["r_ul"] + arrays[Scheduler.ES_FDHD]["r_dl"]
@@ -237,13 +311,13 @@ def _sup_distance(samples, sf, params):
     return float(np.max(np.maximum(np.abs(theo - lo), np.abs(theo - hi))))
 
 
-def crit_cdf_laws(quick=False):
+def crit_cdf_laws(quick=False, workers=1):
     """Empirical SINR CDFs vs the three closed-form CDFs at K=5."""
     n = 30_000 if quick else 100_000
     params = AnalyticalParams(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
     checks = []
-    a1 = sim.run_coupled(params, [Scheduler.A1], n, seed=31)[1][Scheduler.A1]
-    a2 = sim.run_coupled(params, [Scheduler.A2], n, seed=32)[1][Scheduler.A2]
+    a1 = sim.run_coupled(params, [Scheduler.A1], n, seed=31, workers=workers)[1][Scheduler.A1]
+    a2 = sim.run_coupled(params, [Scheduler.A2], n, seed=32, workers=workers)[1][Scheduler.A2]
     checks.append(("ul sinr (a1 run)", _sup_distance(a1["gamma_ul"], analysis._sf_ul, params)))
     checks.append(("ul sinr (a2 run)", _sup_distance(a2["gamma_ul"], analysis._sf_ul, params)))
     checks.append(("dl sinr under a1", _sup_distance(a1["gamma_dl"], analysis._sf_dl_a1, params)))
@@ -264,7 +338,7 @@ def _sweep_means(*sweep):
     return means
 
 
-def crit_trend_reproductions(quick=False):
+def crit_trend_reproductions(quick=False, workers=1):
     """Monotone-trend substitutes for the published absolute numbers:
     (a) FD-mode fraction grows with K and with SI cancellation,
     (b) ES-FD falls below HD-TDD at high DL power while ES-FDHD never does,
@@ -276,7 +350,7 @@ def crit_trend_reproductions(quick=False):
     fractions = {}
     for k in (5, 15):  # one draw for both SI levels
         runs = [(SystemConfig(1.0, 1.0, 1e-9, 0.03, si, k, k), opa) for si in (1e-8, 1e-9)]
-        for si_db, stats in zip((80, 90), sim._run_stats(runs, n, seed=41)):
+        for si_db, stats in zip((80, 90), sim._run_stats(runs, n, seed=41, workers=workers)):
             for s in opa:
                 fractions[(s, si_db, k)] = stats[s].fd_fraction
     for s in opa:
@@ -291,7 +365,7 @@ def crit_trend_reproductions(quick=False):
     base = {"pu_dbm_scale": 0.95, "si_cancellation_db": 80.0, "k_u": 5, "k_d": 5}
     p0_values = list(range(-20, 31, 5))
     means = _sweep_means(base, "p0_dbm", [float(v) for v in p0_values],
-                         (Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD), n, 43)
+                         (Scheduler.ES_FD, Scheduler.ES_FDHD, Scheduler.HD_TDD), n, 43, workers)
     crossed = [v for v, fd_m, hd_m in zip(p0_values, means[Scheduler.ES_FD], means[Scheduler.HD_TDD])
                if fd_m < hd_m]
     if not crossed:
@@ -303,7 +377,7 @@ def crit_trend_reproductions(quick=False):
     # (c) A2 >= A1 and a widening gap as K grows (fixed 24/23 dBm, 80 dB).
     k_values = (2, 5, 10, 15)
     means = _sweep_means({"si_cancellation_db": 80.0}, "k_users", k_values,
-                         (Scheduler.A1, Scheduler.A2), n, 45)
+                         (Scheduler.A1, Scheduler.A2), n, 45, workers)
     gaps = []
     for k, a1, a2 in zip(k_values, means[Scheduler.A1], means[Scheduler.A2]):
         if a2 < a1:
@@ -321,7 +395,7 @@ def crit_trend_reproductions(quick=False):
     )
 
 
-def crit_asymptotic_trend(quick=False):
+def crit_asymptotic_trend(quick=False, workers=1):
     """Relative gap between the A1 average rate and the large-system
     approximation strictly shrinks as K doubles through 16..1024."""
     gaps = []
@@ -335,7 +409,7 @@ def crit_asymptotic_trend(quick=False):
     return True, "relative gaps " + " > ".join(f"{g:.4f}" for g in gaps)
 
 
-def crit_determinism(quick=False):
+def crit_determinism(quick=False, workers=1):
     """Identical manifest settings give byte-identical CSV regardless of
     the worker count; a manifest reload reproduces the file."""
     import contextlib
@@ -384,8 +458,10 @@ CRITERIA = [
 ]
 
 
-def run(names=None, quick=False, echo=print):
-    """Run the acceptance criteria; returns (results, all_passed)."""
+def run(names=None, quick=False, echo=print, workers=1):
+    """Run the acceptance criteria, the engine's on ``workers`` threads;
+    returns (results, all_passed).  The engine's results do not depend on
+    the worker count, so neither does any detail string."""
     wanted = dict(CRITERIA)
     if names:
         unknown = [n for n in names if n not in wanted]
@@ -399,7 +475,7 @@ def run(names=None, quick=False, echo=print):
     for name, fn in selected:
         start = time.perf_counter()
         try:
-            passed, detail = fn(quick=quick)
+            passed, detail = fn(quick=quick, workers=workers)
         except Exception as exc:  # a crash is a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start

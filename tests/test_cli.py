@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -509,6 +510,20 @@ class TestAnalyze:
         assert "k_u >= 2 and k_d >= 2" in capsys.readouterr().err
 
 
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The keyword arguments of every ``validate.run`` call, which runs
+    nothing and reports every criterion passed."""
+    calls = []
+
+    def run(**kwargs):
+        calls.append(kwargs)
+        return [], True
+
+    monkeypatch.setattr(validate, "run", run)
+    return calls
+
+
 class TestValidateCommand:
     def test_subset_passes(self, capsys):
         rc = run_cli(["validate", "--quick", "--only", "special-functions",
@@ -524,6 +539,15 @@ class TestValidateCommand:
         assert rc == 1
         assert "FAIL  special-functions" in capsys.readouterr().out
 
+    def test_workers_below_one_exit_2(self, capsys, validate_calls):
+        assert run_cli(["validate", "--quick", "--workers", "0"]) == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert validate_calls == []
+
+    def test_workers_reach_the_criteria(self, validate_calls):
+        assert run_cli(["validate", "--quick", "--only", "cdf-laws", "--workers", "2"]) == 0
+        assert validate_calls == [{"names": ["cdf-laws"], "quick": True, "workers": 2}]
+
     def test_module_entrypoint_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "fdsched", "--version"],
@@ -531,3 +555,29 @@ class TestValidateCommand:
         )
         assert proc.returncode == 0
         assert "fdsched" in proc.stdout
+
+
+class TestDefaultWorkers:
+    """Without --workers, simulate and validate run on the CPUs the process
+    may use, which an affinity mask (``taskset``) narrows below the count."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu_of_eight(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+
+    def test_simulate(self, tmp_path):
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--scheduler", "a1", "--trials", "10", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+        assert manifest["resolved"]["workers"] == 1
+
+    def test_validate(self, validate_calls):
+        assert run_cli(["validate", "--quick"]) == 0
+        assert validate_calls[0]["workers"] == 1
+
+    @pytest.mark.parametrize("count, expected", [(8, 8), (None, 1)])
+    def test_without_an_affinity_mask_the_cpu_count(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cli._available_cpus() == expected
