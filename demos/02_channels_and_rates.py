@@ -14,9 +14,8 @@ from fdsched import (
     config_from_db,
     draw_realization,
     rates,
-    sinr_dl,
-    sinr_ul,
 )
+from fdsched.model import sinr
 
 cfg = config_from_db(
     p0_dbm=24.0, pu_dbm=23.0, si_cancellation_db=80.0,
@@ -36,10 +35,13 @@ print("  g_ul =", np.array2string(ch.g_ul, precision=3))
 print("  g_dl =", np.array2string(ch.g_dl, precision=3))
 
 u, d = 2, 4
-g_ul = sinr_ul(ch, u, cfg.p0_max, cfg.pu_max, cfg.sigma0_sq)
-g_dl = sinr_dl(ch, d, u, cfg.p0_max, cfg.pu_max, cfg.sigmaD_sq)
+# UL: the BS's own DL power leaks back as residual self-interference.
+# DL: the UL terminal's power reaches DL terminal d over the cross gain g_x[d, u].
+gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, ch.si_gain, cfg.sigma0_sq)
+gamma_dl = sinr(cfg.p0_max, ch.g_dl[d], cfg.pu_max, ch.g_x[d, u], cfg.sigmaD_sq)
 print(f"\n=== pair (u={u}, d={d}) at full powers ===")
-print(f"  UL SINR = {g_ul:.3e}   DL SINR = {g_dl:.3e}")
+print(f"  UL SINR = {gamma_ul:.3e}   DL SINR = {gamma_dl:.3e}")
+print(f"  log2(1 + SINR): UL {np.log2(1 + gamma_ul):.3f}, DL {np.log2(1 + gamma_dl):.3f} bps/Hz")
 sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max)
 out = rates(ch, sched, cfg)
 print(f"  rates: UL {out.r_ul:.3f} + DL {out.r_dl:.3f} = {out.r_sum:.3f} bps/Hz")

@@ -27,8 +27,6 @@ from .model import (
     config_from_db,
     draw_realization,
     rates,
-    sinr_dl,
-    sinr_ul,
 )
 from .power import OpaDecision, eta, opa, zeta
 from .scheduling import (

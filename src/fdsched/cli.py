@@ -19,6 +19,7 @@ error, 3 internal numerical failure.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -108,6 +109,7 @@ def _write_rows(path, rows, header, fmt):
             writer.writerow([_fmt(row[k]) for k in header])
 
 
+@functools.cache  # git runs once a process: validate's determinism check makes 3 simulate calls a pass
 def _git_describe():
     try:
         out = subprocess.run(

@@ -181,32 +181,13 @@ def log2_1p(x, out=None):
     return np.divide(np.log1p(x, out=out), LN2, out=out)
 
 
-def _check_index(link, i, n_users):
-    if not 0 <= i < n_users:
-        raise IndexError(f"{link} index {i} out of range for {n_users} users")
-
-
-def sinr_ul(ch, u, p0, pu, sigma0_sq):
-    """UL SINR: desired UL power over residual self-interference plus noise."""
-    _check_index("UL", u, ch.g_ul.shape[0])
-    return float(sinr(pu, ch.g_ul[u], p0, ch.si_gain, sigma0_sq))
-
-
-def sinr_dl(ch, d, u, p0, pu, sigmaD_sq):
-    """DL SINR: desired DL power over inter-terminal interference plus noise.
-
-    ``u is None`` means no UL transmitter is active; ``pu`` must then be 0
-    and the interference term vanishes.
-    """
-    _check_index("DL", d, ch.g_dl.shape[0])
-    if u is None:
-        if pu > 0.0:
-            raise ValueError("pu must be 0 when no UL user is scheduled")
-        g_x = 0.0
-    else:
-        _check_index("UL", u, ch.g_ul.shape[0])
-        g_x = ch.g_x[d, u]
-    return float(sinr(p0, ch.g_dl[d], pu, g_x, sigmaD_sq))
+def pair_gains(ch, ul, dl):
+    """The gains ``(g_ul[ul], g_dl[dl], g_x[dl, ul])`` of the pair (ul, dl);
+    an index outside [0, n) on either link raises an IndexError."""
+    for link, i, n_users in (("UL", ul, ch.g_ul.shape[0]), ("DL", dl, ch.g_dl.shape[0])):
+        if not 0 <= i < n_users:
+            raise IndexError(f"{link} index {i} out of range for {n_users} users")
+    return ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul]
 
 
 @dataclass(frozen=True)
@@ -229,6 +210,7 @@ def rates(ch, schedule, config):
     # index stands in for the missing user.
     ul = 0 if schedule.ul is None else schedule.ul
     dl = 0 if schedule.dl is None else schedule.dl
-    r_ul = float(log2_1p(sinr_ul(ch, ul, schedule.p0, schedule.pu, config.sigma0_sq)))
-    r_dl = float(log2_1p(sinr_dl(ch, dl, ul, schedule.p0, schedule.pu, config.sigmaD_sq)))
+    g_ul, g_dl, g_x = pair_gains(ch, ul, dl)
+    r_ul = float(log2_1p(sinr(schedule.pu, g_ul, schedule.p0, ch.si_gain, config.sigma0_sq)))
+    r_dl = float(log2_1p(sinr(schedule.p0, g_dl, schedule.pu, g_x, config.sigmaD_sq)))
     return RateBreakdown(r_ul=r_ul, r_dl=r_dl, r_sum=r_ul + r_dl)

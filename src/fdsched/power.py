@@ -16,7 +16,7 @@ fast path settled it, so it goes to :func:`fdsched.model.rates` as it is.
 
 from dataclasses import dataclass
 
-from .model import _check_index
+from .model import pair_gains
 from .scheduling import (  # zeta and eta are re-exported
     Schedule,
     _pair_at,
@@ -44,8 +44,6 @@ def opa(ch, ul, dl, config):
     HD-DL.
     """
     require_positive_powers(config)
-    _check_index("UL", ul, ch.g_ul.shape[0])
-    _check_index("DL", dl, ch.g_dl.shape[0])
-    pair = _pair_at(config, ch.si_gain, ul, dl, (ch.g_ul[ul], ch.g_dl[dl], ch.g_x[dl, ul]))
+    pair = _pair_at(config, ch.si_gain, ul, dl, pair_gains(ch, ul, dl))
     fast, fd, on_ul, _, _ = allocate(config, ch.si_gain, pair)
     return OpaDecision(ul, dl, *map(float, _powers(config, fd, on_ul)), bool(fast))

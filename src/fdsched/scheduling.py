@@ -268,6 +268,8 @@ class _Batch:
     done once, on first use, and dropped with the batch."""
 
     def __init__(self, config, si, g_ul, g_dl, g_x, schedulers=()):
+        if any(s is not Scheduler.HD_TDD for s in schedulers):
+            require_positive_powers(config)
         self.config, self.si, self.pairs, self.schedulers = config, si, {}, schedulers
         # C order, so that every gather is a take on a flat view
         self.g_ul, self.g_dl, self.g_x = map(np.ascontiguousarray, (g_ul, g_dl, g_x))
@@ -306,7 +308,6 @@ class _Batch:
         the search reads every pair but keeps each UL user's best DL SINR, never
         a K² tensor of the batch."""
         config, si, g_ul, g_dl, g_x = self.config, self.si, self.g_ul, self.g_dl, self.g_x
-        require_positive_powers(config)
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
             r_ul = _fd_ul(config, si, g_ul)[1]
@@ -380,7 +381,6 @@ class _Batch:
         (:attr:`fd_may_win`): its pair is then None, and every row takes the
         gain-max users' better single link, as it would after a search."""
         if scheduler is Scheduler.ES_FDHD:
-            require_positive_powers(self.config)
             if Scheduler.ES_FD in self.schedulers or self.fd_may_win:
                 pair = self.pair(Scheduler.ES_FD)
                 return (pair, *_corner(pair.r_fd, *self.hd), {})
@@ -469,9 +469,6 @@ def select_hd_tdd(ch, config):
 
     Convention: the best UL and the best DL user each get half of the
     resource at full power, with no self- or inter-terminal interference.
-    The equal split is deliberately isolated in :func:`evaluate` so an
-    alternative HD accounting can be swapped in without touching anything
-    else.
     """
     out = evaluate([Scheduler.HD_TDD], config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
     r_ul, r_dl = float(out[Scheduler.HD_TDD]["r_ul"][0]), float(out[Scheduler.HD_TDD]["r_dl"][0])

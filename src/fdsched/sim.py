@@ -26,11 +26,11 @@ drawn once for all of them (once per sweep point in a sweep), and each
 chunk goes to one call of the batched kernel of :mod:`fdsched.scheduling`
 per distinct config, which gives the per-trial arrays of every scheduler
 at it and does the work they share once.  The runs of one engine call see
-common random numbers by construction.  The scalar functions of
-:mod:`fdsched.model`, :mod:`fdsched.scheduling` and :mod:`fdsched.power`
-are batch-of-one views of the same code, so there is no second
-implementation to agree with; the test suite checks the engine against a
-plain-Python brute-force enumeration of every pair and power corner.
+common random numbers by construction.  The scalar views of
+:mod:`fdsched.scheduling` and :mod:`fdsched.power` run this same code, so
+there is no second implementation to agree with (:func:`fdsched.model.rates`
+is no view; it shares the SINR formula).  The test suite checks the engine
+against a plain-Python brute-force enumeration of every pair and power corner.
 """
 
 import functools

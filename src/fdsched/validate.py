@@ -8,15 +8,14 @@ automatically) so the whole table finishes within seconds.  ``workers`` is
 the thread count of the engine calls of the triangles, dominance-chain,
 cdf-laws and trend-reproductions; the other criteria run no engine call
 of their own and ignore it.  Engine results are bit-identical under any
-worker count, so no detail string depends on it.  The Theorem 2 and 3
-triangles share their Monte Carlo draws: whichever triangle criterion runs
-first carries the Monte Carlo time of both.  binary-opa evaluates its power
-grids in batches, elementwise, so each grid keeps the bits it has alone,
-and still reports the first failing realization in draw order.
+worker count, so no detail string depends on it.  Within one :func:`run`
+the Theorem 2 and 3 triangles share their Monte Carlo draws: whichever
+runs first carries the Monte Carlo time of both.  binary-opa evaluates
+its power grids in batches, elementwise, so each grid keeps the bits it
+has alone, and still reports the first failing realization in draw order.
 """
 
 import filecmp
-import functools
 import math
 import tempfile
 import time
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import analysis, power, scheduling, sim, specfun
 from .analysis import AnalyticalParams, avg_rate_integral
-from .model import LN2, SystemConfig, draw_realization
+from .model import LN2, SystemConfig, draw_realization, pair_gains
 from .sim import Scheduler
 
 
@@ -109,27 +108,31 @@ _TRIANGLE_POINTS_A2 = [
     (0.7, 1.3, 0.2, 0.05, 1e-4),
     (1.0, 1.0, 0.1, 0.1, 1e-3),  # exactly on the p0 = pu pole
 ]
+_run_memos = []  # one dict per run() in progress: the work its criteria share
 
 
-@functools.cache
-def _triangle_stats(quick, workers):
+def _triangle_stats(quick, workers, memo):
     """``{(scheduler, K, point): TrialStats}`` of both triangles, whose runs at
     one (K, point) share a seed and so one engine call on ``workers``
-    threads.  :func:`run` clears this memo, so no run reuses another's work."""
-    n_mc = 100_000 if quick else 1_000_000
-    rules = (Scheduler.A1, Scheduler.A2)
-    stats = {}
-    for k in (1, 2, 5):
-        for i, points in enumerate(zip(_TRIANGLE_POINTS_A1, _TRIANGLE_POINTS_A2)):
-            runs = [(AnalyticalParams(*p, k, k), [s]) for p, s in zip(points, rules)]
-            for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i, workers=workers)):
-                stats[s, k, i] = run[s]
-    return stats
+    threads; made once per ``memo``, which is the :func:`run`'s in a run and
+    a direct criterion call's own outside one, so none reads another's draws."""
+    if "triangles" not in memo:
+        n_mc = 100_000 if quick else 1_000_000
+        rules = (Scheduler.A1, Scheduler.A2)
+        stats = {}
+        for k in (1, 2, 5):
+            for i, points in enumerate(zip(_TRIANGLE_POINTS_A1, _TRIANGLE_POINTS_A2)):
+                runs = [(AnalyticalParams(*p, k, k), [s]) for p, s in zip(points, rules)]
+                for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i, workers=workers)):
+                    stats[s, k, i] = run[s]
+        memo["triangles"] = stats
+    return memo["triangles"]
 
 
 def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, quick, workers):
     worst_quad = 0.0
     worst_z = 0.0
+    memo = _run_memos[-1] if _run_memos else {}
     for k_users in (1, 2, 5):
         for i, (p0, pu, s0, sd, si) in enumerate(points):
             params = AnalyticalParams(p0, pu, s0, sd, si, k_users, k_users)
@@ -147,7 +150,7 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
                 )
             if expect_flag and i == pole_index and not closed.flagged:
                 return False, f"K={k_users} point {i}: pole not flagged"
-            stats = _triangle_stats(quick, workers)[scheduler, k_users, i]
+            stats = _triangle_stats(quick, workers, memo)[scheduler, k_users, i]
             z = abs(closed.value - stats.mean_sum_rate) / stats.std_error
             worst_z = max(worst_z, z)
             if z > 3.0:
@@ -252,9 +255,7 @@ def crit_binary_opa(quick=False, workers=1):
         ch = draw_realization(config, rng)
         pair = scheduling.select_a2(ch, config)
         decision = power.opa(ch, pair.ul, pair.dl, config)
-        g0 = float(ch.g_ul[pair.ul])
-        gd = float(ch.g_dl[pair.dl])
-        gx = float(ch.g_x[pair.dl, pair.ul])
+        g0, gd, gx = map(float, pair_gains(ch, pair.ul, pair.dl))
         r_fd = (math.log1p(pu_max * g0 / (p0_max * si + s0))
                 + math.log1p(p0_max * gd / (pu_max * gx + sd))) / LN2
         r_hd_ul = math.log1p(pu_max * g0 / s0) / LN2
@@ -470,20 +471,22 @@ def run(names=None, quick=False, echo=print, workers=1):
         selected = [(n, wanted[n]) for n in names]
     else:
         selected = CRITERIA
-    _triangle_stats.cache_clear()
     results = []
-    for name, fn in selected:
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(quick=quick, workers=workers)
-        except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        results.append(CriterionResult(name, passed, detail, elapsed))
-        if echo:
-            status = "PASS" if passed else "FAIL"
-            echo(f"{status}  {name:<22} [{elapsed:7.2f}s]  {detail}")
-    _triangle_stats.cache_clear()
+    _run_memos.append({})
+    try:
+        for name, fn in selected:
+            start = time.perf_counter()
+            try:
+                passed, detail = fn(quick=quick, workers=workers)
+            except Exception as exc:  # a crash is a failure, not an abort
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            elapsed = time.perf_counter() - start
+            results.append(CriterionResult(name, passed, detail, elapsed))
+            if echo:
+                status = "PASS" if passed else "FAIL"
+                echo(f"{status}  {name:<22} [{elapsed:7.2f}s]  {detail}")
+    finally:
+        _run_memos.pop()
     all_passed = all(r.passed for r in results)
     if echo:
         echo(f"{'all criteria passed' if all_passed else 'FAILURES PRESENT'} "

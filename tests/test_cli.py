@@ -1,6 +1,7 @@
 """Command-line front end: flags, presets, output formats, manifests."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -59,10 +60,26 @@ class TestSimulate:
         def timeout(cmd, **kwargs):
             raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
         monkeypatch.setattr(cli.subprocess, "run", timeout)
+        # As in a fresh process: no earlier answer of git is kept.
+        monkeypatch.setattr(cli, "_git_describe", functools.cache(cli._git_describe.__wrapped__))
         out = tmp_path / "run.csv"
         assert run_cli(["simulate", "--scheduler", "a1", "--trials", "10", "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["git_describe"] == "unknown"
+
+    def test_git_describe_runs_once_per_process(self, tmp_path, monkeypatch):
+        calls, real_run = [], subprocess.run
+
+        def counted(cmd, **kwargs):
+            calls.append(cmd)
+            return real_run(cmd, **kwargs)
+        monkeypatch.setattr(cli.subprocess, "run", counted)
+        for i in range(2):
+            out = tmp_path / f"run{i}.csv"
+            assert run_cli(["simulate", "--scheduler", "a1", "--trials", "10", "--out", str(out)]) == 0
+            assert "git_describe" in json.loads((tmp_path / f"run{i}.csv.manifest.json").read_text())
+        # The first simulate of the process may spawn git; no later one does.
+        assert len(calls) <= 1
 
     def test_default_trials_echoed(self, tmp_path):
         out = tmp_path / "run.csv"

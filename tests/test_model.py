@@ -11,8 +11,7 @@ from fdsched.model import (
     config_from_db,
     draw_realization,
     rates,
-    sinr_dl,
-    sinr_ul,
+    sinr,
 )
 from fdsched.scheduling import Schedule
 
@@ -121,52 +120,60 @@ class TestDrawRealization:
         assert ch.g_ul.tolist() == [0.0, 1.0] and ch.g_x.min() == 0.0
 
 
+UNIT_NOISE = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)  # sigma0^2 = sigmaD^2 = 1
+
+
 class TestSinr:
+    """Each link's SINR as :func:`rates` reads it: r = log2(1 + SINR)."""
+
     def test_ul_no_si(self):
         ch = make_ch([1.0], [1.0], [[0.0]], si=0.0)
-        assert sinr_ul(ch, 0, p0=123.0, pu=2.0, sigma0_sq=1.0) == pytest.approx(2.0)
+        out = rates(ch, Schedule(0, 0, p0=123.0, pu=2.0), UNIT_NOISE)
+        assert out.r_ul == pytest.approx(math.log2(1.0 + 2.0))
 
     def test_ul_with_si(self):
+        # The SI term at the BS: p0 * si_gain joins the UL noise.
         ch = make_ch([1.0], [1.0], [[0.0]], si=1.0)
-        assert sinr_ul(ch, 0, p0=1.0, pu=1.0, sigma0_sq=1.0) == pytest.approx(0.5)
+        out = rates(ch, Schedule(0, 0, p0=1.0, pu=1.0), UNIT_NOISE)
+        assert out.r_ul == pytest.approx(math.log2(1.0 + 0.5))
 
     def test_ul_zero_power(self):
         ch = make_ch([1.0], [1.0], [[0.0]], si=1.0)
-        assert sinr_ul(ch, 0, p0=1.0, pu=0.0, sigma0_sq=1.0) == 0.0
+        assert rates(ch, Schedule(None, 0, p0=1.0, pu=0.0), UNIT_NOISE).r_ul == 0.0
 
     def test_dl_interference_free(self):
+        # With the UL off, the cross gain 7 does not reach the DL.
         ch = make_ch([1.0], [4.0], [[7.0]], si=0.0)
-        assert sinr_dl(ch, 0, None, p0=1.0, pu=0.0, sigmaD_sq=1.0) == pytest.approx(4.0)
+        out = rates(ch, Schedule(None, 0, p0=1.0, pu=0.0), UNIT_NOISE)
+        assert out.r_dl == pytest.approx(math.log2(1.0 + 4.0))
 
     def test_dl_with_interference(self):
         ch = make_ch([1.0], [1.0], [[1.0]], si=0.0)
-        assert sinr_dl(ch, 0, 0, p0=1.0, pu=1.0, sigmaD_sq=1.0) == pytest.approx(0.5)
+        out = rates(ch, Schedule(0, 0, p0=1.0, pu=1.0), UNIT_NOISE)
+        assert out.r_dl == pytest.approx(math.log2(1.0 + 0.5))
 
     def test_dl_zero_power(self):
         ch = make_ch([1.0], [1.0], [[1.0]], si=0.0)
-        assert sinr_dl(ch, 0, 0, p0=0.0, pu=1.0, sigmaD_sq=1.0) == 0.0
+        assert rates(ch, Schedule(0, None, p0=0.0, pu=1.0), UNIT_NOISE).r_dl == 0.0
 
     def test_index_errors(self):
         ch = make_ch([1.0, 2.0], [3.0], [[1.0, 1.0]], si=0.0)
-        with pytest.raises(IndexError):
-            sinr_ul(ch, 2, 1.0, 1.0, 1.0)
-        with pytest.raises(IndexError):
-            sinr_ul(ch, -1, 1.0, 1.0, 1.0)
-        with pytest.raises(IndexError):
-            sinr_dl(ch, 1, 0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            sinr_dl(ch, 0, None, 1.0, 1.0, 1.0)  # pu > 0 with no UL user
+        for ul, dl, message in [(2, 0, "UL index 2 out of range for 2 users"),
+                                (-1, 0, "UL index -1 out of range for 2 users"),
+                                (0, 1, "DL index 1 out of range for 1 users"),
+                                (0, -1, "DL index -1 out of range for 1 users")]:
+            with pytest.raises(IndexError, match=f"^{message}$"):
+                rates(ch, Schedule(ul, dl, 1.0, 1.0), UNIT_NOISE)
+        with pytest.raises(ValueError, match="needs a user"):
+            Schedule(None, 0, 1.0, 1.0)  # pu > 0 with no UL user
 
 
 class TestRates:
-    def config(self):
-        return SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
-
     def test_unit_sinrs(self):
         # gamma_ul = gamma_dl = 1 -> 1 + 1 bps/Hz.
         ch = make_ch([1.0], [2.0], [[1.0]], si=0.0)
         sched = Schedule(ul=0, dl=0, p0=1.0, pu=1.0)
-        out = rates(ch, sched, self.config())
+        out = rates(ch, sched, UNIT_NOISE)
         assert out.r_ul == pytest.approx(1.0, rel=1e-12)
         assert out.r_dl == pytest.approx(1.0, rel=1e-12)
         assert out.r_sum == pytest.approx(2.0, rel=1e-12)
@@ -175,7 +182,7 @@ class TestRates:
         # gamma_ul = 3 at p0 = 0 -> (2, 0, 2).
         ch = make_ch([3.0], [1.0], [[1.0]], si=0.7)
         sched = Schedule(ul=0, dl=None, p0=0.0, pu=1.0)
-        out = rates(ch, sched, self.config())
+        out = rates(ch, sched, UNIT_NOISE)
         assert out.r_ul == pytest.approx(2.0, rel=1e-12)
         assert out.r_dl == 0.0
         assert out.r_sum == pytest.approx(2.0, rel=1e-12)
@@ -189,8 +196,10 @@ class TestRates:
             d = int(rng.integers(cfg.k_d))
             sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max)
             out = rates(ch, sched, cfg)
-            expect_ul = math.log2(1.0 + sinr_ul(ch, u, cfg.p0_max, cfg.pu_max, cfg.sigma0_sq))
-            expect_dl = math.log2(1.0 + sinr_dl(ch, d, u, cfg.p0_max, cfg.pu_max, cfg.sigmaD_sq))
+            gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, ch.si_gain, cfg.sigma0_sq)
+            gamma_dl = sinr(cfg.p0_max, ch.g_dl[d], cfg.pu_max, ch.g_x[d, u], cfg.sigmaD_sq)
+            expect_ul = math.log2(1.0 + gamma_ul)
+            expect_dl = math.log2(1.0 + gamma_dl)
             assert out.r_ul == pytest.approx(expect_ul, rel=1e-12)
             assert out.r_dl == pytest.approx(expect_dl, rel=1e-12)
             assert out.r_sum == out.r_ul + out.r_dl

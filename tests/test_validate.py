@@ -1,11 +1,12 @@
 """Shared draws inside ``fdsched validate``: the Theorem 2 and Theorem 3
 triangles draw each block once for both, criterion 7(a) draws once for both
-SI levels, and no memo outlives one ``validate.run`` call.  The xi_n
-reference of the special-functions criterion against 40-digit mpmath.  The
-binary-opa criterion's draws against its recorded detail string under each
-class of numpy's CPU dispatch, its batched grids against one grid at a
-time, and the order in which it reports failures.  The engine criteria on
-two workers."""
+SI levels, no memo outlives one ``validate.run`` call, and a criterion
+called directly draws its own.  The xi_n reference of the
+special-functions criterion against 40-digit mpmath.  The binary-opa
+criterion's draws against its recorded detail string under each class of
+numpy's CPU dispatch, its batched grids against one grid at a time, and
+the order in which it reports failures.  The engine criteria on two
+workers."""
 
 import dataclasses
 import os
@@ -61,6 +62,14 @@ def test_triangles_draw_each_block_once(drawn_seeds):
     # Either triangle alone pays for both and reports what it did beside the other.
     drawn_seeds.clear()
     assert _details(["theorem3-triangle"])["theorem3-triangle"] == both["theorem3-triangle"]
+    assert len(drawn_seeds) == 225
+
+
+def test_direct_triangle_calls_draw_their_own_blocks(drawn_seeds):
+    # Outside a run, theorem3 after theorem2 is judged on draws of its own.
+    assert validate.crit_theorem2_triangle(quick=True)[0]
+    drawn_seeds.clear()
+    assert validate.crit_theorem3_triangle(quick=True)[0]
     assert len(drawn_seeds) == 225
 
 
