@@ -37,7 +37,7 @@ print("  g_dl =", np.array2string(ch.g_dl, precision=3))
 u, d = 2, 4
 # UL: the BS's own DL power leaks back as residual self-interference.
 # DL: the UL terminal's power reaches DL terminal d over the cross gain g_x[d, u].
-gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, ch.si_gain, cfg.sigma0_sq)
+gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, cfg.si_gain, cfg.sigma0_sq)
 gamma_dl = sinr(cfg.p0_max, ch.g_dl[d], cfg.pu_max, ch.g_x[d, u], cfg.sigmaD_sq)
 print(f"\n=== pair (u={u}, d={d}) at full powers ===")
 print(f"  UL SINR = {gamma_ul:.3e}   DL SINR = {gamma_dl:.3e}")

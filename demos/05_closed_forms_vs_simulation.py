@@ -4,15 +4,15 @@
 For the A1 and A2 selection rules the package carries closed-form average
 sum rates over Rayleigh fading.  This script pits them against the two
 oracles: adaptive quadrature of the rate integral built from the SINR
-CDFs, and a million-trial Monte Carlo run.  One ``AnalyticalParams``, which
-is a ``SystemConfig``, drives all three.  It also shows the pole guard
-(p0 = pu for A2) and the large-system scaling trend.
+CDFs, and a million-trial Monte Carlo run.  One ``SystemConfig`` drives
+all three.  It also shows the pole guard (p0 = pu for A2) and the
+large-system scaling trend.
 """
 
 import numpy as np
 
 from fdsched import (
-    AnalyticalParams,
+    SystemConfig,
     asymptotic_rate_a1,
     avg_rate_a1,
     avg_rate_a2,
@@ -23,8 +23,8 @@ from fdsched import (
     run_trials,
 )
 
-p = AnalyticalParams(p0_max=1.0, pu_max=0.8, sigma0_sq=1e-2, sigmaD_sq=1e-2,
-                     si_gain=1e-8, k_u=5, k_d=5)
+p = SystemConfig(p0_max=1.0, pu_max=0.8, sigma0_sq=1e-2, sigmaD_sq=1e-2,
+                 si_gain=1e-8, k_u=5, k_d=5)
 
 print("=== triangle check, K = 5 ===")
 for name, closed_fn, cdf_dl, sched in [
@@ -40,7 +40,7 @@ for name, closed_fn, cdf_dl, sched in [
           f"(z = {abs(closed - mc.mean_sum_rate) / mc.std_error:.2f})")
 
 print("\n=== the removable pole at p0 = pu (A2) ===")
-pole = AnalyticalParams(1.0, 1.0, 0.1, 0.1, 1e-3, 5, 5)
+pole = SystemConfig(1.0, 1.0, 0.1, 0.1, 1e-3, 5, 5)
 res = avg_rate_a2(pole)
 quad = avg_rate_integral(lambda x: cdf_sinr_ul(x, pole), lambda x: cdf_sinr_dl_a2(x, pole))
 print(f"  closed ({res.route}, flagged={res.flagged}) = {res.value:.8f}")
@@ -49,7 +49,7 @@ print(f"  quadrature oracle at the exact pole    = {quad:.8f}")
 print("\n=== large-system scaling (si = 0, matched UL noise) ===")
 print("  K      closed/quadrature   approximation   relative gap")
 for k in (16, 64, 256, 1024):
-    pk = AnalyticalParams(1.0, 0.01, 0.01, 1.0, 0.0, k, k)
+    pk = SystemConfig(1.0, 0.01, 0.01, 1.0, 0.0, k, k)
     value = avg_rate_a1(pk).value
     approx = asymptotic_rate_a1(pk).bits
     print(f"  {k:5d}  {value:14.6f}  {approx:14.6f}   {abs(value - approx) / value:.4f}")

@@ -6,10 +6,9 @@ built from the xi_n kernel, quadrature of the rate integral
     Rbar = (1/ln 2) * integral_0^inf (S_ul(x) + S_dl(x)) / (x + 1) dx
 
 over the survival functions S = 1 - F of the two links' SINRs, and Monte
-Carlo simulation (:mod:`fdsched.sim`).  The operating point is an
-:class:`AnalyticalParams`, a SystemConfig with positive maximum powers, so
-one object drives all three.  The quadrature doubles as the closed forms'
-oracle and as their route (``ClosedFormRate.route``) around
+Carlo simulation (:mod:`fdsched.sim`).  The operating point is a plain
+SystemConfig, so one object drives all three.  The quadrature doubles as
+the closed forms' oracle and as their route (``ClosedFormRate.route``) around
 
 * removable poles: the A1 form has factors p0/(p0 - k pu), the A2 form
   (1 - p0/pu)^{-n}; a pole goes to the rate integral at the same point,
@@ -59,7 +58,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import LN2, SystemConfig
-from .scheduling import require_positive_powers
 from .specfun import xi_n
 
 _POLE_EPS = 1e-9          # relative pole distance that routes to the rate integral
@@ -75,15 +73,11 @@ _A1_BLOCK = 2 ** 13       # floats (64 KiB) in each (rows, k_d) temporary of the
 
 @dataclass(frozen=True)
 class AnalyticalParams(SystemConfig):
-    """A SystemConfig with both maximum powers positive, as the closed forms need."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        require_positive_powers(self)
+    """A SystemConfig under another name: the closed forms take any config."""
 
     @classmethod
     def from_config(cls, config):
-        """Operating point at a config's maximum powers."""
+        """The operating point of ``config``."""
         return cls(**vars(config))
 
 

@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, analysis, validate
-from .analysis import AnalyticalParams
 from .model import RADIO_DEFAULTS, whole_number
 from .sim import BASE_CONFIG_DEFAULTS, Scheduler, resolve_config, run_sweep
 
@@ -261,7 +260,7 @@ def cmd_analyze(args):
         settings["k_d"] = settings["k_u"] = args.k
     radio = {key: settings[key] for key in RADIO_DEFAULTS}
     try:
-        params = AnalyticalParams.from_config(resolve_config(radio))
+        params = resolve_config(radio)
         asym = analysis.asymptotic_rate_a1(params) if settings["asymptotic"] else None
     except ValueError as exc:
         raise FlagError(str(exc)) from exc

@@ -2,9 +2,10 @@
 
 Channels are stored as real power gains |h|^2, never as complex
 coefficients: every quantity downstream consumes only magnitude-squared
-gains, so phases would be untestable dead weight.  All powers are linear
-milliwatts; conversion from dBm / noise-figure inputs lives in
-:func:`config_from_db`.
+gains, so phases would be untestable dead weight.  A snapshot holds channel
+gains only: the residual self-interference gain is a system parameter, read
+from the config alone.  All powers are linear milliwatts; conversion from
+dBm / noise-figure inputs lives in :func:`config_from_db`.
 """
 
 import math
@@ -57,8 +58,8 @@ class SystemConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
-        if self.p0_max <= 0.0 and self.pu_max <= 0.0:
-            raise ValueError("at least one of p0_max, pu_max must be positive")
+        if self.p0_max <= 0.0 or self.pu_max <= 0.0:
+            raise ValueError("full-duplex scheduling needs positive p0_max and pu_max")
         if self.sigma0_sq <= 0.0 or self.sigmaD_sq <= 0.0:
             raise ValueError("noise powers must be positive")
         for name in ("k_u", "k_d"):
@@ -120,7 +121,6 @@ class ChannelRealization:
     g_ul: np.ndarray  # (k_u,)      UL gains |h_{0,u}|^2
     g_dl: np.ndarray  # (k_d,)      DL gains |h_{d,0}|^2
     g_x: np.ndarray   # (k_d, k_u)  inter-terminal interference gains |h_{d,u}|^2
-    si_gain: float    # residual self-interference gain at the BS
 
     def __post_init__(self):
         g_ul = np.array(self.g_ul, dtype=float, copy=True)
@@ -135,17 +135,14 @@ class ChannelRealization:
         for name, arr in (("g_ul", g_ul), ("g_dl", g_dl), ("g_x", g_x)):
             if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails the first test
                 raise ValueError(f"{name} entries must be finite and >= 0")
-        if not (math.isfinite(self.si_gain) and self.si_gain >= 0.0):
-            raise ValueError(f"si_gain must be finite and >= 0, got {self.si_gain!r}")
         for name, arr in (("g_ul", g_ul), ("g_dl", g_dl), ("g_x", g_x)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "si_gain", float(self.si_gain))
 
 
 def draw_realization(config, rng):
     """Sample one channel snapshot: every gain is Exp(1) (unit-mean-square
-    Rayleigh amplitude), independently; the SI gain is copied from config.
+    Rayleigh amplitude), independently.
 
     Draw order is g_ul, then g_dl, then g_x row-major, which pins the
     realization to the generator state: the same stream state always yields
@@ -154,7 +151,7 @@ def draw_realization(config, rng):
     g_ul = rng.standard_exponential(config.k_u)
     g_dl = rng.standard_exponential(config.k_d)
     g_x = rng.standard_exponential((config.k_d, config.k_u))
-    return ChannelRealization(g_ul=g_ul, g_dl=g_dl, g_x=g_x, si_gain=config.si_gain)
+    return ChannelRealization(g_ul=g_ul, g_dl=g_dl, g_x=g_x)
 
 
 def sinr(p, g, p_i, g_i, noise, out=None):
@@ -182,8 +179,10 @@ def log2_1p(x, out=None):
 
 
 def pair_gains(ch, ul, dl):
-    """The gains ``(g_ul[ul], g_dl[dl], g_x[dl, ul])`` of the pair (ul, dl);
-    an index outside [0, n) on either link raises an IndexError."""
+    """The gains ``(g_ul[ul], g_dl[dl], g_x[dl, ul])`` of the pair (ul, dl).
+    An index that is not a whole number raises a ValueError, and one outside
+    [0, n) an IndexError; either names its link."""
+    ul, dl = whole_number("UL index", ul), whole_number("DL index", dl)
     for link, i, n_users in (("UL", ul, ch.g_ul.shape[0]), ("DL", dl, ch.g_dl.shape[0])):
         if not 0 <= i < n_users:
             raise IndexError(f"{link} index {i} out of range for {n_users} users")
@@ -211,6 +210,6 @@ def rates(ch, schedule, config):
     ul = 0 if schedule.ul is None else schedule.ul
     dl = 0 if schedule.dl is None else schedule.dl
     g_ul, g_dl, g_x = pair_gains(ch, ul, dl)
-    r_ul = float(log2_1p(sinr(schedule.pu, g_ul, schedule.p0, ch.si_gain, config.sigma0_sq)))
+    r_ul = float(log2_1p(sinr(schedule.pu, g_ul, schedule.p0, config.si_gain, config.sigma0_sq)))
     r_dl = float(log2_1p(sinr(schedule.p0, g_dl, schedule.pu, g_x, config.sigmaD_sq)))
     return RateBreakdown(r_ul=r_ul, r_dl=r_dl, r_sum=r_ul + r_dl)

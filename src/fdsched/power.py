@@ -23,7 +23,6 @@ from .scheduling import (  # zeta and eta are re-exported
     _powers,
     allocate,
     eta,
-    require_positive_powers,
     zeta,
 )
 
@@ -43,7 +42,6 @@ def opa(ch, ul, dl, config):
     corners (P0,PU), (0,PU), (P0,0).  Ties prefer FD, then HD-UL, then
     HD-DL.
     """
-    require_positive_powers(config)
-    pair = _pair_at(config, ch.si_gain, ul, dl, pair_gains(ch, ul, dl))
-    fast, fd, on_ul, _, _ = allocate(config, ch.si_gain, pair)
-    return OpaDecision(ul, dl, *map(float, _powers(config, fd, on_ul)), bool(fast))
+    pair = _pair_at(config, ul, dl, pair_gains(ch, ul, dl))
+    fast, fd, on_ul, _, _ = allocate(config, pair)
+    return OpaDecision(int(ul), int(dl), *map(float, _powers(config, fd, on_ul)), bool(fast))

@@ -105,14 +105,6 @@ class Schedule:
         return DuplexMode.HD_DL if self.pu == 0.0 else DuplexMode.FD
 
 
-def require_positive_powers(config):
-    """Every scheduler but HD-TDD pairs users in full duplex at maximum
-    powers, so both maximum powers must be positive.  The one check for
-    the engine, the scalar views and the closed forms' operating point."""
-    if config.p0_max <= 0.0 or config.pu_max <= 0.0:
-        raise ValueError("full-duplex scheduling needs positive p0_max and pu_max")
-
-
 def zeta(p0, g_ul_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
     """Indicator evaluated at the DL power: its sign governs whether the
     pair sum rate keeps growing with the UL power (>= 0) or turns convex."""
@@ -125,9 +117,9 @@ def eta(pu, g_dl_star, g_x_star, sigma0_sq, sigmaD_sq, si_gain):
     return g_dl_star * sigma0_sq / (pu * g_x_star + sigmaD_sq) - si_gain
 
 
-def _hd_ul(config, si, g_ul):
+def _hd_ul(config, g_ul):
     """Full-power UL rate of UL gains ``g_ul``: the FD rate with the DL off."""
-    return log2_1p(sinr(config.pu_max, g_ul, 0.0, si, config.sigma0_sq))
+    return log2_1p(sinr(config.pu_max, g_ul, 0.0, config.si_gain, config.sigma0_sq))
 
 
 def _hd_dl(config, g_dl):
@@ -150,32 +142,32 @@ def _powers(config, fd, on_ul):
 _Pair = namedtuple("_Pair", "ul dl gains gamma rates r_fd")
 
 
-def _fd_ul(config, si, g_ul):
+def _fd_ul(config, g_ul):
     """FD UL ``(SINR, rate)`` of UL gains ``g_ul`` at maximum powers."""
-    gamma = sinr(config.pu_max, g_ul, config.p0_max, si, config.sigma0_sq)
+    gamma = sinr(config.pu_max, g_ul, config.p0_max, config.si_gain, config.sigma0_sq)
     return gamma, log2_1p(gamma)
 
 
-def _pair_at(config, si, ul, dl, gains, r_fd=None, fd_ul=None):
+def _pair_at(config, ul, dl, gains, r_fd=None, fd_ul=None):
     """The ``_Pair`` of users ``ul``, ``dl`` with ``gains`` (arrays or 0-d
     scalars); ``r_fd`` defaults to the sum of the rates, and ``fd_ul`` to
     the UL link's :func:`_fd_ul`."""
-    gamma_ul, r_ul = _fd_ul(config, si, gains[0]) if fd_ul is None else fd_ul
+    gamma_ul, r_ul = _fd_ul(config, gains[0]) if fd_ul is None else fd_ul
     gamma_dl = sinr(config.p0_max, gains[1], config.pu_max, gains[2], config.sigmaD_sq)
     rates = r_ul, log2_1p(gamma_dl)
     return _Pair(ul, dl, gains, (gamma_ul, gamma_dl), rates, rates[0] + rates[1] if r_fd is None else r_fd)
 
 
-def allocate(config, si, pair, hd_ul=None, hd_dl=None):
+def allocate(config, pair, hd_ul=None, hd_dl=None):
     """Binary power allocation of a ``_Pair``: ``(fast, fd, on_ul, r_hd_ul,
     r_hd_dl)``, where ``fast`` marks pairs whose two indicators settle
     full-power FD outright.  ``hd_ul`` and ``hd_dl`` are the pair's
     single-link rates where the caller has them already."""
     (g_ul, g_dl, g_x), p0, pu = pair.gains, config.p0_max, config.pu_max
-    s0, sd = config.sigma0_sq, config.sigmaD_sq
+    s0, sd, si = config.sigma0_sq, config.sigmaD_sq, config.si_gain
     fast = (zeta(p0, g_ul, g_x, s0, sd, si) >= 0.0) & (eta(pu, g_dl, g_x, s0, sd, si) >= 0.0)
     if hd_ul is None:
-        hd_ul = _hd_ul(config, si, g_ul)
+        hd_ul = _hd_ul(config, g_ul)
     if hd_dl is None:
         hd_dl = _hd_dl(config, g_dl)
     return (fast, *_corner(pair.r_fd, hd_ul, hd_dl, fast), hd_ul, hd_dl)
@@ -267,10 +259,8 @@ class _Batch:
     """A batch of snapshots and the work its schedulers share, each piece
     done once, on first use, and dropped with the batch."""
 
-    def __init__(self, config, si, g_ul, g_dl, g_x, schedulers=()):
-        if any(s is not Scheduler.HD_TDD for s in schedulers):
-            require_positive_powers(config)
-        self.config, self.si, self.pairs, self.schedulers = config, si, {}, schedulers
+    def __init__(self, config, g_ul, g_dl, g_x, schedulers=()):
+        self.config, self.pairs, self.schedulers = config, {}, schedulers
         # C order, so that every gather is a take on a flat view
         self.g_ul, self.g_dl, self.g_x = map(np.ascontiguousarray, (g_ul, g_dl, g_x))
         self.bases = _bases(*self.g_x.shape)
@@ -294,12 +284,12 @@ class _Batch:
     def fd_ul(self):
         """FD ``(SINR, rate)`` of the gain-max UL user: A1's and A2's UL link
         and the first term of ES-FDHD's bound."""
-        return _fd_ul(self.config, self.si, self.star[0])
+        return _fd_ul(self.config, self.star[0])
 
     @cached_property
     def hd(self):
         """Full-power single-link rates of the gain-max users."""
-        return _hd_ul(self.config, self.si, self.star[0]), _hd_dl(self.config, self.star[1])
+        return _hd_ul(self.config, self.star[0]), _hd_dl(self.config, self.star[1])
 
     def users(self, rule):
         """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
@@ -307,10 +297,10 @@ class _Batch:
         u* of each cross-gain matrix and A3 only row d*, in a gathered copy;
         the search reads every pair but keeps each UL user's best DL SINR, never
         a K² tensor of the batch."""
-        config, si, g_ul, g_dl, g_x = self.config, self.si, self.g_ul, self.g_dl, self.g_x
+        config, g_ul, g_dl, g_x = self.config, self.g_ul, self.g_dl, self.g_x
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
-            r_ul = _fd_ul(config, si, g_ul)[1]
+            r_ul = _fd_ul(config, g_ul)[1]
             # log2_1p and + r_ul are monotone, so each UL user's best pair sum
             # is log2_1p of its best DL SINR.
             best = _best_dl_sinr(p0, pu, sd, g_dl, g_x)
@@ -340,7 +330,7 @@ class _Batch:
             gains = (self.star[0] if ul is self.best[0] else self.at(self.g_ul, ul),
                      self.star[1] if dl is self.best[1] else self.at(self.g_dl, dl),
                      self.g_x.reshape(-1).take(self.bases.x + dl * self.g_x.shape[2] + ul))
-            self.pairs[rule] = _pair_at(self.config, self.si, ul, dl, gains, r_fd,
+            self.pairs[rule] = _pair_at(self.config, ul, dl, gains, r_fd,
                                         self.fd_ul if ul is self.best[0] else None)
         return self.pairs[rule]
 
@@ -387,7 +377,7 @@ class _Batch:
             return None, np.zeros(len(self.g_ul), dtype=bool), self.hd[0] >= self.hd[1], {}
         pair = self.pair(OPA_BASE[scheduler])
         fast, fd, on_ul, hd_ul, hd_dl = allocate(
-            self.config, self.si, pair, self.hd[0] if pair.ul is self.best[0] else None,
+            self.config, pair, self.hd[0] if pair.ul is self.best[0] else None,
             self.hd[1] if pair.dl is self.best[1] else None)
         return pair, fd, on_ul, {"fast": fast, "pair_hd_ul": hd_ul, "pair_hd_dl": hd_dl}
 
@@ -417,13 +407,13 @@ def evaluate(schedulers, config, g_ul, g_dl, g_x):
     Schedulers may share an array (the OPA rules' single-link rates of a
     gain-max user), so treat them as read-only."""
     schedulers = [Scheduler(s) for s in schedulers]
-    batch = _Batch(config, config.si_gain, g_ul, g_dl, g_x, schedulers)
+    batch = _Batch(config, g_ul, g_dl, g_x, schedulers)
     return {s: batch.rows(s) for s in schedulers}
 
 
 def _select(scheduler, ch, config):
     """Batch-of-one view of the kernel; a half-duplex link goes to its gain-max user."""
-    batch = _Batch(config, ch.si_gain, ch.g_ul[None], ch.g_dl[None], ch.g_x[None], (scheduler,))
+    batch = _Batch(config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None], (scheduler,))
     if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD
         ul, dl, _ = batch.users(scheduler)
         return Schedule(int(ul[0]), int(dl[0]), float(config.p0_max), float(config.pu_max))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, power, scheduling, sim, specfun
-from .analysis import AnalyticalParams, avg_rate_integral
+from .analysis import avg_rate_integral
 from .model import LN2, SystemConfig, draw_realization, pair_gains
 from .sim import Scheduler
 
@@ -122,7 +122,7 @@ def _triangle_stats(quick, workers, memo):
         stats = {}
         for k in (1, 2, 5):
             for i, points in enumerate(zip(_TRIANGLE_POINTS_A1, _TRIANGLE_POINTS_A2)):
-                runs = [(AnalyticalParams(*p, k, k), [s]) for p, s in zip(points, rules)]
+                runs = [(SystemConfig(*p, k, k), [s]) for p, s in zip(points, rules)]
                 for s, run in zip(rules, sim._run_stats(runs, n_mc, seed=1000 + 10 * k + i, workers=workers)):
                     stats[s, k, i] = run[s]
         memo["triangles"] = stats
@@ -135,7 +135,7 @@ def _triangle(closed_fn, cdf_dl, scheduler, points, pole_index, expect_flag, qui
     memo = _run_memos[-1] if _run_memos else {}
     for k_users in (1, 2, 5):
         for i, (p0, pu, s0, sd, si) in enumerate(points):
-            params = AnalyticalParams(p0, pu, s0, sd, si, k_users, k_users)
+            params = SystemConfig(p0, pu, s0, sd, si, k_users, k_users)
             closed = closed_fn(params)
             oracle = avg_rate_integral(
                 lambda x: analysis.cdf_sinr_ul(x, params),
@@ -315,7 +315,7 @@ def _sup_distance(samples, sf, params):
 def crit_cdf_laws(quick=False, workers=1):
     """Empirical SINR CDFs vs the three closed-form CDFs at K=5."""
     n = 30_000 if quick else 100_000
-    params = AnalyticalParams(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
+    params = SystemConfig(1.2, 0.9, 0.15, 0.08, 0.02, 5, 5)
     checks = []
     a1 = sim.run_coupled(params, [Scheduler.A1], n, seed=31, workers=workers)[1][Scheduler.A1]
     a2 = sim.run_coupled(params, [Scheduler.A2], n, seed=32, workers=workers)[1][Scheduler.A2]
@@ -401,7 +401,7 @@ def crit_asymptotic_trend(quick=False, workers=1):
     approximation strictly shrinks as K doubles through 16..1024."""
     gaps = []
     for k in (16, 64, 256, 1024):
-        params = AnalyticalParams(1.0, 0.01, 0.01, 1.0, 0.0, k, k)
+        params = SystemConfig(1.0, 0.01, 0.01, 1.0, 0.0, k, k)
         value = analysis.avg_rate_a1(params).value
         asym = analysis.asymptotic_rate_a1(params).bits
         gaps.append(abs(value - asym) / value)

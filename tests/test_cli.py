@@ -193,6 +193,15 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_power_hd_tdd_exits_2(self, tmp_path, capsys):
+        # -4000 dBm underflows to 0 mW, a dead DL that no scheduler is given.
+        out = tmp_path / "x.csv"
+        rc = run_cli(["simulate", "--scheduler", "hd-tdd", "--p0-dbm", "-4000", "--trials", "10",
+                      "--out", str(out)])
+        assert rc == 2
+        assert "needs positive p0_max and pu_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whole_float_user_counts_still_load(self, tmp_path):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"kd": 3.0, "ku": 2.0, "sweep_parameter": "k_users",

@@ -1,6 +1,7 @@
 """Configuration conversions, channel statistics, and instantaneous rates."""
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,11 @@ from fdsched.model import (
 from fdsched.scheduling import Schedule
 
 
-def make_ch(g_ul, g_dl, g_x, si=0.0):
+def make_ch(g_ul, g_dl, g_x):
     return ChannelRealization(
         g_ul=np.asarray(g_ul, float),
         g_dl=np.asarray(g_dl, float),
         g_x=np.asarray(g_x, float),
-        si_gain=si,
     )
 
 
@@ -64,6 +64,8 @@ class TestConfigFromDb:
             SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 0, 1)
         with pytest.raises(ValueError):
             SystemConfig(1.0, -1.0, 1.0, 1.0, 0.0, 1, 1)
+        with pytest.raises(ValueError, match="^si_gain must be finite and >= 0"):
+            SystemConfig(1.0, 1.0, 1.0, 1.0, -0.5, 1, 1)
 
 
 class TestDrawRealization:
@@ -88,8 +90,12 @@ class TestDrawRealization:
         assert np.array_equal(a.g_ul, b.g_ul)
         assert np.array_equal(a.g_dl, b.g_dl)
         assert np.array_equal(a.g_x, b.g_x)
-        assert a.si_gain == cfg.si_gain
         assert not np.array_equal(a.g_ul, c.g_ul)
+
+    def test_holds_channel_gains_only(self):
+        # The SI gain is the config's alone: a snapshot has no copy of it.
+        ch = draw_realization(SystemConfig(1.0, 1.0, 1.0, 1.0, 0.5, 2, 2), np.random.default_rng(0))
+        assert [f.name for f in fields(ch)] == ["g_ul", "g_dl", "g_x"]
 
     def test_arrays_are_frozen(self):
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 2, 2)
@@ -99,13 +105,11 @@ class TestDrawRealization:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            make_ch([1.0, 2.0], [1.0, 2.0], [[1.0, 2.0]], si=0.0)  # g_x rows != k_d
+            make_ch([1.0, 2.0], [1.0, 2.0], [[1.0, 2.0]])  # g_x rows != k_d
         with pytest.raises(ValueError):
-            make_ch([1.0], [1.0], [[1.0, 2.0]], si=0.0)
+            make_ch([1.0], [1.0], [[1.0, 2.0]])
         with pytest.raises(ValueError):
-            make_ch([1.0], [1.0], [[-1.0]], si=0.0)
-        with pytest.raises(ValueError):
-            make_ch([1.0], [1.0], [[1.0]], si=-0.5)
+            make_ch([1.0], [1.0], [[-1.0]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
     @pytest.mark.parametrize("name", ["g_ul", "g_dl", "g_x"])
@@ -113,7 +117,7 @@ class TestDrawRealization:
         gains = {"g_ul": np.ones(2), "g_dl": np.ones(3), "g_x": np.ones((3, 2))}
         gains[name].flat[1] = bad
         with pytest.raises(ValueError, match=f"^{name} entries must be finite and >= 0"):
-            ChannelRealization(si_gain=0.0, **gains)
+            ChannelRealization(**gains)
 
     def test_negative_zero_is_a_zero_gain(self):
         ch = make_ch([-0.0, 1.0], [1.0, -0.0, 2.0], [[-0.0, 0.0], [1.0, -0.0], [0.0, 0.0]])
@@ -121,43 +125,44 @@ class TestDrawRealization:
 
 
 UNIT_NOISE = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)  # sigma0^2 = sigmaD^2 = 1
+UNIT_SI = replace(UNIT_NOISE, si_gain=1.0)
 
 
 class TestSinr:
     """Each link's SINR as :func:`rates` reads it: r = log2(1 + SINR)."""
 
     def test_ul_no_si(self):
-        ch = make_ch([1.0], [1.0], [[0.0]], si=0.0)
+        ch = make_ch([1.0], [1.0], [[0.0]])
         out = rates(ch, Schedule(0, 0, p0=123.0, pu=2.0), UNIT_NOISE)
         assert out.r_ul == pytest.approx(math.log2(1.0 + 2.0))
 
     def test_ul_with_si(self):
         # The SI term at the BS: p0 * si_gain joins the UL noise.
-        ch = make_ch([1.0], [1.0], [[0.0]], si=1.0)
-        out = rates(ch, Schedule(0, 0, p0=1.0, pu=1.0), UNIT_NOISE)
+        ch = make_ch([1.0], [1.0], [[0.0]])
+        out = rates(ch, Schedule(0, 0, p0=1.0, pu=1.0), UNIT_SI)
         assert out.r_ul == pytest.approx(math.log2(1.0 + 0.5))
 
     def test_ul_zero_power(self):
-        ch = make_ch([1.0], [1.0], [[0.0]], si=1.0)
-        assert rates(ch, Schedule(None, 0, p0=1.0, pu=0.0), UNIT_NOISE).r_ul == 0.0
+        ch = make_ch([1.0], [1.0], [[0.0]])
+        assert rates(ch, Schedule(None, 0, p0=1.0, pu=0.0), UNIT_SI).r_ul == 0.0
 
     def test_dl_interference_free(self):
         # With the UL off, the cross gain 7 does not reach the DL.
-        ch = make_ch([1.0], [4.0], [[7.0]], si=0.0)
+        ch = make_ch([1.0], [4.0], [[7.0]])
         out = rates(ch, Schedule(None, 0, p0=1.0, pu=0.0), UNIT_NOISE)
         assert out.r_dl == pytest.approx(math.log2(1.0 + 4.0))
 
     def test_dl_with_interference(self):
-        ch = make_ch([1.0], [1.0], [[1.0]], si=0.0)
+        ch = make_ch([1.0], [1.0], [[1.0]])
         out = rates(ch, Schedule(0, 0, p0=1.0, pu=1.0), UNIT_NOISE)
         assert out.r_dl == pytest.approx(math.log2(1.0 + 0.5))
 
     def test_dl_zero_power(self):
-        ch = make_ch([1.0], [1.0], [[1.0]], si=0.0)
+        ch = make_ch([1.0], [1.0], [[1.0]])
         assert rates(ch, Schedule(0, None, p0=0.0, pu=1.0), UNIT_NOISE).r_dl == 0.0
 
     def test_index_errors(self):
-        ch = make_ch([1.0, 2.0], [3.0], [[1.0, 1.0]], si=0.0)
+        ch = make_ch([1.0, 2.0], [3.0], [[1.0, 1.0]])
         for ul, dl, message in [(2, 0, "UL index 2 out of range for 2 users"),
                                 (-1, 0, "UL index -1 out of range for 2 users"),
                                 (0, 1, "DL index 1 out of range for 1 users"),
@@ -167,11 +172,21 @@ class TestSinr:
         with pytest.raises(ValueError, match="needs a user"):
             Schedule(None, 0, 1.0, 1.0)  # pu > 0 with no UL user
 
+    def test_index_must_be_a_whole_number(self):
+        ch = make_ch([1.0, 2.0], [3.0, 4.0], [[1.0, 1.0], [1.0, 1.0]])
+        for ul, dl, message in [(True, 0, "UL index must be a whole number, got True"),
+                                (0, 1.5, "DL index must be a whole number, got 1.5"),
+                                ("1", 0, "UL index must be a whole number, got '1'")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rates(ch, Schedule(ul, dl, 1.0, 1.0), UNIT_NOISE)
+        whole = rates(ch, Schedule(1.0, np.int64(1), 1.0, 1.0), UNIT_NOISE)
+        assert whole == rates(ch, Schedule(1, 1, 1.0, 1.0), UNIT_NOISE)
+
 
 class TestRates:
     def test_unit_sinrs(self):
         # gamma_ul = gamma_dl = 1 -> 1 + 1 bps/Hz.
-        ch = make_ch([1.0], [2.0], [[1.0]], si=0.0)
+        ch = make_ch([1.0], [2.0], [[1.0]])
         sched = Schedule(ul=0, dl=0, p0=1.0, pu=1.0)
         out = rates(ch, sched, UNIT_NOISE)
         assert out.r_ul == pytest.approx(1.0, rel=1e-12)
@@ -180,9 +195,9 @@ class TestRates:
 
     def test_hd_ul_only(self):
         # gamma_ul = 3 at p0 = 0 -> (2, 0, 2).
-        ch = make_ch([3.0], [1.0], [[1.0]], si=0.7)
+        ch = make_ch([3.0], [1.0], [[1.0]])
         sched = Schedule(ul=0, dl=None, p0=0.0, pu=1.0)
-        out = rates(ch, sched, UNIT_NOISE)
+        out = rates(ch, sched, replace(UNIT_NOISE, si_gain=0.7))
         assert out.r_ul == pytest.approx(2.0, rel=1e-12)
         assert out.r_dl == 0.0
         assert out.r_sum == pytest.approx(2.0, rel=1e-12)
@@ -196,7 +211,7 @@ class TestRates:
             d = int(rng.integers(cfg.k_d))
             sched = Schedule(ul=u, dl=d, p0=cfg.p0_max, pu=cfg.pu_max)
             out = rates(ch, sched, cfg)
-            gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, ch.si_gain, cfg.sigma0_sq)
+            gamma_ul = sinr(cfg.pu_max, ch.g_ul[u], cfg.p0_max, cfg.si_gain, cfg.sigma0_sq)
             gamma_dl = sinr(cfg.p0_max, ch.g_dl[d], cfg.pu_max, ch.g_x[d, u], cfg.sigmaD_sq)
             expect_ul = math.log2(1.0 + gamma_ul)
             expect_dl = math.log2(1.0 + gamma_dl)

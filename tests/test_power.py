@@ -20,12 +20,11 @@ from fdsched.scheduling import (
 )
 
 
-def make_ch(g_ul, g_dl, g_x, si):
+def make_ch(g_ul, g_dl, g_x):
     return ChannelRealization(
         g_ul=np.asarray(g_ul, float),
         g_dl=np.asarray(g_dl, float),
         g_x=np.asarray(g_x, float),
-        si_gain=si,
     )
 
 
@@ -56,7 +55,7 @@ class TestIndicators:
 class TestOpa:
     def test_fast_path_without_interference(self):
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
-        ch = make_ch([1.0], [1.0], [[0.0]], si=0.0)
+        ch = make_ch([1.0], [1.0], [[0.0]])
         d = opa(ch, 0, 0, cfg)
         assert d.fast_path
         assert d.mode is DuplexMode.FD
@@ -66,7 +65,7 @@ class TestOpa:
         # FD corner: 2*log2(1 + 1/101) ~ 0.0285; each HD corner: 1.0.
         # HD-UL wins the tie against HD-DL by preference order.
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 100.0, 1, 1)
-        ch = make_ch([1.0], [1.0], [[100.0]], si=100.0)
+        ch = make_ch([1.0], [1.0], [[100.0]])
         d = opa(ch, 0, 0, cfg)
         assert not d.fast_path
         assert d.mode is DuplexMode.HD_UL
@@ -78,7 +77,7 @@ class TestOpa:
         # Strong SI kills eta(PU) >= 0 but the corner comparison still
         # favors FD: 1.0142 > 1.0.
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 100.0, 1, 1)
-        ch = make_ch([1.0], [1.0], [[0.0]], si=100.0)
+        ch = make_ch([1.0], [1.0], [[0.0]])
         assert eta(1.0, 1.0, 0.0, 1.0, 1.0, 100.0) < 0
         d = opa(ch, 0, 0, cfg)
         assert not d.fast_path
@@ -88,11 +87,21 @@ class TestOpa:
 
     def test_invalid_indices(self):
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
-        ch = make_ch([1.0], [1.0], [[0.0]], si=0.0)
+        ch = make_ch([1.0], [1.0], [[0.0]])
         with pytest.raises(IndexError):
             opa(ch, 1, 0, cfg)
         with pytest.raises(IndexError):
             opa(ch, 0, -1, cfg)
+
+    def test_indices_must_be_whole_numbers(self):
+        cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 3)
+        ch = make_ch([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="^UL index must be a whole number, got True$"):
+            opa(ch, True, 0, cfg)
+        with pytest.raises(ValueError, match="^DL index must be a whole number, got 1.5$"):
+            opa(ch, 0, 1.5, cfg)
+        d = opa(ch, np.int64(2), 1.0, cfg)
+        assert (d.ul, d.dl) == (2, 1) and type(d.ul) is int and type(d.dl) is int
 
     def test_decision_invariants(self):
         with pytest.raises(ValueError):
@@ -231,7 +240,7 @@ class TestOpaEnhancedSchedule:
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 1e4, 2, 1)
         g_ul = [100.0, 60.0]
         g_x = [[1000.0, 1e-9]]  # strongest UL user leaks hard into the DL user
-        ch = make_ch(g_ul, [0.1], g_x, si=1e4)
+        ch = make_ch(g_ul, [0.1], g_x)
         assert select_a3(ch, cfg).ul == 1
         out = evaluate([Scheduler.A3_OPA], cfg, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
         rows = out[Scheduler.A3_OPA]

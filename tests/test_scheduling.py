@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 from fdsched import scheduling
+from fdsched.power import opa
 from fdsched.model import (
     ChannelRealization, SystemConfig, config_from_db, draw_realization, log2_1p, rates, sinr,
 )
@@ -28,12 +30,11 @@ from fdsched.scheduling import (
 CFG = SystemConfig(1.5, 0.8, 0.2, 0.3, 0.05, 5, 5)
 
 
-def make_ch(g_ul, g_dl, g_x, si=CFG.si_gain):
+def make_ch(g_ul, g_dl, g_x):
     return ChannelRealization(
         g_ul=np.asarray(g_ul, float),
         g_dl=np.asarray(g_dl, float),
         g_x=np.asarray(g_x, float),
-        si_gain=si,
     )
 
 
@@ -75,18 +76,18 @@ class TestA1:
         ch = random_ch(rng)
         scrambled = ChannelRealization(
             g_ul=ch.g_ul, g_dl=ch.g_dl,
-            g_x=rng.standard_exponential(ch.g_x.shape), si_gain=ch.si_gain,
+            g_x=rng.standard_exponential(ch.g_x.shape),
         )
         assert select_a1(ch, CFG) == select_a1(scrambled, CFG)
         # UL choice blind to DL gains, and vice versa.
         swapped_dl = ChannelRealization(
             g_ul=ch.g_ul, g_dl=rng.standard_exponential(ch.g_dl.shape),
-            g_x=ch.g_x, si_gain=ch.si_gain,
+            g_x=ch.g_x,
         )
         assert select_a1(swapped_dl, CFG).ul == select_a1(ch, CFG).ul
         swapped_ul = ChannelRealization(
             g_ul=rng.standard_exponential(ch.g_ul.shape), g_dl=ch.g_dl,
-            g_x=ch.g_x, si_gain=ch.si_gain,
+            g_x=ch.g_x,
         )
         assert select_a1(swapped_ul, CFG).dl == select_a1(ch, CFG).dl
 
@@ -95,7 +96,7 @@ class TestA1:
         for _ in range(20):
             ch = random_ch(rng)
             scaled = ChannelRealization(
-                g_ul=3.7 * ch.g_ul, g_dl=0.04 * ch.g_dl, g_x=ch.g_x, si_gain=ch.si_gain
+                g_ul=3.7 * ch.g_ul, g_dl=0.04 * ch.g_dl, g_x=ch.g_x
             )
             base = select_a1(ch, CFG)
             other = select_a1(scaled, CFG)
@@ -107,7 +108,7 @@ class TestA2:
         rng = np.random.default_rng(4)
         ch = random_ch(rng)
         quiet = ChannelRealization(
-            g_ul=ch.g_ul, g_dl=ch.g_dl, g_x=np.zeros_like(ch.g_x), si_gain=ch.si_gain
+            g_ul=ch.g_ul, g_dl=ch.g_dl, g_x=np.zeros_like(ch.g_x)
         )
         assert select_a2(quiet, CFG).dl == select_a1(quiet, CFG).dl
 
@@ -137,7 +138,7 @@ class TestA2:
         ul = int(np.argmax(ch.g_ul))
         g_x = rng.standard_exponential(ch.g_x.shape)
         g_x[:, ul] = ch.g_x[:, ul]
-        scrambled = ChannelRealization(ch.g_ul, ch.g_dl, g_x, ch.si_gain)
+        scrambled = ChannelRealization(ch.g_ul, ch.g_dl, g_x)
         assert select_a2(ch, CFG) == select_a2(scrambled, CFG)
 
 
@@ -146,7 +147,7 @@ class TestA3:
         rng = np.random.default_rng(6)
         ch = random_ch(rng)
         quiet = ChannelRealization(
-            g_ul=ch.g_ul, g_dl=ch.g_dl, g_x=np.zeros_like(ch.g_x), si_gain=ch.si_gain
+            g_ul=ch.g_ul, g_dl=ch.g_dl, g_x=np.zeros_like(ch.g_x)
         )
         assert select_a3(quiet, CFG).ul == select_a1(quiet, CFG).ul
 
@@ -175,7 +176,7 @@ class TestA3:
         dl = int(np.argmax(ch.g_dl))
         g_x = rng.standard_exponential(ch.g_x.shape)
         g_x[dl, :] = ch.g_x[dl, :]
-        scrambled = ChannelRealization(ch.g_ul, ch.g_dl, g_x, ch.si_gain)
+        scrambled = ChannelRealization(ch.g_ul, ch.g_dl, g_x)
         assert select_a3(ch, CFG) == select_a3(scrambled, CFG)
 
 
@@ -206,7 +207,7 @@ class TestExhaustiveSearch:
 
     def test_rounded_sum_tie_goes_to_lowest_dl(self):
         for select in (select_es_fd, select_es_fdhd):
-            s = select(make_ch(*self.TIE_GAINS, si=0.0), self.TIE_CFG)
+            s = select(make_ch(*self.TIE_GAINS), self.TIE_CFG)
             assert (s.ul, s.dl) == (1, 0)
         gains = (np.asarray(g, float)[None] for g in self.TIE_GAINS)
         out = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], self.TIE_CFG, *gains)
@@ -217,7 +218,7 @@ class TestExhaustiveSearch:
     def test_exact_tie_goes_to_lowest_ul(self):
         # UL users 0 and 2 are the same user; each pairs best with DL user 1.
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 2)
-        ch = make_ch([2.0, 1.0, 2.0], [1.0, 3.0], [[1.0, 1.0, 1.0], [2.0, 1.0, 2.0]], si=0.0)
+        ch = make_ch([2.0, 1.0, 2.0], [1.0, 3.0], [[1.0, 1.0, 1.0], [2.0, 1.0, 2.0]])
         for select in (select_es_fd, select_es_fdhd):
             s = select(ch, cfg)
             assert (s.ul, s.dl) == (0, 1)
@@ -246,7 +247,7 @@ class TestExhaustiveSearch:
         cfg = SystemConfig(1.5, 0.8, 0.2, 0.3, 0.0, 5, 5)
         for _ in range(50):
             base = draw_realization(cfg, rng)
-            ch = ChannelRealization(base.g_ul, base.g_dl, np.zeros_like(base.g_x), 0.0)
+            ch = ChannelRealization(base.g_ul, base.g_dl, np.zeros_like(base.g_x))
             assert select_es_fdhd(ch, cfg).mode is DuplexMode.FD
 
     def test_fdhd_collapses_to_hd_under_crushing_interference(self):
@@ -255,7 +256,7 @@ class TestExhaustiveSearch:
         for _ in range(20):
             base = draw_realization(cfg, rng)
             ch = ChannelRealization(
-                base.g_ul, base.g_dl, np.full_like(base.g_x, 1e12), cfg.si_gain
+                base.g_ul, base.g_dl, np.full_like(base.g_x, 1e12)
             )
             s = select_es_fdhd(ch, cfg)
             assert s.mode in (DuplexMode.HD_UL, DuplexMode.HD_DL)
@@ -280,11 +281,9 @@ class TestHdTdd:
         assert out.r_sum == pytest.approx(2.0, rel=1e-12)
 
     def test_dead_downlink(self):
-        ch = make_ch([3.0], [5.0], [[1.0]])
-        cfg = SystemConfig(0.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
-        out = select_hd_tdd(ch, cfg)
-        assert out.r_dl == 0.0
-        assert out.r_ul == pytest.approx(1.0, rel=1e-12)
+        # A dead link is no operating point: the config refuses it for HD-TDD too.
+        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+            SystemConfig(0.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
 
     def test_double_entry(self):
         rng = np.random.default_rng(67)
@@ -294,6 +293,42 @@ class TestHdTdd:
             expect = 0.5 * math.log2(1 + CFG.pu_max * ch.g_ul.max() / CFG.sigma0_sq) \
                 + 0.5 * math.log2(1 + CFG.p0_max * ch.g_dl.max() / CFG.sigmaD_sq)
             assert out.r_sum == pytest.approx(expect, rel=1e-12)
+
+
+class TestSiFromTheConfig:
+    """The SI gain is the config's alone: a snapshot drawn under one config
+    and judged under another SI gain gets the kernel's answer at that gain."""
+
+    VIEWS = {Scheduler.A1: select_a1, Scheduler.A2: select_a2, Scheduler.A3: select_a3,
+             Scheduler.ES_FD: select_es_fd, Scheduler.ES_FDHD: select_es_fdhd}
+
+    @pytest.mark.parametrize("si_db", [80.0, 110.0, 120.0])
+    def test_views_and_opa_match_evaluate_at_the_config(self, si_db):
+        # Drawn at 80 dB cancellation, where every OPA pair is half duplex.
+        drawn = config_from_db(24.0, 23.0, 80.0, k_u=3, k_d=3)
+        config = replace(drawn, si_gain=config_from_db(24.0, 23.0, si_db).si_gain)
+        rng = np.random.default_rng(83)
+        modes = set()
+        for _ in range(40):
+            ch = draw_realization(drawn, rng)
+            out = evaluate(list(Scheduler), config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None])
+            for rule, view in self.VIEWS.items():
+                s, rows = view(ch, config), out[rule]
+                assert (s.mode is DuplexMode.FD) == rows["fd"][0], rule
+                got = rates(ch, s, config)
+                assert (got.r_ul, got.r_dl) == pytest.approx((rows["r_ul"][0], rows["r_dl"][0]), rel=1e-12)
+            tdd = select_hd_tdd(ch, config)
+            assert (tdd.r_ul, tdd.r_dl) == (out[Scheduler.HD_TDD]["r_ul"][0], out[Scheduler.HD_TDD]["r_dl"][0])
+            for rule, base in OPA_BASE.items():
+                pair, rows = self.VIEWS[base](ch, config), out[rule]
+                d = opa(ch, pair.ul, pair.dl, config)
+                modes.add(d.mode)
+                assert d.fast_path == rows["fast"][0] and (d.mode is DuplexMode.FD) == rows["fd"][0], rule
+                got = rates(ch, d, config)
+                expect = ((rows["r_ul"][0], rows["r_dl"][0]) if d.mode is DuplexMode.FD
+                          else (rows["pair_hd_ul"][0] * (d.pu > 0), rows["pair_hd_dl"][0] * (d.p0 > 0)))
+                assert (got.r_ul, got.r_dl) == pytest.approx(expect, rel=1e-12), rule
+        assert (DuplexMode.FD in modes) == (si_db > 80.0) and DuplexMode.HD_DL in modes
 
 
 def _exponential_block(config, rng, n=700):
@@ -401,7 +436,7 @@ class TestIndexPaths:
         for si_db in (20.0, 60.0, 120.0):
             config = config_from_db(24.0, 23.0, si_db, k_u=3, k_d=2)
             gains = _exponential_block(config, np.random.default_rng(n), n=n)
-            batch = scheduling._Batch(config, config.si_gain, *gains)
+            batch = scheduling._Batch(config, *gains)
             (g_ul, g_dl), (hd_ul, hd_dl) = batch.star, batch.hd
             bound = (log2_1p(sinr(config.pu_max, g_ul, config.p0_max, config.si_gain, config.sigma0_sq))
                      + log2_1p(sinr(config.p0_max, g_dl, config.pu_max, gains[2].min(axis=(1, 2)),
@@ -471,7 +506,7 @@ class TestBoundedSearch:
         monkeypatch.setattr(scheduling, "_best_dl_sinr", lambda *args: pytest.fail("the pairs were searched"))
         assert not evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]["fd"].any()
         assert sum(rows) <= 16 and decisions == [4096] and search_rows == []
-        batch = scheduling._Batch(config, config.si_gain, *gains, [Scheduler.ES_FDHD])
+        batch = scheduling._Batch(config, *gains, [Scheduler.ES_FDHD])
         batch.rows(Scheduler.ES_FDHD)
         assert batch.corner(Scheduler.ES_FDHD)[0] is None  # no pair: every row is half duplex
         assert decisions == [4096, 4096]
@@ -530,7 +565,7 @@ class TestBoundedSearch:
             for key, values in shared.items():
                 assert alone[key].tobytes() == values.tobytes(), (si_db, key)
             for i in range(0, 400, 23):  # the one-row scalar view
-                ch = ChannelRealization(gains[0][i], gains[1][i], gains[2][i], config.si_gain)
+                ch = ChannelRealization(gains[0][i], gains[1][i], gains[2][i])
                 s = select_es_fdhd(ch, config)
                 assert (s.mode is DuplexMode.FD) == shared["fd"][i]
                 if s.mode is DuplexMode.FD:
@@ -568,7 +603,7 @@ class TestBoundedSearch:
         shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, g_ul, g_dl, g_x)[Scheduler.ES_FDHD]
         for key, values in shared.items():
             assert alone[key].tobytes() == values.tobytes(), key
-        s = select_es_fdhd(ChannelRealization(g_ul[0], g_dl[0], g_x[0], config.si_gain), config)
+        s = select_es_fdhd(ChannelRealization(g_ul[0], g_dl[0], g_x[0]), config)
         assert (s.mode, s.ul, s.dl) == (DuplexMode.FD, 0, 0)
 
 

@@ -7,12 +7,13 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fdsched import power, scheduling, sim
-from fdsched.model import ChannelRealization, SystemConfig, config_from_db, draw_realization
+from fdsched import scheduling, sim
+from fdsched.model import ChannelRealization, SystemConfig, config_from_db
 from fdsched.sim import (
     BLOCK_SIZE,
     Scheduler,
@@ -237,7 +238,7 @@ class TestAgainstScalarPipeline:
             rows += [([1.0, 1.0], [1.0, 2.0], [[1.0, 5.0], [3.0, 5.0]]),
                      ([1.0, 2.0], [1.0, 1.0], [[1.0, 3.0], [5.0, 5.0]])]
         gains = [np.array([row[i] for row in rows]) for i in range(3)]
-        batch = scheduling._Batch(config, config.si_gain, *gains)
+        batch = scheduling._Batch(config, *gains)
         for rule, select, view in [(Scheduler.A1, select_a1, scheduling.select_a1),
                                    (Scheduler.A2, select_a2, scheduling.select_a2),
                                    (Scheduler.A3, select_a3, scheduling.select_a3),
@@ -246,7 +247,7 @@ class TestAgainstScalarPipeline:
             for i, (g_ul, g_dl, g_x) in enumerate(rows):
                 expect = select(config, g_ul, g_dl, g_x)[:2]
                 assert (pair.ul[i], pair.dl[i]) == expect, (rule, i)
-                s = view(ChannelRealization(g_ul, g_dl, g_x, config.si_gain), config)
+                s = view(ChannelRealization(g_ul, g_dl, g_x), config)
                 assert (s.ul, s.dl) == expect, (rule, i)
             assert (pair.ul[0], pair.dl[0]) == (0, 0)
         if k == 2:
@@ -690,24 +691,15 @@ class TestStreamedReduction:
 class TestInputChecks:
     @pytest.mark.parametrize("p0,pu", [(0.0, 1.0), (1.0, 0.0)])
     def test_zero_power_rejected_on_both_paths(self, p0, pu):
-        # Every scheduler but HD-TDD, as a scalar view and in the engine.
-        config = SystemConfig(p0, pu, 1.0, 1.0, 1e-3, 2, 2)
-        ch = draw_realization(config, np.random.default_rng(0))
-        scalar = [scheduling.select_a1, scheduling.select_a2, scheduling.select_a3,
-                  scheduling.select_es_fd, scheduling.select_es_fdhd,
-                  lambda ch, config: power.opa(ch, 0, 0, config)]
-        for view in scalar:
-            with pytest.raises(ValueError, match="positive p0_max and pu_max"):
-                view(ch, config)
-        for sched in Scheduler:
-            if sched is Scheduler.HD_TDD:
-                assert run_trials(config, sched, 100, seed=1).n_trials == 100
-                continue
-            with pytest.raises(ValueError, match="positive p0_max and pu_max"):
-                run_trials(config, sched, 100, seed=1)
+        # The config refuses a dead link, so no scalar view and no engine run,
+        # of any scheduler (HD-TDD too), is ever given one.
         with pytest.raises(ValueError, match="positive p0_max and pu_max"):
-            run_coupled(config, [Scheduler.HD_TDD, Scheduler.A2_OPA], 100, seed=1)
-        scheduling.select_hd_tdd(ch, config)
+            SystemConfig(p0, pu, 1.0, 1.0, 1e-3, 2, 2)
+        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+            replace(CFG, p0_max=p0, pu_max=pu)
+        dead = {"p0_dbm" if p0 == 0.0 else "pu_dbm": -4000.0}  # 10^-400 mW underflows to 0
+        with pytest.raises(ValueError, match="positive p0_max and pu_max"):
+            run_sweep(dead, "si_cancellation_db", (80.0,), [Scheduler.HD_TDD], 100, seed=1)
 
     def test_system_config_needs_whole_user_counts(self):
         assert SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 5.0, 3).k_u == 5
