@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import RateBreakdown, log2_1p, sinr
+from .model import RateBreakdown, log2_1p, sinr, whole_number
 
 
 class Scheduler(str, enum.Enum):
@@ -95,8 +95,10 @@ class Schedule:
         if (self.pu > 0.0 and self.ul is None) or (self.p0 > 0.0 and self.dl is None):
             raise ValueError("a link with positive power needs a user")
         for user, power in (("ul", self.pu), ("dl", self.p0)):
-            if power == 0.0:
-                object.__setattr__(self, user, None)
+            index = getattr(self, user)
+            if index is not None:
+                index = whole_number(f"{user.upper()} index", index)
+            object.__setattr__(self, user, None if power == 0.0 else index)
 
     @property
     def mode(self):
@@ -173,7 +175,7 @@ def allocate(config, pair, hd_ul=None, hd_dl=None):
     return (fast, *_corner(pair.r_fd, hd_ul, hd_dl, fast), hd_ul, hd_dl)
 
 
-_PAIR_RULE = {**OPA_BASE, Scheduler.ES_FDHD: Scheduler.ES_FD}  # each corner rule's base pair
+_CORNER_RULES = {*OPA_BASE, Scheduler.ES_FDHD}  # the rules that pick a power corner
 
 # Offsets into flattened (n, k_u), (n, k_d) and (n, k_d, k_u) arrays: row i's
 # first entry in each, and in ``col`` the k_d entries of a cross-gain column
@@ -387,7 +389,7 @@ class _Batch:
         if scheduler is Scheduler.HD_TDD:
             r_ul, r_dl = self.hd
             return {"r_ul": 0.5 * r_ul, "r_dl": 0.5 * r_dl, "fd": np.zeros(len(r_ul), dtype=bool)}
-        if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD on every trial
+        if scheduler not in _CORNER_RULES:  # fixed powers: the base pair in FD on every trial
             pair = self.pair(scheduler)
             gamma = {} if scheduler is Scheduler.ES_FD else dict(zip(("gamma_ul", "gamma_dl"), pair.gamma))
             return {"r_ul": pair.rates[0], "r_dl": pair.rates[1], "fd": np.ones(len(pair.ul), dtype=bool),
@@ -414,12 +416,12 @@ def evaluate(schedulers, config, g_ul, g_dl, g_x):
 def _select(scheduler, ch, config):
     """Batch-of-one view of the kernel; a half-duplex link goes to its gain-max user."""
     batch = _Batch(config, ch.g_ul[None], ch.g_dl[None], ch.g_x[None], (scheduler,))
-    if scheduler not in _PAIR_RULE:  # fixed powers: the base pair in FD
+    if scheduler not in _CORNER_RULES:  # fixed powers: the base pair in FD
         ul, dl, _ = batch.users(scheduler)
-        return Schedule(int(ul[0]), int(dl[0]), float(config.p0_max), float(config.pu_max))
+        return Schedule(ul[0], dl[0], float(config.p0_max), float(config.pu_max))
     pair, fd, on_ul, _ = batch.corner(scheduler)
     ul, dl = (pair.ul, pair.dl) if fd[0] else batch.best
-    return Schedule(int(ul[0]), int(dl[0]), *map(float, _powers(config, fd[0], on_ul[0])))
+    return Schedule(ul[0], dl[0], *map(float, _powers(config, fd[0], on_ul[0])))
 
 
 def select_a1(ch, config):

@@ -10,9 +10,9 @@ cdf-laws and trend-reproductions; the other criteria run no engine call
 of their own and ignore it.  Engine results are bit-identical under any
 worker count, so no detail string depends on it.  Within one :func:`run`
 the Theorem 2 and 3 triangles share their Monte Carlo draws: whichever
-runs first carries the Monte Carlo time of both.  binary-opa evaluates
-its power grids in batches, elementwise, so each grid keeps the bits it
-has alone, and still reports the first failing realization in draw order.
+runs first carries the Monte Carlo time of both.  binary-opa draws its
+realizations, then evaluates their power grids in batches, elementwise, so
+each grid keeps the bits it has alone, and checks them in draw order.
 """
 
 import filecmp
@@ -212,35 +212,17 @@ def crit_binary_opa(quick=False, workers=1):
     decisions always agree with corner enumeration.
 
     Each realization is drawn and decided on its own, through the scalar
-    views the criterion checks.  Its grid is evaluated later, in one pass
-    with those of up to ``_GRID_BATCH`` realizations (:func:`_grid_maxima`),
-    which keeps each grid's maximum bit for bit.  A corner or fast-path
-    failure first checks the grids still pending, so the failure reported
-    is that of the first failing realization in draw order; within one
-    realization the checks run corner, grid, fast path."""
+    views the criterion checks, up to the first non-maximal corner or
+    failing fast path.  The grids drawn are then evaluated ``_GRID_BATCH``
+    at a time (:func:`_grid_maxima`), which keeps each grid's maximum bit
+    for bit, and checked in draw order, so the failure reported is that of
+    the first failing realization: within one, corner, grid, fast path."""
     n_real = 2_000 if quick else 10_000
     rng = np.random.default_rng(20240817)
-    worst_excess = -math.inf
     fast_count = 0
-    links = np.empty((_GRID_BATCH, 8))
-    a, b = np.empty((2, _GRID_BATCH, 51, 51))
-    pending = []  # (best corner rate, fast-path failure or None) of each grid not yet checked
-
-    def check_grids():
-        """The first failure among the pending realizations, or None."""
-        nonlocal worst_excess
-        maxima = _grid_maxima(links[:len(pending)], a, b).tolist()
-        for (corner_best, fast_failure), nats in zip(pending, maxima):
-            # The grid's best rate in nats, then bits: dividing by ln 2 is
-            # monotone, so this is the largest of the grid's rates in bits.
-            excess = nats / LN2 - corner_best
-            worst_excess = max(worst_excess, excess)
-            if excess > 1e-9:
-                return f"grid beat the corners by {excess:.3e}"
-            if fast_failure:
-                return fast_failure
-        pending.clear()
-        return None
+    failure = None  # the corner or fast-path failure that stopped the draws
+    links = np.empty((n_real, 8))
+    best_corners = []  # each realization's best corner rate, for its grid's check
 
     # log10 of p0_max, pu_max, s0, sd and si, uniform on [low, high), from one
     # draw of five doubles: Generator.uniform's own low + (high - low) * u
@@ -249,7 +231,7 @@ def crit_binary_opa(quick=False, workers=1):
     # differs from it in the last bit of about one power in four.
     low, high = np.array([-1.0, -1.0, -3.0, -3.0, -12.0]), np.array([2.0, 2.0, 0.0, 0.0, 0.0])
     span = high - low
-    for _ in range(n_real):
+    for i in range(n_real):
         p0_max, pu_max, s0, sd, si = [10.0 ** v for v in (low + span * rng.random(5)).tolist()]
         config = SystemConfig(p0_max, pu_max, s0, sd, si, 5, 5)
         ch = draw_realization(config, rng)
@@ -263,21 +245,31 @@ def crit_binary_opa(quick=False, workers=1):
         corner_best = max(r_fd, r_hd_ul, r_hd_dl)
         chosen = {"fd": r_fd, "hd-ul": r_hd_ul, "hd-dl": r_hd_dl}[decision.mode.value]
         if chosen < corner_best - 1e-12:
-            return False, check_grids() or (
-                f"opa returned a non-maximal corner ({chosen} < {corner_best})")
-        fast_failure = None
+            failure = f"opa returned a non-maximal corner ({chosen} < {corner_best})"
+            break
+        links[i] = (p0_max, pu_max, s0, sd, si, g0, gd, gx)
+        best_corners.append(corner_best)
         if decision.fast_path:
             fast_count += 1
             if r_fd < max(r_hd_ul, r_hd_dl) - 1e-9:
-                fast_failure = "fast path disagreed with corner enumeration"
-        links[len(pending)] = (p0_max, pu_max, s0, sd, si, g0, gd, gx)
-        pending.append((corner_best, fast_failure))
-        if (fast_failure or len(pending) == _GRID_BATCH) and (failure := check_grids()):
-            return False, failure
-    if pending and (failure := check_grids()):
+                failure = "fast path disagreed with corner enumeration"
+                break
+
+    links = links[:len(best_corners)]
+    a, b = np.empty((2, _GRID_BATCH, 51, 51))
+    maxima = np.empty(len(links))
+    for lo in range(0, len(links), _GRID_BATCH):
+        maxima[lo:lo + _GRID_BATCH] = _grid_maxima(links[lo:lo + _GRID_BATCH], a, b)
+    # Each grid's best rate in nats, then bits: dividing by ln 2 is
+    # monotone, so each is the largest of its grid's rates in bits.
+    excess = maxima / LN2 - best_corners
+    beaten = np.flatnonzero(excess > 1e-9)
+    if beaten.size:
+        return False, f"grid beat the corners by {excess[beaten[0]]:.3e}"
+    if failure:
         return False, failure
     return True, (
-        f"{n_real} realizations, worst grid excess {worst_excess:.2e} "
+        f"{n_real} realizations, worst grid excess {excess.max():.2e} "
         f"(tol 1e-9), {fast_count} fast-path cases all consistent"
     )
 

@@ -575,9 +575,12 @@ class TestValidateCommand:
         assert validate_calls == [{"names": ["cdf-laws"], "quick": True, "workers": 2}]
 
     def test_module_entrypoint_runs(self):
+        # The child finds the package where this process found it.
+        package = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fdsched", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "fdsched" in proc.stdout

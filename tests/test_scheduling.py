@@ -632,3 +632,17 @@ class TestScheduleInvariants:
         s = Schedule(2, 3, 1.0, 0.0)
         assert s.ul is None and s.mode is DuplexMode.HD_DL
         assert Schedule(2, 3, 1.0, 1.0).mode is DuplexMode.FD
+
+    @pytest.mark.parametrize("ul, dl, p0, pu, message", [
+        (True, 1.5, 1.0, 1.0, "UL index must be a whole number, got True"),
+        ("a", 0, 1.0, 1.0, "UL index must be a whole number, got 'a'"),
+        (0, 1.5, 1.0, 1.0, "DL index must be a whole number, got 1.5"),
+        ("a", 0, 1.0, 0.0, "UL index must be a whole number, got 'a'"),   # even on a link it drops
+    ], ids=["bool", "str", "fraction", "dropped-link"])
+    def test_refuses_an_index_that_is_not_a_whole_number(self, ul, dl, p0, pu, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Schedule(ul, dl, p0, pu)
+
+    def test_keeps_whole_indices_as_ints(self):
+        s = Schedule(1.0, np.int64(2), 1.0, 1.0)
+        assert (s.ul, s.dl) == (1, 2) and type(s.ul) is int and type(s.dl) is int

@@ -298,6 +298,25 @@ def test_binary_opa_reports_a_fast_path_failure_in_draw_order(monkeypatch, grid_
     assert detail.startswith(expected)
 
 
+def test_nothing_is_drawn_past_a_failing_fast_path(monkeypatch):
+    hd = _first_hd_decision()
+    decisions = _inject(monkeypatch, fast=hd)
+    passed, detail = validate.crit_binary_opa(quick=True)
+    assert not passed
+    assert detail == _FAST_FAILED
+    assert len(decisions) == hd + 1
+
+
+def test_a_grid_failure_in_a_partial_last_batch_is_reported(grid_batches, monkeypatch):
+    monkeypatch.setattr(validate, "_GRID_BATCH", 48)   # 2000 = 41 * 48 + 32
+    decisions = _inject(monkeypatch, grid=1999)
+    passed, detail = validate.crit_binary_opa(quick=True)
+    assert not passed
+    assert detail == _GRID_FAILED
+    assert len(decisions) == 2000
+    assert [len(links) for links, _ in grid_batches] == [48] * 41 + [32]
+
+
 def test_unknown_criterion_is_refused():
     with pytest.raises(ValueError, match=r"unknown criteria: \['nope'\]"):
         validate.run(names=["nope"], echo=None)
