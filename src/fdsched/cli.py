@@ -3,7 +3,9 @@ the self-check suite.
 
 Every run writes a machine-readable table (RFC-4180 CSV or JSON) plus a
 ``<out>.manifest.json`` sidecar holding the fully resolved settings, the
-seed, tool version, timestamp, and git describe string.  Feeding a manifest
+seed, tool version, timestamp, and git describe string; an ``analyze``
+manifest also maps each closed-form row's quantity to the route that
+computed it (``routes``: ``ClosedFormRate.route``).  Feeding a manifest
 back through ``--config`` reproduces the output byte for byte, for
 ``simulate`` and ``analyze`` alike; the CSV itself contains no timestamps,
 so reruns with any ``--workers`` value compare equal.
@@ -123,7 +125,7 @@ def _git_describe():
     return "unknown"
 
 
-def _write_manifest(out_path, command, resolved):
+def _write_manifest(out_path, command, resolved, **extra):
     manifest = {
         "tool": "fdsched",
         "version": __version__,
@@ -131,17 +133,19 @@ def _write_manifest(out_path, command, resolved):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "git_describe": _git_describe(),
         "resolved": resolved,
+        **extra,
     }
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def _emit(args, command, rows, header, settings):
-    """Write ``rows`` to ``--out`` (default ``<command>.<format>``) and its manifest."""
+def _emit(args, command, rows, header, settings, **extra):
+    """Write ``rows`` to ``--out`` (default ``<command>.<format>``) and its
+    manifest, with the ``extra`` keys beside ``resolved``."""
     out = args.out or f"{command}.{settings['format']}"
     _write_rows(out, rows, header, settings["format"])
-    _write_manifest(out, command, settings)
+    _write_manifest(out, command, settings, **extra)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -266,7 +270,7 @@ def cmd_analyze(args):
         raise FlagError(str(exc)) from exc
 
     header = ["quantity", "value_bits", "value_nats", "oracle_bits", "abs_diff", "flagged"]
-    rows = []
+    rows, routes = [], {}  # routes: each closed-form row's ClosedFormRate.route, for the manifest
 
     def row(quantity, value_bits, value_nats="", oracle="", flagged=""):
         diff = abs(value_bits - oracle) if isinstance(oracle, float) else ""
@@ -289,10 +293,11 @@ def cmd_analyze(args):
         cdf_dl = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
         result = fn(params)
         row(f"avg_rate_{alg}", result.value, oracle=oracle(cdf_dl), flagged=result.flagged)
+        routes[f"avg_rate_{alg}"] = result.route
     if asym is not None:
         row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)
 
-    return _emit(args, "analyze", rows, header, settings)
+    return _emit(args, "analyze", rows, header, settings, routes=routes)
 
 
 def cmd_validate(args):

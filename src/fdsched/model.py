@@ -32,10 +32,16 @@ RADIO_DEFAULTS = {
 
 
 def whole_number(name, value):
-    """``value`` as an int: whole floats such as ``5.0`` are taken; anything
-    else that is not an integer, or is a bool, raises a ValueError naming ``name``."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    """``value`` as an int: whole floats such as ``5.0`` (numpy's of every
+    width too) are taken; anything else that is not an integer, or is a
+    bool, raises a ValueError naming ``name``.  Plain ints and numpy's
+    integers are answered before the costlier ``numbers.Integral`` check."""
+    if type(value) is int:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
@@ -114,8 +120,12 @@ def config_from_db(
 class ChannelRealization:
     """One snapshot of every magnitude-squared channel gain.
 
-    Arrays are copied and frozen on construction, so a realization can be
-    shared freely across concurrent workers.
+    Arrays passed in are copied into one fresh buffer and checked: their
+    shapes, and every gain finite and >= 0.  :func:`draw_realization`
+    freezes the buffer of its own Exp(1) draws in place instead, which are
+    finite and >= 0 by construction.  Either way the gains are read-only
+    views of a read-only buffer, so a realization can be shared freely
+    across concurrent workers.
     """
 
     g_ul: np.ndarray  # (k_u,)      UL gains |h_{0,u}|^2
@@ -123,35 +133,43 @@ class ChannelRealization:
     g_x: np.ndarray   # (k_d, k_u)  inter-terminal interference gains |h_{d,u}|^2
 
     def __post_init__(self):
-        g_ul = np.array(self.g_ul, dtype=float, copy=True)
-        g_dl = np.array(self.g_dl, dtype=float, copy=True)
-        g_x = np.array(self.g_x, dtype=float, copy=True)
+        g_ul, g_dl, g_x = (np.asarray(a, dtype=float) for a in (self.g_ul, self.g_dl, self.g_x))
         if g_ul.ndim != 1 or g_dl.ndim != 1 or g_x.shape != (g_dl.size, g_ul.size):
             raise ValueError(
                 f"inconsistent shapes: g_ul {g_ul.shape}, g_dl {g_dl.shape}, g_x {g_x.shape}"
             )
         if g_ul.size < 1 or g_dl.size < 1:
             raise ValueError("empty user set")
-        for name, arr in (("g_ul", g_ul), ("g_dl", g_dl), ("g_x", g_x)):
+        _freeze(self, np.concatenate((g_ul, g_dl, g_x.reshape(-1))), g_ul.size, g_dl.size)
+        for name in ("g_ul", "g_dl", "g_x"):
+            arr = getattr(self, name)
             if not (arr.min() >= 0.0 and arr.max() < math.inf):  # NaN fails the first test
                 raise ValueError(f"{name} entries must be finite and >= 0")
-        for name, arr in (("g_ul", g_ul), ("g_dl", g_dl), ("g_x", g_x)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+
+
+def _freeze(ch, buf, k_u, k_d):
+    """Make the 1-d ``buf`` read-only and ``ch``'s gains its views: g_ul,
+    g_dl, then g_x row-major.  Returns ``ch``."""
+    buf.flags.writeable = False
+    object.__setattr__(ch, "g_ul", buf[:k_u])
+    object.__setattr__(ch, "g_dl", buf[k_u:k_u + k_d])
+    object.__setattr__(ch, "g_x", buf[k_u + k_d:].reshape(k_d, k_u))
+    return ch
 
 
 def draw_realization(config, rng):
     """Sample one channel snapshot: every gain is Exp(1) (unit-mean-square
     Rayleigh amplitude), independently.
 
-    Draw order is g_ul, then g_dl, then g_x row-major, which pins the
-    realization to the generator state: the same stream state always yields
-    the bit-identical snapshot.
+    One ``rng.standard_exponential(k_u + k_d + k_d * k_u)`` call draws g_ul,
+    then g_dl, then g_x row-major: the numbers, and the generator state
+    after, of three calls in that order.  This pins the realization to the
+    generator state: the same stream state always yields the bit-identical
+    snapshot.
     """
-    g_ul = rng.standard_exponential(config.k_u)
-    g_dl = rng.standard_exponential(config.k_d)
-    g_x = rng.standard_exponential((config.k_d, config.k_u))
-    return ChannelRealization(g_ul=g_ul, g_dl=g_dl, g_x=g_x)
+    k_u, k_d = config.k_u, config.k_d
+    buf = rng.standard_exponential(k_u + k_d + k_d * k_u)
+    return _freeze(object.__new__(ChannelRealization), buf, k_u, k_d)
 
 
 def sinr(p, g, p_i, g_i, noise, out=None):

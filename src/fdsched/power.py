@@ -44,4 +44,4 @@ def opa(ch, ul, dl, config):
     """
     pair = _pair_at(config, ul, dl, pair_gains(ch, ul, dl))
     fast, fd, on_ul, _, _ = allocate(config, pair)
-    return OpaDecision(ul, dl, *map(float, _powers(config, fd, on_ul)), bool(fast))
+    return OpaDecision(ul, dl, *_powers(config, fd, on_ul), bool(fast))

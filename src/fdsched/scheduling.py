@@ -94,10 +94,10 @@ class Schedule:
             raise ValueError("the all-off corner is never a valid schedule")
         if (self.pu > 0.0 and self.ul is None) or (self.p0 > 0.0 and self.dl is None):
             raise ValueError("a link with positive power needs a user")
-        for user, power in (("ul", self.pu), ("dl", self.p0)):
+        for user, label, power in (("ul", "UL index", self.pu), ("dl", "DL index", self.p0)):
             index = getattr(self, user)
             if index is not None:
-                index = whole_number(f"{user.upper()} index", index)
+                index = whole_number(label, index)
             object.__setattr__(self, user, None if power == 0.0 else index)
 
     @property
@@ -136,8 +136,10 @@ def _corner(r_fd, r_hd_ul, r_hd_dl, fast=False):
 
 
 def _powers(config, fd, on_ul):
-    """Powers (p0, pu) of a corner: 0 where the link is off."""
-    return config.p0_max * ~on_ul, config.pu_max * (fd | on_ul)
+    """Powers ``(p0, pu)`` of one snapshot's corner, as floats: 0 where the
+    link is off.  Branches, since numpy's arithmetic on bool scalars costs
+    about 1 µs an operation."""
+    return 0.0 if on_ul else float(config.p0_max), float(config.pu_max) if fd or on_ul else 0.0
 
 
 # Users, gains (g_ul, g_dl, g_x), SINRs, rates and sum rate of a pair in FD at maximum powers.
@@ -421,7 +423,7 @@ def _select(scheduler, ch, config):
         return Schedule(ul[0], dl[0], float(config.p0_max), float(config.pu_max))
     pair, fd, on_ul, _ = batch.corner(scheduler)
     ul, dl = (pair.ul, pair.dl) if fd[0] else batch.best
-    return Schedule(ul[0], dl[0], *map(float, _powers(config, fd[0], on_ul[0])))
+    return Schedule(ul[0], dl[0], *_powers(config, fd[0], on_ul[0]))
 
 
 def select_a1(ch, config):

@@ -495,6 +495,17 @@ class TestAnalyze:
         assert a.read_bytes() == b.read_bytes()
         assert len(read_csv(b)) == 3
 
+    def test_manifest_records_each_closed_form_route(self, tmp_path):
+        # At K = 10 the A2 form's alternating sum cancels past the reroute's
+        # tolerance, so its row comes from the rate integral; A1's stays closed.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--k", "10", "--out", str(a)]) == 0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["routes"] == {"avg_rate_a1": "closed", "avg_rate_a2": "quadrature:cancellation"}
+        assert "routes" not in manifest["resolved"]
+        assert run_cli(["analyze", "--config", str(a) + ".manifest.json", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_unknown_alg_in_settings_file_exits_2(self, tmp_path, capsys):
         config = tmp_path / "settings.json"
         config.write_text(json.dumps({"algs": ["a3"]}))

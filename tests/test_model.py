@@ -1,7 +1,10 @@
 """Configuration conversions, channel statistics, and instantaneous rates."""
 
 import math
+import numbers
+import re
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from fdsched.model import (
     draw_realization,
     rates,
     sinr,
+    whole_number,
 )
 from fdsched.scheduling import Schedule
 
@@ -97,6 +101,39 @@ class TestDrawRealization:
         ch = draw_realization(SystemConfig(1.0, 1.0, 1.0, 1.0, 0.5, 2, 2), np.random.default_rng(0))
         assert [f.name for f in fields(ch)] == ["g_ul", "g_dl", "g_x"]
 
+    @pytest.mark.parametrize("k_u, k_d", [(3, 5), (5, 2), (1, 4)])
+    def test_one_draw_equals_three_in_order(self, k_u, k_d):
+        # One call of k_u + k_d + k_d * k_u draws gives the numbers, and leaves
+        # the generator state, of three calls: g_ul, g_dl, then g_x row-major.
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        ch = draw_realization(SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, k_u, k_d), rng)
+        assert np.array_equal(ch.g_ul, ref.standard_exponential(k_u))
+        assert np.array_equal(ch.g_dl, ref.standard_exponential(k_d))
+        assert np.array_equal(ch.g_x, ref.standard_exponential((k_d, k_u)))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("source", ["drawn", "caller"])
+    def test_gains_are_read_only_float64_in_c_order(self, source):
+        if source == "drawn":
+            ch = draw_realization(SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 3, 4), np.random.default_rng(0))
+        else:
+            ch = ChannelRealization([1, 2, 3], [1, 2, 3, 4], np.ones((3, 4)).T)  # ints, Fortran order
+        for arr in (ch.g_ul, ch.g_dl, ch.g_x):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            if arr.base is not None:  # a view: its buffer is frozen too
+                with pytest.raises(ValueError):
+                    arr.base[...] = 5.0
+
+    def test_caller_arrays_are_copied(self):
+        g_ul, g_dl, g_x = np.ones(2), np.ones(3), np.ones((3, 2))
+        ch = ChannelRealization(g_ul, g_dl, g_x)
+        g_ul[0] = g_dl[0] = g_x[0, 0] = 7.0
+        assert ch.g_ul.tolist() == [1.0, 1.0] and ch.g_dl.tolist() == [1.0] * 3
+        assert ch.g_x.tolist() == [[1.0, 1.0]] * 3
+
     def test_arrays_are_frozen(self):
         cfg = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 2, 2)
         ch = draw_realization(cfg, np.random.default_rng(0))
@@ -122,6 +159,35 @@ class TestDrawRealization:
     def test_negative_zero_is_a_zero_gain(self):
         ch = make_ch([-0.0, 1.0], [1.0, -0.0, 2.0], [[-0.0, 0.0], [1.0, -0.0], [0.0, 0.0]])
         assert ch.g_ul.tolist() == [0.0, 1.0] and ch.g_x.min() == 0.0
+
+
+class _Registered:
+    """An integer type known to ``numbers.Integral`` by registration alone."""
+
+    def __int__(self):
+        return 5
+
+
+numbers.Integral.register(_Registered)
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value, expected", [
+        (5, 5), (np.int32(5), 5), (np.uint64(5), 5), (5.0, 5), (np.float64(5.0), 5),
+        (np.float32(5.0), 5), (np.float16(3.0), 3), (_Registered(), 5),
+    ], ids=["int", "int32", "uint64", "float", "float64", "float32", "float16", "registered"])
+    def test_takes_whole_numbers_as_ints(self, value, expected):
+        got = whole_number("n", value)
+        assert type(got) is int and got == expected
+
+    @pytest.mark.parametrize("value", [
+        True, np.True_, 1.5, math.nan, math.inf, "5", None, Fraction(5, 1),
+        np.float32(1.5), np.float64(math.nan), np.float16(math.inf),
+    ], ids=["bool", "numpy-bool", "fraction-float", "nan", "inf", "str", "none", "Fraction",
+            "float32-fraction", "float64-nan", "float16-inf"])
+    def test_refuses_everything_else(self, value):
+        with pytest.raises(ValueError, match=f"^n must be a whole number, got {re.escape(repr(value))}$"):
+            whole_number("n", value)
 
 
 UNIT_NOISE = SystemConfig(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)  # sigma0^2 = sigmaD^2 = 1

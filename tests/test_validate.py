@@ -8,6 +8,7 @@ numpy's CPU dispatch, its batched grids against one grid at a time, and
 the order in which it reports failures.  The engine criteria on two
 workers."""
 
+import collections
 import dataclasses
 import os
 import subprocess
@@ -18,7 +19,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fdsched import model, power, sim, validate
+from fdsched import model, power, scheduling, sim, validate
 from fdsched.power import OpaDecision
 
 
@@ -179,6 +180,29 @@ def test_binary_opa_below_avx512_in_a_child():
     found, detail = proc.stdout.splitlines()
     assert _dispatch_class(set(found.split())) == "x86-v3"
     assert detail == _binary_opa_detail(_WORST_EXCESS["x86-v3"])
+
+
+def test_quick_binary_opa_decides_each_realization_through_the_scalar_views(monkeypatch):
+    # The criterion checks the per-snapshot API: every realization is drawn,
+    # selected and allocated through it, one call each.  perfbench's
+    # validate-quick counts these three calls and needs them nonzero, so a
+    # batched shortcut around them would blind it.
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(validate, "draw_realization")
+    spy(scheduling, "select_a2")
+    spy(power, "opa")
+    assert validate.crit_binary_opa(quick=True)[0]
+    assert calls == {"draw_realization": 2000, "select_a2": 2000, "opa": 2000}
 
 
 @pytest.fixture
