@@ -28,16 +28,18 @@ from .model import (
     draw_realization,
     rates,
 )
-from .power import OpaDecision, eta, opa, zeta
+from .power import OpaDecision, opa
 from .scheduling import (
     DuplexMode,
     Schedule,
+    eta,
     select_a1,
     select_a2,
     select_a3,
     select_es_fd,
     select_es_fdhd,
     select_hd_tdd,
+    zeta,
 )
 from .sim import (
     Scheduler,

@@ -429,11 +429,11 @@ def _closed_or_quadrature(params, dl_terms=None, sf_dl=None, pole=False):
     return ClosedFormRate(_rate_by_quadrature(params, sf_dl), route)
 
 
-def avg_rate_ul_closed(params):
+def avg_rate_ul_closed(params) -> ClosedFormRate:
     """Closed-form average UL rate: an alternating binomial combination of
-    xi_1 kernels.  Falls back to the rate integral when cancellation would
-    eat the result (large k_u)."""
-    return _closed_or_quadrature(params).value
+    xi_1 kernels, or the rate integral where cancellation would eat it or
+    k_u > 40, with the route that computed it (the UL form has no pole)."""
+    return _closed_or_quadrature(params)
 
 
 def _dl_a1_terms(params):

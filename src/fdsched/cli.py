@@ -96,20 +96,6 @@ def _fmt(value):
     return str(value)
 
 
-def _write_rows(path, rows, header, fmt):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        payload = [{k: row[k] for k in header} for row in rows]
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in header])
-
-
 @functools.cache  # git runs once a process: validate's determinism check makes 3 simulate calls a pass
 def _git_describe():
     try:
@@ -125,27 +111,31 @@ def _git_describe():
     return "unknown"
 
 
-def _write_manifest(out_path, command, resolved, **extra):
+def _emit(args, command, rows, header, settings, **extra):
+    """The one writer of output: the ``header`` columns of ``rows`` as CSV or
+    JSON to ``--out`` (default ``<command>.<format>``), then its manifest
+    ``<out>.manifest.json``, with the ``extra`` keys beside ``resolved``."""
+    out = args.out or f"{command}.{settings['format']}"
+    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    if settings["format"] == "json":
+        payload = [{k: row[k] for k in header} for row in rows]
+        Path(out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        with open(out, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\r\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(row[k]) for k in header])
     manifest = {
         "tool": "fdsched",
         "version": __version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "git_describe": _git_describe(),
-        "resolved": resolved,
+        "resolved": settings,
         **extra,
     }
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _emit(args, command, rows, header, settings, **extra):
-    """Write ``rows`` to ``--out`` (default ``<command>.<format>``) and its
-    manifest, with the ``extra`` keys beside ``resolved``."""
-    out = args.out or f"{command}.{settings['format']}"
-    _write_rows(out, rows, header, settings["format"])
-    _write_manifest(out, command, settings, **extra)
+    Path(out + ".manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -262,40 +252,28 @@ def cmd_analyze(args):
         if args.k_u is not None or args.k_d is not None:
             raise FlagError("--k sets both user counts, so it cannot be combined with --ku or --kd")
         settings["k_d"] = settings["k_u"] = args.k
-    radio = {key: settings[key] for key in RADIO_DEFAULTS}
     try:
-        params = resolve_config(radio)
+        params = resolve_config({key: settings[key] for key in RADIO_DEFAULTS})
         asym = analysis.asymptotic_rate_a1(params) if settings["asymptotic"] else None
     except ValueError as exc:
         raise FlagError(str(exc)) from exc
 
     header = ["quantity", "value_bits", "value_nats", "oracle_bits", "abs_diff", "flagged"]
     rows, routes = [], {}  # routes: each closed-form row's ClosedFormRate.route, for the manifest
-
-    def row(quantity, value_bits, value_nats="", oracle="", flagged=""):
-        diff = abs(value_bits - oracle) if isinstance(oracle, float) else ""
-        rows.append({
-            "quantity": quantity, "value_bits": value_bits, "value_nats": value_nats,
-            "oracle_bits": oracle, "abs_diff": diff, "flagged": flagged,
-        })
-
-    # The oracle integrates the public CDFs, not the survival laws the closed
-    # forms reroute to; sharing only their rule, it still checks rerouted rows.
-    def oracle(cdf_dl):
-        return analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
-                                          lambda x: cdf_dl(x, params))
-
-    if algs:
-        row("avg_rate_ul_closed", analysis.avg_rate_ul_closed(params),
-            oracle=oracle(lambda x, p: 1.0), flagged=False)
-    for alg in algs:
-        fn = analysis.avg_rate_a1 if alg == "a1" else analysis.avg_rate_a2
-        cdf_dl = analysis.cdf_sinr_dl_a1 if alg == "a1" else analysis.cdf_sinr_dl_a2
-        result = fn(params)
-        row(f"avg_rate_{alg}", result.value, oracle=oracle(cdf_dl), flagged=result.flagged)
-        routes[f"avg_rate_{alg}"] = result.route
+    # (quantity, DL CDF); each quantity names its closed form on analysis, looked up when run.
+    closed = [("avg_rate_ul_closed", lambda x, p: 1.0)] if algs else []
+    closed += [(f"avg_rate_{alg}", getattr(analysis, f"cdf_sinr_dl_{alg}")) for alg in algs]
+    for quantity, cdf_dl in closed:
+        result = getattr(analysis, quantity)(params)
+        # The oracle integrates the public CDFs, not the survival laws the closed
+        # forms reroute to; sharing only their rule, it still checks rerouted rows.
+        oracle = analysis.avg_rate_integral(lambda x: analysis.cdf_sinr_ul(x, params),
+                                            lambda x: cdf_dl(x, params))
+        rows.append(dict(zip(header, (quantity, result.value, "", oracle,
+                                      abs(result.value - oracle), result.flagged))))
+        routes[quantity] = result.route
     if asym is not None:
-        row("asymptotic_rate_a1", asym.bits, value_nats=asym.nats)
+        rows.append(dict(zip(header, ("asymptotic_rate_a1", asym.bits, asym.nats, "", "", ""))))
 
     return _emit(args, "analyze", rows, header, settings, routes=routes)
 

@@ -17,14 +17,7 @@ fast path settled it, so it goes to :func:`fdsched.model.rates` as it is.
 from dataclasses import dataclass
 
 from .model import pair_gains
-from .scheduling import (  # zeta and eta are re-exported
-    Schedule,
-    _pair_at,
-    _powers,
-    allocate,
-    eta,
-    zeta,
-)
+from .scheduling import Schedule, _pair_at, _powers, allocate
 
 
 @dataclass(frozen=True)

@@ -132,7 +132,7 @@ def _hd_dl(config, g_dl):
 def _corner(r_fd, r_hd_ul, r_hd_dl, fast=False):
     """Masks ``(fd, on_ul)`` of the best live corner (FD if ``fast``); ties prefer FD, then HD-UL."""
     fd = fast | ((r_fd >= r_hd_ul) & (r_fd >= r_hd_dl))
-    return fd, ~fd & (r_hd_ul >= r_hd_dl)
+    return fd, np.logical_not(fd) & (r_hd_ul >= r_hd_dl)
 
 
 def _powers(config, fd, on_ul):

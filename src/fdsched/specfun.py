@@ -31,15 +31,18 @@ def _en_scaled(n, z):
     """e^z E_n(z) for integer n >= 1 and z > 0.
 
     For z > 1 the continued fraction never forms an exponential, so it
-    cannot overflow or underflow no matter how large z gets.  For z <= 1
-    the series of E_n is summed exactly (fsum); its terms shrink like
-    z^i / i!, so they lose little to cancellation.
+    cannot overflow or underflow no matter how large z gets.  It stops at a
+    step whose factor is exactly 1; where rounding holds every factor an ulp
+    from 1 (z above ~3e12), it returns f at the first factor within 2^-52 of 1.
+    For z <= 1 the series of E_n is summed exactly (fsum); its terms shrink
+    like z^i / i!, so they lose little to cancellation.
     """
     if z > 1.0:
         b = z + n
         c = 1.0 / _TINY
         d = 1.0 / b
         f = d
+        near = []  # f at each step whose factor is within 2^-52 of 1
         for i in range(1, _MAX_ITER + 1):
             a = -i * (n - 1.0 + i)
             b += 2.0
@@ -47,9 +50,13 @@ def _en_scaled(n, z):
             c = b + a / c
             delta = c * d
             f *= delta
-            if abs(delta - 1.0) < 1e-16:
-                return f
-        raise ArithmeticError(f"continued fraction for e^z E_{n}(z) stalled at z={z!r}")
+            if abs(delta - 1.0) <= 2.0 ** -52:
+                if delta == 1.0:
+                    return f
+                near.append(f)
+        if not near:
+            raise ArithmeticError(f"continued fraction for e^z E_{n}(z) stalled at z={z!r}")
+        return near[0]
     psi = -EULER_GAMMA + fsum(1.0 / k for k in range(1, n))
     acc = [1.0 / (n - 1)] if n > 1 else [psi, -log(z)]
     fact = 1.0

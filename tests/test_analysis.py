@@ -282,7 +282,7 @@ class TestRateRule:
         # below t ~ s, where the reroute once put no node and read ~0: the
         # UL-only reroute at k = 1, the closed form's large-K route at 48.
         p = AnalyticalParams(1.0, snr, 1.0, 1.0, 0.0, k, k)
-        got = _rate_by_quadrature(p) if k == 1 else avg_rate_ul_closed(p)
+        got = _rate_by_quadrature(p) if k == 1 else avg_rate_ul_closed(p).value
         with mp.workdps(80):  # the alternating sum cancels ~2^k
             c = 1 / mp.mpf(snr)
             ref = mp.fsum(comb(k, j) * (-1) ** (j + 1) * mp.e ** (j * c) * mp.e1(j * c)
@@ -326,6 +326,15 @@ class TestRoutes:
                                          (48, "quadrature:large-k")])
     def test_a2_route(self, k, route):
         assert avg_rate_a2(preset_params(k)).route == route
+
+    @pytest.mark.parametrize("k,route", [(1, "closed"), (10, "closed"),
+                                         (30, "quadrature:cancellation"),
+                                         (41, "quadrature:large-k")])
+    def test_ul_route(self, k, route):
+        # The UL form returns its route too; it has no pole, so it is never flagged.
+        result = avg_rate_ul_closed(preset_params(k))
+        assert isinstance(result, ClosedFormRate)
+        assert result.route == route and not result.flagged
 
     @pytest.mark.parametrize("alg", ["a1", "a2"])
     def test_early_stop_keeps_the_full_sum_decision(self, alg):
@@ -519,11 +528,11 @@ class TestRateIntegral:
 class TestUlClosed:
     def test_single_user_unit_snr(self):
         p = AnalyticalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1, 1)
-        assert avg_rate_ul_closed(p) == pytest.approx(0.86034738227088595, rel=1e-12)
+        assert avg_rate_ul_closed(p).value == pytest.approx(0.86034738227088595, rel=1e-12)
 
     def test_si_drives_rate_to_zero(self):
         vals = [
-            avg_rate_ul_closed(AnalyticalParams(1.0, 1.0, 1.0, 1.0, si, 3, 3))
+            avg_rate_ul_closed(AnalyticalParams(1.0, 1.0, 1.0, 1.0, si, 3, 3)).value
             for si in (0.0, 1.0, 10.0, 100.0, 1e4)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -532,12 +541,12 @@ class TestUlClosed:
     def test_matches_ul_only_quadrature(self):
         p = AnalyticalParams(1.7, 0.6, 0.3, 0.2, 0.02, 5, 2)
         oracle = avg_rate_integral(lambda x: cdf_sinr_ul(x, p), _degenerate_cdf)
-        assert avg_rate_ul_closed(p) == pytest.approx(oracle, rel=1e-6)
+        assert avg_rate_ul_closed(p).value == pytest.approx(oracle, rel=1e-6)
 
     def test_large_k_falls_back_smoothly(self):
         p = AnalyticalParams(1.0, 1.0, 0.5, 0.5, 0.0, 200, 2)
         oracle = avg_rate_integral(lambda x: cdf_sinr_ul(x, p), _degenerate_cdf)
-        assert avg_rate_ul_closed(p) == pytest.approx(oracle, rel=1e-7)
+        assert avg_rate_ul_closed(p).value == pytest.approx(oracle, rel=1e-7)
 
 
 class TestAvgRateA1:

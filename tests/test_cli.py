@@ -366,13 +366,16 @@ def test_settings_file_shape_exits_2(tmp_path, capsys, content, message):
     assert not out.exists()
 
 
-def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("closed_form", ["avg_rate_a1", "avg_rate_a2", "avg_rate_ul_closed"])
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch, closed_form):
+    # analyze looks each closed form up on analysis when it runs, so the
+    # patched one is the one called.
     def fail(params):
         raise analysis.QuadratureError("forced failure", achieved=1.0)
 
-    monkeypatch.setattr(analysis, "avg_rate_a1", fail)
+    monkeypatch.setattr(analysis, closed_form, fail)
     out = tmp_path / "x.csv"
-    assert run_cli(["analyze", "--alg", "a1", "--out", str(out)]) == 3
+    assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--out", str(out)]) == 3
     assert "numerical failure: forced failure" in capsys.readouterr().err
     assert not out.exists()
 
@@ -444,6 +447,30 @@ class TestAnalyze:
         row = {r["quantity"]: r for r in read_csv(out)}["avg_rate_a2"]
         assert float(row["abs_diff"]) > 1e-7
 
+    def test_manifest_routes_cover_every_closed_row(self, tmp_path):
+        # At K = 41 every closed form is past its user-count limit; the
+        # asymptotic row has no route.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(["analyze", "--alg", "a2", "--alg", "a1", "--asymptotic", "--k", "41",
+                        "--out", str(a)]) == 0
+        quantities = [r["quantity"] for r in read_csv(a)]
+        assert quantities == ["avg_rate_ul_closed", "avg_rate_a2", "avg_rate_a1",
+                              "asymptotic_rate_a1"]
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["routes"] == dict.fromkeys(quantities[:3], "quadrature:large-k")
+        assert run_cli(["analyze", "--config", str(a) + ".manifest.json", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_vanishing_ul_power_converges(self, tmp_path):
+        # At -300 dBm the UL form's xi_1 argument is ~1.3e25, where the
+        # continued fraction's factors stay one ulp from 1; it used to
+        # raise "stalled" (exit 3).
+        out = tmp_path / "an.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--pu-dbm", "-300", "--out", str(out)]) == 0
+        rows = {r["quantity"]: r for r in read_csv(out)}
+        assert float(rows["avg_rate_ul_closed"]["value_bits"]) < 1e-20
+        assert float(rows["avg_rate_a1"]["abs_diff"]) <= 1e-9
+
     def test_pole_point_flagged(self, tmp_path):
         out = tmp_path / "an.csv"
         rc = run_cli(["analyze", "--alg", "a2", "--p0-dbm", "10", "--pu-dbm", "10",
@@ -497,11 +524,13 @@ class TestAnalyze:
 
     def test_manifest_records_each_closed_form_route(self, tmp_path):
         # At K = 10 the A2 form's alternating sum cancels past the reroute's
-        # tolerance, so its row comes from the rate integral; A1's stays closed.
+        # tolerance, so its row comes from the rate integral; the UL and A1
+        # rows stay closed.
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--k", "10", "--out", str(a)]) == 0
         manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
-        assert manifest["routes"] == {"avg_rate_a1": "closed", "avg_rate_a2": "quadrature:cancellation"}
+        assert manifest["routes"] == {"avg_rate_ul_closed": "closed", "avg_rate_a1": "closed",
+                                      "avg_rate_a2": "quadrature:cancellation"}
         assert "routes" not in manifest["resolved"]
         assert run_cli(["analyze", "--config", str(a) + ".manifest.json", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()

@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 
 from fdsched.model import ChannelRealization, SystemConfig, draw_realization, rates
-from fdsched.power import OpaDecision, eta, opa, zeta
+from fdsched.power import OpaDecision, opa
 from fdsched.scheduling import (
     OPA_BASE,
     DuplexMode,
     Schedule,
     Scheduler,
+    eta,
     evaluate,
     select_a1,
     select_a2,
     select_a3,
+    zeta,
 )
 
 

@@ -103,6 +103,20 @@ class TestXiN:
         val = xi_n(2, 1e3, 10.0)
         assert val == pytest.approx(mp_xi(2, 1e3, 10.0), rel=1e-8)
 
+    @pytest.mark.parametrize("n,z", [
+        (41, 3294866757325.7847), (1, 3409877033003.259), (15, 6929435138069.05),
+        (2, 1.2737642961475328e16), (1, 2.5290353369586884e16), (30, 7.035896408983942e134),
+        (3, 1.0342525042945084e211), (5, 8.443155090737525e272),
+    ])
+    def test_large_product_where_the_fraction_never_reaches_1(self, n, z):
+        # At these z rounding holds every continued-fraction factor one ulp
+        # from 1, so a stop on a factor of exactly 1 alone raised "stalled".
+        # Reference: e^z E_n(z) = sum_k (-1)^k (n)_k / z^(k+1), whose terms
+        # past the sixth are below 1e-60 of the first at z > 1e12.
+        with mp.workdps(40):
+            ref = mp.fsum((-1) ** k * mp.rf(n, k) / mp.mpf(z) ** (k + 1) for k in range(6))
+        assert xi_n(n, z, 1.0) == pytest.approx(float(ref), rel=1e-15)
+
     def test_positive_everywhere(self):
         for n in (1, 4, 15):
             for x in (1e-3, 1.0, 1e3):
