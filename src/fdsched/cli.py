@@ -5,7 +5,9 @@ Every run writes a machine-readable table (RFC-4180 CSV or JSON) plus a
 ``<out>.manifest.json`` sidecar holding the fully resolved settings, the
 seed, tool version, timestamp, and git describe string; an ``analyze``
 manifest also maps each closed-form row's quantity to the route that
-computed it (``routes``: ``ClosedFormRate.route``).  Feeding a manifest
+computed it (``routes``: ``ClosedFormRate.route``) and lists the rows whose
+oracle reads exactly 0 against a positive value (``oracle_zero``), which
+that oracle cannot check.  Feeding a manifest
 back through ``--config`` reproduces the output byte for byte, for
 ``simulate`` and ``analyze`` alike; the CSV itself contains no timestamps,
 so reruns with any ``--workers`` value compare equal.
@@ -259,7 +261,9 @@ def cmd_analyze(args):
         raise FlagError(str(exc)) from exc
 
     header = ["quantity", "value_bits", "value_nats", "oracle_bits", "abs_diff", "flagged"]
-    rows, routes = [], {}  # routes: each closed-form row's ClosedFormRate.route, for the manifest
+    # For the manifest: each closed-form row's ClosedFormRate.route, and the
+    # rows whose oracle reads exactly 0 against a positive value.
+    rows, routes, oracle_zero = [], {}, []
     # (quantity, DL CDF); each quantity names its closed form on analysis, looked up when run.
     closed = [("avg_rate_ul_closed", lambda x, p: 1.0)] if algs else []
     closed += [(f"avg_rate_{alg}", getattr(analysis, f"cdf_sinr_dl_{alg}")) for alg in algs]
@@ -272,10 +276,12 @@ def cmd_analyze(args):
         rows.append(dict(zip(header, (quantity, result.value, "", oracle,
                                       abs(result.value - oracle), result.flagged))))
         routes[quantity] = result.route
+        if oracle == 0.0 < result.value:
+            oracle_zero.append(quantity)
     if asym is not None:
         rows.append(dict(zip(header, ("asymptotic_rate_a1", asym.bits, asym.nats, "", "", ""))))
 
-    return _emit(args, "analyze", rows, header, settings, routes=routes)
+    return _emit(args, "analyze", rows, header, settings, routes=routes, oracle_zero=oracle_zero)
 
 
 def cmd_validate(args):

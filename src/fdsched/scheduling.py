@@ -21,9 +21,10 @@ arrays and for reductions over short rows, and a batch has thousands of
 rows of a few users.  So every gather is an ``ndarray.take`` on the
 flattened gains with offsets built from row bases, cached per batch shape:
 a user's gain or rate per row, the pair's cross gain, A2's cross-gain
-column u* (and the search winner's), A3's row d*.  ``argmax`` over rows
-1 or 2 wide, and the least cross gain of short rows, are answered column
-by column.  Each gives numpy's bits and its first-index ties.
+column u* (and the search winner's, and each live pair's), A3's row d*.
+``argmax`` over rows 1 or 2 wide, and the least cross gain of short rows,
+are answered column by column.  Each gives numpy's bits and its
+first-index ties.
 
 The exhaustive search keeps each UL user's best DL SINR, so it takes logs
 of K values, not K², and holds no (u, d) tensor of a whole batch: below
@@ -34,7 +35,10 @@ snapshot: where each snapshot's bound on the FD sum, u*'s UL rate plus d*'s
 DL rate under the least cross gain, is below its best single link by a 1e-9
 margin.  The first 16 snapshots take their own least cross gain; the rest
 take the least of them all, one flat min, and their own only where that
-looser bound reaches a best single link.
+looser bound reaches a best single link.  Where FD may win, it bounds each
+(snapshot, UL user) pair the same way, with the user's own UL rate and
+least cross gain, and searches only the live pairs, those whose bound
+reaches the best single link.
 The scalar ``select_*`` functions and :mod:`fdsched.power` are
 batch-of-one views of the same code, and return a :class:`Schedule`.
 """
@@ -213,11 +217,14 @@ def _argmax(a):
 
 
 def _row_min(a):
-    """``a.min(axis=1)`` of an (n, k) array.  While k is small next to n, an
-    ``np.minimum`` sweep over the columns skips numpy's per-row loop: one
-    sweep step costs about as much as 16 rows of that loop, and past 36
-    columns the sweep's strided passes fall out of cache."""
-    n, k = a.shape
+    """``a.min(axis=1)`` of an (n, k) or (n, k, m) array.  While k is small
+    next to n, an ``np.minimum`` sweep over axis 1 skips numpy's per-row
+    loop: one sweep step costs about as much as 16 rows of that loop, and
+    past 36 columns the sweep's strided passes fall out of cache.  On the
+    cross gains of a 4 MiB chunk, over the DL users, the sweep took 0.49
+    against numpy's 1.14 ms at K = 8 and 0.47 against 0.52 ms at K = 32,
+    and numpy 0.35 against the sweep's 0.47 ms at K = 64."""
+    n, k = a.shape[:2]
     if k > min(36, n // 16):
         return a.min(axis=1)
     out = a[:, 0].copy()
@@ -270,14 +277,16 @@ class _Batch:
         self.bases = _bases(*self.g_x.shape)
         self.best = _argmax(self.g_ul), _argmax(self.g_dl)  # the gain-max users
 
-    def at(self, a, users):
-        """``a[i, users[i]]`` of each row of an (n, k_u) or (n, k_d) array."""
+    def at(self, a, users, rows=slice(None)):
+        """``a[i, users[i]]`` of each row i of ``rows`` (default all) of an
+        (n, k_u) or (n, k_d) array."""
         base = self.bases.ul if a.shape[1] == self.g_ul.shape[1] else self.bases.dl  # equal if k_u = k_d
-        return a.reshape(-1).take(base + users)
+        return a.reshape(-1).take(base[rows] + users)
 
-    def column(self, ul):
-        """Column ``ul[i]`` of each row's cross gains, as a fresh (n, k_d) array."""
-        return self.g_x.reshape(-1).take((self.bases.x + ul)[:, None] + self.bases.col)
+    def column(self, ul, rows=slice(None)):
+        """Column ``ul[i]`` of the cross gains of each row i of ``rows``
+        (default all), as a fresh (len(ul), k_d) array."""
+        return self.g_x.reshape(-1).take((self.bases.x[rows] + ul)[:, None] + self.bases.col)
 
     @cached_property
     def star(self):
@@ -295,27 +304,33 @@ class _Batch:
         """Full-power single-link rates of the gain-max users."""
         return _hd_ul(self.config, self.star[0]), _hd_dl(self.config, self.star[1])
 
+    @cached_property
+    def hd_best(self):
+        """Each row's best single-link rate, the bar FD must reach in ES-FDHD."""
+        return np.maximum(*self.hd)
+
+    @cached_property
+    def r_fd_ul(self):
+        """FD UL rate of every UL user, an (n, k_u) array: the first term of
+        each pair sum."""
+        return _fd_ul(self.config, self.g_ul)[1]
+
     def users(self, rule):
-        """``(ul, dl, r_fd)`` of A1, A2, A3 or the exhaustive search (ES_FD);
-        ``r_fd`` is the search's pair sum rate, else None.  A2 reads only column
-        u* of each cross-gain matrix and A3 only row d*, in a gathered copy;
-        the search reads every pair but keeps each UL user's best DL SINR, never
+        """``(ul, dl, r_fd)`` of A1, A2, A3, the exhaustive search (ES_FD) or
+        ES-FDHD's search of its live pairs (:meth:`live_search`); ``r_fd`` is
+        the search's pair sum rate, else None.  A2 reads only column u* of
+        each cross-gain matrix and A3 only row d*, in a gathered copy; the
+        search reads every pair but keeps each UL user's best DL SINR, never
         a K² tensor of the batch."""
         config, g_ul, g_dl, g_x = self.config, self.g_ul, self.g_dl, self.g_x
         p0, pu, s0, sd = config.p0_max, config.pu_max, config.sigma0_sq, config.sigmaD_sq
         if rule is Scheduler.ES_FD:
-            r_ul = _fd_ul(config, g_ul)[1]
             # log2_1p and + r_ul are monotone, so each UL user's best pair sum
             # is log2_1p of its best DL SINR.
             best = _best_dl_sinr(p0, pu, sd, g_dl, g_x)
-            sums = np.add(log2_1p(best, out=best), r_ul, out=best)
-            ul = _argmax(sums)
-            # The DL user of the lexicographic (u, d) search: the first d whose
-            # rounded sum ties, which need not be the first d of highest SINR.
-            col = self.column(ul)  # the winner's pair sums are built in place
-            log2_1p(sinr(p0, g_dl, pu, col, sd, out=col), out=col)
-            col += self.at(r_ul, ul)[:, None]
-            return ul, _argmax(col), self.at(sums, ul)
+            return self.search(np.add(log2_1p(best, out=best), self.r_fd_ul, out=best))
+        if rule is Scheduler.ES_FDHD:
+            return self.live_search()
         if rule is Scheduler.A3:
             dl = self.best[1]
             row = g_x.reshape(-1, g_x.shape[2]).take(self.bases.dl + dl, axis=0)
@@ -338,6 +353,63 @@ class _Batch:
                                         self.fd_ul if ul is self.best[0] else None)
         return self.pairs[rule]
 
+    def search(self, sums, rows=slice(None)):
+        """``(ul, dl, r_fd)`` of the lexicographic (u, d) pair search on
+        ``rows``, from their best pair sum of each UL user, ``sums``: the
+        first UL user of highest sum, then the first DL user whose rounded
+        sum with it ties, which need not be the first of highest SINR."""
+        config = self.config
+        ul = _argmax(sums)
+        col = self.column(ul, rows)  # the winner's pair sums are built in place
+        log2_1p(sinr(config.p0_max, self.g_dl[rows], config.pu_max, col, config.sigmaD_sq, out=col), out=col)
+        col += self.at(self.r_fd_ul, ul, rows)[:, None]
+        return ul, _argmax(col), self.at(sums, ul, slice(len(ul)))  # sums has a row per searched row
+
+    def live(self):
+        """Which (row, UL user) pairs are live, an (n, k_u) mask: where the
+        user's FD UL rate plus d*'s DL rate under the user's least cross
+        gain, a bound on each of the user's pair sums, reaches the row's
+        best single link.  The bound and its 1e-9 margin are those of
+        :attr:`fd_may_win` with a min over the DL users only; NaN is live."""
+        config = self.config
+        bound = _row_min(self.g_x)
+        sinr(config.p0_max, self.star[1][:, None], config.pu_max, bound, config.sigmaD_sq, out=bound)
+        bound = np.add(log2_1p(bound, out=bound), self.r_fd_ul, out=bound)
+        bound *= 1.0 + 1e-9
+        return np.logical_not(bound < self.hd_best[:, None])
+
+    def live_search(self):
+        """``(ul, dl, r_fd)`` of ES-FDHD's search of only its live pairs
+        (:meth:`live`).  A UL user with no live pair cannot reach its row's
+        best single link, so it can neither win where FD wins nor matter
+        where FD loses.  The live pairs' best DL SINRs are gathered in
+        pieces of at most ``_TILE_PAIRS / 4`` cross gains (128 KB), since a
+        piece holds four arrays that size: its offsets, its cross gains, its
+        DL gains and their product with the power.  A piece is laid out DL
+        user by DL user, (k_d, pairs), so that its max over the DL users is
+        a sweep, not numpy's per-row loop over rows k_d wide.  The rows with
+        a live pair are then searched as the whole batch is
+        (:meth:`search`); the others get ``r_fd`` = -inf, which loses to
+        either single link, and users 0."""
+        config, g_dl_t, bases = self.config, self.g_dl.T.copy(), self.bases
+        n, k_d, k_u = self.g_x.shape
+        i, u = np.divmod(np.flatnonzero(self.live()), k_u)
+        first = np.empty(len(i), dtype=bool)  # each row's first live pair
+        first[:1] = True
+        np.not_equal(i[1:], i[:-1], out=first[1:])
+        rows, at = i[first], np.cumsum(first) - 1  # rows with a live pair, and each pair's among them
+        sums = np.full((len(rows), k_u), -np.inf)
+        step = max(_TILE_PAIRS // (4 * k_d), 1)  # pairs a piece
+        for lo in range(0, len(i), step):
+            ii, uu = i[lo:lo + step], u[lo:lo + step]
+            x = self.g_x.reshape(-1).take(bases.col[:, None] + (bases.x[ii] + uu))
+            best = sinr(config.p0_max, g_dl_t.take(ii, axis=1), config.pu_max, x, config.sigmaD_sq,
+                        out=x).max(axis=0)
+            sums[at[lo:lo + step], uu] = np.add(log2_1p(best, out=best), self.at(self.r_fd_ul, uu, ii), out=best)
+        ul, dl, r_fd = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.full(n, -np.inf)
+        ul[rows], dl[rows], r_fd[rows] = self.search(sums, rows)
+        return ul, dl, r_fd
+
     @cached_property
     def fd_may_win(self):
         """Whether FD may win ES-FDHD's corner on some row: whether a row's
@@ -351,7 +423,7 @@ class _Batch:
         that bound is at least each row's own, and if it is below every
         row's best single link FD can win no row.  Only where it is not
         does each row take its own least cross gain."""
-        config, g_dl, hd = self.config, self.star[1], np.maximum(*self.hd)
+        config, g_dl, hd = self.config, self.star[1], self.hd_best
         _, k_d, k_u = self.g_x.shape
 
         def below(rows, least):  # whether no row's bound under cross gain `least` reaches its best link
@@ -373,12 +445,18 @@ class _Batch:
         :attr:`hd`: both links for A1, UL for A2, DL for A3.  Unless ES-FD is
         evaluated too, ES-FDHD searches no pair where FD can win no row
         (:attr:`fd_may_win`): its pair is then None, and every row takes the
-        gain-max users' better single link, as it would after a search."""
+        gain-max users' better single link, as it would after a search.
+        Where FD may win, it searches only its live pairs
+        (:meth:`live_search`); its pair's users are then 0 on the rows
+        without one, which FD wins on no row."""
         if scheduler is Scheduler.ES_FDHD:
-            if Scheduler.ES_FD in self.schedulers or self.fd_may_win:
+            if Scheduler.ES_FD in self.schedulers:
                 pair = self.pair(Scheduler.ES_FD)
-                return (pair, *_corner(pair.r_fd, *self.hd), {})
-            return None, np.zeros(len(self.g_ul), dtype=bool), self.hd[0] >= self.hd[1], {}
+            elif self.fd_may_win:
+                pair = self.pair(Scheduler.ES_FDHD)
+            else:
+                return None, np.zeros(len(self.g_ul), dtype=bool), self.hd[0] >= self.hd[1], {}
+            return (pair, *_corner(pair.r_fd, *self.hd), {})
         pair = self.pair(OPA_BASE[scheduler])
         fast, fd, on_ul, hd_ul, hd_dl = allocate(
             self.config, pair, self.hd[0] if pair.ul is self.best[0] else None,
@@ -454,7 +532,9 @@ def select_es_fdhd(ch, config):
     half-duplex corners.  Tie preference: FD, then HD-UL, then HD-DL.  The
     pairs are searched only if an upper bound on their sum rate (see
     :attr:`_Batch.fd_may_win`) reaches the better single link; else the
-    better single link is the answer, as it would be after a search."""
+    better single link is the answer, as it would be after a search.  Else
+    only the UL users whose own bound reaches it are searched
+    (:meth:`_Batch.live_search`)."""
     return _select(Scheduler.ES_FDHD, ch, config)
 
 

@@ -471,6 +471,26 @@ class TestAnalyze:
         assert float(rows["avg_rate_ul_closed"]["value_bits"]) < 1e-20
         assert float(rows["avg_rate_a1"]["abs_diff"]) <= 1e-9
 
+    def test_manifest_names_the_rows_an_oracle_of_0_cannot_check(self, tmp_path):
+        # At -300 dBm all the UL link's mass lies below the rate integral's
+        # first breakpoint, so its oracle reads exactly 0 against 1.3e-24
+        # bits; the manifest says so, and the data file and its reload do not.
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        assert run_cli(["analyze", "--alg", "a1", "--pu-dbm", "-300", "--out", str(a)]) == 0
+        rows = {r["quantity"]: r for r in read_csv(a)}
+        assert float(rows["avg_rate_ul_closed"]["oracle_bits"]) == 0.0
+        assert float(rows["avg_rate_ul_closed"]["value_bits"]) > 0.0
+        manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+        assert manifest["oracle_zero"] == ["avg_rate_ul_closed"]
+        assert "oracle_zero" not in manifest["resolved"] and "oracle_zero" not in a.read_text()
+        assert run_cli(["analyze", "--config", str(a) + ".manifest.json", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads((tmp_path / "b.csv.manifest.json").read_text())["oracle_zero"] == ["avg_rate_ul_closed"]
+        # The default point: every oracle is positive.
+        assert run_cli(["analyze", "--alg", "a1", "--alg", "a2", "--out", str(c)]) == 0
+        assert all(float(r["oracle_bits"]) > 0.0 for r in read_csv(c))
+        assert json.loads((tmp_path / "c.csv.manifest.json").read_text())["oracle_zero"] == []
+
     def test_pole_point_flagged(self, tmp_path):
         out = tmp_path / "an.csv"
         rc = run_cli(["analyze", "--alg", "a2", "--p0-dbm", "10", "--pu-dbm", "10",

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from fdsched import scheduling
+from fdsched import scheduling, sim
 from fdsched.power import opa
 from fdsched.model import (
     ChannelRealization, SystemConfig, config_from_db, draw_realization, log2_1p, rates, sinr,
@@ -430,6 +430,12 @@ class TestIndexPaths:
         a = np.random.default_rng(n + k).choice([0.0, 0.5, 2.0, np.inf, np.nan], size=(n, k))
         assert scheduling._row_min(a).tobytes() == a.min(axis=1).tobytes()
 
+    @pytest.mark.parametrize("n,k_d,k_u", [(0, 3, 2), (1, 64, 64), (17, 4, 9), (100, 36, 5), (100, 37, 5),
+                                           (4096, 8, 8), (128, 64, 64)])
+    def test_row_min_over_the_dl_users_is_numpys(self, n, k_d, k_u):
+        a = np.random.default_rng(n + k_d).choice([0.0, 0.5, 2.0, np.inf, np.nan], size=(n, k_d, k_u))
+        assert scheduling._row_min(a).tobytes() == a.min(axis=1).tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 16, 17, 100])
     def test_fd_may_win_on_short_batches(self, n):
         # The bound of every row, from numpy's own min over the cross gains.
@@ -512,12 +518,13 @@ class TestBoundedSearch:
         assert decisions == [4096, 4096]
 
     # How fd_may_win decides, by the rows it bounds one by one (``_row_min``)
-    # and the rows searched after it.
+    # and the rows searched after it; a search first bounds its live pairs
+    # over every row.
     BOUND_PATHS = {
-        "head wins": ((16,), (4096,)),
+        "head wins": ((16, 4096), (4096,)),
         "flat min rules FD out": ((16,), ()),
         "per-row min rules FD out": ((16, 4080), ()),
-        "a row past the head wins": ((16, 4080), (4096,)),
+        "a row past the head wins": ((16, 4080, 4096), (4096,)),
     }
 
     def test_every_bound_path_gives_the_shared_bytes(self, monkeypatch, search_rows):
@@ -605,6 +612,154 @@ class TestBoundedSearch:
             assert alone[key].tobytes() == values.tobytes(), key
         s = select_es_fdhd(ChannelRealization(g_ul[0], g_dl[0], g_x[0]), config)
         assert (s.mode, s.ul, s.dl) == (DuplexMode.FD, 0, 0)
+
+
+def _enumerate_fdhd(ch, config):
+    """ES-FDHD by plain-Python enumeration: ``(mode, ul, dl)`` of the first
+    (u, d) pair of highest FD sum rate, or of the better gain-max single link."""
+    pair, fd_sum = None, -math.inf
+    for u in range(config.k_u):
+        for d in range(config.k_d):
+            r = rates(ch, Schedule(u, d, config.p0_max, config.pu_max), config).r_sum
+            if r > fd_sum:
+                pair, fd_sum = (u, d), r
+    u_star, d_star = int(np.argmax(ch.g_ul)), int(np.argmax(ch.g_dl))
+    hd_ul = rates(ch, Schedule(u_star, None, 0.0, config.pu_max), config).r_sum
+    hd_dl = rates(ch, Schedule(None, d_star, config.p0_max, 0.0), config).r_sum
+    if fd_sum >= max(hd_ul, hd_dl):
+        return (DuplexMode.FD, *pair)
+    return (DuplexMode.HD_UL, u_star, None) if hd_ul >= hd_dl else (DuplexMode.HD_DL, None, d_star)
+
+
+class TestLiveSearch:
+    """ES-FDHD without ES-FD searches only its live (row, UL user) pairs,
+    those whose bound reaches the row's best single link, and gives the
+    bytes of the whole search it shares with ES-FD."""
+
+    @staticmethod
+    def _assert_shared_bytes(search_rows, config, gains):
+        """ES-FDHD's arrays beside ES-FD, which it gives alone too, and the
+        rows of the searches it ran alone."""
+        shared = evaluate([Scheduler.ES_FD, Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+        search_rows.clear()
+        alone = evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+        assert list(alone) == list(shared)
+        for key, values in shared.items():
+            assert alone[key].tobytes() == values.tobytes(), key
+        return shared, list(search_rows)
+
+    @pytest.mark.parametrize("k,n", [(8, 700), (16, 300), (32, 200), (64, 130)])
+    def test_gives_the_shared_bytes(self, search_rows, k, n):
+        rng = np.random.default_rng(3600 + k)
+        live, fd_rows = {}, {}
+        for si_db in (60.0, 80.0, 100.0, 120.0):
+            config = config_from_db(24.0, 23.0, si_db, k_u=k, k_d=k)
+            gains = _exponential_block(config, rng, n=n)
+            shared, searched = self._assert_shared_bytes(search_rows, config, gains)
+            assert searched == [n]  # FD may win somewhere at each level
+            live[si_db] = scheduling._Batch(config, *gains, [Scheduler.ES_FDHD]).live().mean()
+            fd_rows[si_db] = np.count_nonzero(shared["fd"])
+        # Few live pairs at 60-80 dB, most at 120 dB.
+        assert live[60.0] <= live[80.0] < 0.1 < 0.5 < live[120.0]
+        assert fd_rows[60.0] == 0 and 0 < fd_rows[80.0] < n
+
+    def test_exact_ul_ties_and_a_winner_that_is_not_the_gain_max_user(self, search_rows):
+        config = config_from_db(24.0, 23.0, 80.0, k_u=8, k_d=8)
+        g_ul, g_dl, g_x = _exponential_block(config, np.random.default_rng(3700), n=40)
+        # Row 3: UL users 2 and 5 are one strong user twice, same gain and
+        # same cross-gain column, and every pair sum of the two ties exactly.
+        g_ul[3, [2, 5]] = 1e3
+        g_x[3, :, 5] = g_x[3, :, 2] = 1e-3 * g_x[3, :, 2]
+        # Row 7: the gain-max UL user 0 jams every DL user; user 4, weaker,
+        # leaks nothing and wins FD.
+        g_ul[7] = 0.5
+        g_ul[7, 0], g_ul[7, 4] = 1e3, 5e2
+        g_x[7, :, 0], g_x[7, :, 4] = 1e6, 0.0
+        # Row 8: user 4 leaks only toward DL user 1, whose gain is tiny, and
+        # jams the rest: its bound takes d* = 0's gain under no leakage, so
+        # its pairs are live, yet FD loses to d*'s single link.
+        g_ul[8], g_x[8] = g_ul[7], 1e6
+        g_dl[8, 0], g_dl[8, 1], g_x[8, 1, 4] = 1e3, 1e-9, 0.0
+        # Row 9: every gain but the cross gains is 0, so every bound equals
+        # the best single link, 0 bits, and FD wins the tie with (0, 0).
+        g_ul[9], g_dl[9] = 0.0, 0.0
+        gains = g_ul, g_dl, g_x
+        live = scheduling._Batch(config, *gains, [Scheduler.ES_FDHD]).live()
+        assert np.flatnonzero(live[8]).tolist() == [4] and live[9].all()
+        shared, _ = self._assert_shared_bytes(search_rows, config, gains)
+        assert shared["fd"][[3, 7, 9]].all() and not shared["fd"][8]
+        for i in (3, 7, 8, 9):
+            ch = ChannelRealization(g_ul[i], g_dl[i], g_x[i])
+            s = select_es_fdhd(ch, config)
+            assert (s.mode, s.ul, s.dl) == _enumerate_fdhd(ch, config), i
+        assert select_es_fdhd(ChannelRealization(g_ul[3], g_dl[3], g_x[3]), config).ul == 2
+        assert select_es_fdhd(ChannelRealization(g_ul[7], g_dl[7], g_x[7]), config).ul == 4
+
+    def test_fd_may_win_yet_no_pair_is_live(self, search_rows):
+        # UL user 0, the gain-max one, jams every DL user, and users 1 and 2
+        # leak nothing but carry no rate: the row's bound under u*'s UL rate
+        # and the least cross gain reaches a single link, no user's own does.
+        config = config_from_db(24.0, 23.0, 80.0, k_u=3, k_d=3)
+        g_ul, g_dl, g_x = _exponential_block(config, np.random.default_rng(3710), n=20)
+        g_ul[:, 0], g_ul[:, 1:], g_x[:, :, 0], g_x[:, :, 1:] = 1e3, 1e-6, 1e6, 0.0
+        batch = scheduling._Batch(config, g_ul, g_dl, g_x, [Scheduler.ES_FDHD])
+        assert batch.fd_may_win and not batch.live().any()
+        shared, searched = self._assert_shared_bytes(search_rows, config, (g_ul, g_dl, g_x))
+        assert searched == [20] and not shared["fd"].any()
+
+    @pytest.mark.parametrize("si_db", [90.0, 100.0])
+    def test_rows_at_k_32_match_the_enumeration(self, si_db):
+        config = config_from_db(24.0, 23.0, si_db, k_u=32, k_d=32)
+        gains = _exponential_block(config, np.random.default_rng(3800 + int(si_db)), n=64)
+        out = evaluate([Scheduler.ES_FDHD], config, *gains)[Scheduler.ES_FDHD]
+        rows = np.flatnonzero(out["fd"])[:2].tolist() + np.flatnonzero(~out["fd"])[:2].tolist()
+        assert len(rows) == 4
+        for i in rows:
+            ch = ChannelRealization(gains[0][i], gains[1][i], gains[2][i])
+            mode, ul, dl = _enumerate_fdhd(ch, config)
+            assert (mode is DuplexMode.FD) == out["fd"][i]
+            got = rates(ch, Schedule(ul, dl, config.p0_max * (mode is not DuplexMode.HD_UL),
+                                     config.pu_max * (mode is not DuplexMode.HD_DL)), config)
+            assert (got.r_ul, got.r_dl) == pytest.approx((out["r_ul"][i], out["r_dl"][i]), rel=1e-12)
+            s = select_es_fdhd(ch, config)
+            assert (s.mode, s.ul, s.dl) == (mode, ul, dl)
+
+    def test_scalar_view_at_k_64_agrees_with_the_kernel_row(self):
+        config = config_from_db(24.0, 23.0, 80.0, k_u=64, k_d=64)
+        rng = np.random.default_rng(3900)
+        chs = [draw_realization(config, rng) for _ in range(80)]
+        out = evaluate([Scheduler.ES_FDHD], config, *(np.stack([getattr(ch, g) for ch in chs])
+                                                      for g in ("g_ul", "g_dl", "g_x")))[Scheduler.ES_FDHD]
+        for i, ch in enumerate(chs):
+            s = select_es_fdhd(ch, config)
+            assert (s.mode is DuplexMode.FD) == out["fd"][i]
+            assert rates(ch, s, config).r_ul == out["r_ul"][i] and rates(ch, s, config).r_dl == out["r_dl"][i]
+            if s.mode is DuplexMode.FD:
+                es = select_es_fd(ch, config)
+                assert (s.ul, s.dl) == (es.ul, es.dl)
+        assert 0 < np.count_nonzero(out["fd"]) < len(chs)
+
+    def test_run_coupled_on_one_and_two_workers(self):
+        # Two blocks at K = 64, the second cut at 200 rows: chunks of 128
+        # rows and a last one of 72.
+        config = config_from_db(24.0, 23.0, 80.0, k_u=64, k_d=64)
+        n_trials = sim.BLOCK_SIZE + 200
+        _, shared = sim.run_coupled(config, ["es-fdhd", "es-fd"], n_trials, 5, workers=1)
+        for workers in (1, 2):
+            _, alone = sim.run_coupled(config, ["es-fdhd", "a2-opa"], n_trials, 5, workers=workers)
+            for key, values in shared[Scheduler.ES_FDHD].items():
+                assert alone[Scheduler.ES_FDHD][key].tobytes() == values.tobytes(), (workers, key)
+
+    def test_live_search_memory_is_a_fraction_of_the_cross_gains(self):
+        config = config_from_db(24.0, 23.0, 80.0, k_u=64, k_d=64)
+        gains = _exponential_block(config, np.random.default_rng(67), n=256)
+        tracemalloc.start()
+        try:
+            evaluate([Scheduler.ES_FDHD], config, *gains)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < gains[2].nbytes / 8
 
 
 class TestScheduleInvariants:
